@@ -74,10 +74,6 @@ class Policies:
     def allows(self, call: ApiCall) -> bool:
         return bool(self.mon_api & (1 << call))
 
-    def copy(self) -> "Policies":
-        return Policies(self.cores, self.mon_api, self.user_calls,
-                        self.receive_after_seal, dict(self.interrupts))
-
 
 def zero_registers() -> list[int]:
     return [0] * NUM_REGS

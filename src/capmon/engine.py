@@ -57,12 +57,10 @@ class CapDescription:
 
 
 class Engine:
-    def __init__(self, platform, seed: int = 0, measurement=None,
-                 debug_checks: bool = False):
+    def __init__(self, platform, seed: int = 0, measurement=None):
         self.platform = platform
         self.seed = seed
         self.measurement = measurement
-        self.debug_checks = debug_checks
         self.tree = RegionTree()
         self.domains: dict[int, DomainNode] = {}
         self._next_domain = 0
@@ -74,7 +72,8 @@ class Engine:
         self.quantum: Optional[int] = None
         self._quantum_deadlines: dict[int, tuple[int, int]] = {}
         self.delivered: list[tuple[int, int, int, int]] = []
-        self._buffers: dict[int, tuple[bytes, int]] = {}
+        # continuation token -> (issuing domain, output bytes, bytes drained)
+        self._buffers: dict[int, tuple[int, bytes, int]] = {}
         self._next_token = 1
 
     # ------------------------------------------------------------------
@@ -82,15 +81,27 @@ class Engine:
     # ------------------------------------------------------------------
 
     @contextmanager
-    def _serialized(self, core: Optional[int]):
+    def _serialized(self):
         if self.platform.concurrent:
-            self.platform.acquire_engine(core)
+            self.platform.acquire_engine()
             try:
                 yield
             finally:
                 self.platform.release_engine()
         else:
             yield
+
+    def _call(self, op: str, caller: Optional[int], args: dict, fn,
+              core: Optional[int] = None) -> dict:
+        """Run one monitor call under the engine lock and trace it.
+
+        The trace names `core`, or else the core the caller runs on (-1 if
+        none), read only once the lock is held.
+        """
+        with self._serialized():
+            if core is None:
+                core = self._core_of(caller)
+            return self._record(op, core, args, fn)
 
     def _record(self, op: str, core: int, args: dict, fn):
         try:
@@ -234,6 +245,10 @@ class Engine:
                 return core.id
         return None
 
+    def _core_of(self, caller: int) -> int:
+        core = self._running_core(caller)
+        return -1 if core is None else core
+
     def _cores_running(self, dom_ids: set[int]) -> set[int]:
         return {c.id for c in self.cores if c.current in dom_ids}
 
@@ -308,10 +323,8 @@ class Engine:
     # ------------------------------------------------------------------
 
     def create(self, caller: int) -> int:
-        with self._serialized(self._running_core(caller)):
-            return self._record("create", self._core_of(caller),
-                                {"caller": caller}, lambda: self._create(caller)
-                                )["handle"]
+        return self._call("create", caller, {"caller": caller},
+                          lambda: self._create(caller))["handle"]
 
     def _create(self, caller: int) -> dict:
         dom = self._live_caller(caller)
@@ -329,12 +342,11 @@ class Engine:
 
     def set_register(self, caller: int, handle: int, core: int,
                      index: int, value: int):
-        with self._serialized(self._running_core(caller)):
-            self._record("set_reg", self._core_of(caller),
-                         {"caller": caller, "handle": handle, "core": core,
-                          "index": index, "value": value},
-                         lambda: self._set_register(caller, handle, core,
-                                                    index, value))
+        self._call("set_reg", caller,
+                   {"caller": caller, "handle": handle, "core": core,
+                    "index": index, "value": value},
+                   lambda: self._set_register(caller, handle, core, index,
+                                              value))
 
     def _set_register(self, caller: int, handle: int, core: int,
                       index: int, value: int) -> dict:
@@ -352,13 +364,10 @@ class Engine:
 
     def get_register(self, caller: int, handle: int, core: int,
                      index: int) -> int:
-        with self._serialized(self._running_core(caller)):
-            return self._record(
-                "get_reg", self._core_of(caller),
-                {"caller": caller, "handle": handle, "core": core,
-                 "index": index},
-                lambda: self._get_register(caller, handle, core, index)
-            )["value"]
+        return self._call(
+            "get_reg", caller,
+            {"caller": caller, "handle": handle, "core": core, "index": index},
+            lambda: self._get_register(caller, handle, core, index))["value"]
 
     def _get_register(self, caller: int, handle: int, core: int,
                       index: int) -> dict:
@@ -382,11 +391,10 @@ class Engine:
         return {"value": cs.irq.resume[0].saved_regs[index]}
 
     def set_policy(self, caller: int, handle: int, fname: str, value: int):
-        with self._serialized(self._running_core(caller)):
-            self._record("set_policy", self._core_of(caller),
-                         {"caller": caller, "handle": handle, "field": fname,
-                          "value": value},
-                         lambda: self._set_policy(caller, handle, fname, value))
+        self._call("set_policy", caller,
+                   {"caller": caller, "handle": handle, "field": fname,
+                    "value": value},
+                   lambda: self._set_policy(caller, handle, fname, value))
 
     def _set_policy(self, caller: int, handle: int, fname: str,
                     value: int) -> dict:
@@ -416,11 +424,10 @@ class Engine:
         return {"dom": child.id}
 
     def get_policy(self, caller: int, handle: int, fname: str) -> int:
-        with self._serialized(self._running_core(caller)):
-            return self._record(
-                "get_policy", self._core_of(caller),
-                {"caller": caller, "handle": handle, "field": fname},
-                lambda: self._get_policy(caller, handle, fname))["value"]
+        return self._call(
+            "get_policy", caller,
+            {"caller": caller, "handle": handle, "field": fname},
+            lambda: self._get_policy(caller, handle, fname))["value"]
 
     def _get_policy(self, caller: int, handle: int, fname: str) -> dict:
         dom = self._live_caller(caller)
@@ -438,12 +445,11 @@ class Engine:
 
     def set_interrupt_policy(self, caller: int, handle: int, vector: int,
                              visibility: Visibility, readable_regs: int = 0):
-        with self._serialized(self._running_core(caller)):
-            self._record("set_intr", self._core_of(caller),
-                         {"caller": caller, "handle": handle, "vector": vector,
-                          "vis": visibility.value, "regs": readable_regs},
-                         lambda: self._set_interrupt_policy(
-                             caller, handle, vector, visibility, readable_regs))
+        self._call("set_intr", caller,
+                   {"caller": caller, "handle": handle, "vector": vector,
+                    "vis": visibility.value, "regs": readable_regs},
+                   lambda: self._set_interrupt_policy(
+                       caller, handle, vector, visibility, readable_regs))
 
     def _set_interrupt_policy(self, caller: int, handle: int, vector: int,
                               visibility: Visibility,
@@ -468,11 +474,10 @@ class Engine:
 
     def send(self, caller: int, handle: int, dest_handle: int,
              attrs: AttrFlags = AttrFlags.NONE):
-        with self._serialized(self._running_core(caller)):
-            self._record("send", self._core_of(caller),
-                         {"caller": caller, "handle": handle,
-                          "dest": dest_handle, "attrs": int(attrs)},
-                         lambda: self._send(caller, handle, dest_handle, attrs))
+        self._call("send", caller,
+                   {"caller": caller, "handle": handle, "dest": dest_handle,
+                    "attrs": int(attrs)},
+                   lambda: self._send(caller, handle, dest_handle, attrs))
 
     def _send(self, caller: int, handle: int, dest_handle: int,
               attrs: AttrFlags) -> dict:
@@ -549,17 +554,15 @@ class Engine:
 
     def region_digest(self, rng: PhysRange) -> bytes:
         """Digest of raw memory; only legal when no domain can reach it."""
-        with self._serialized(None):
+        with self._serialized():
             if not self.platform.memory.in_bounds(rng):
                 raise deny(ErrorCode.OUT_OF_MEMORY_BOUNDS, repr(rng))
             self._check_unmapped(rng, exclude=set())
             return hashlib.sha256(self.platform.read_bytes(rng)).digest()
 
     def seal(self, caller: int, handle: int):
-        with self._serialized(self._running_core(caller)):
-            self._record("seal", self._core_of(caller),
-                         {"caller": caller, "handle": handle},
-                         lambda: self._seal(caller, handle))
+        self._call("seal", caller, {"caller": caller, "handle": handle},
+                   lambda: self._seal(caller, handle))
 
     def _seal(self, caller: int, handle: int) -> dict:
         dom = self._live_caller(caller)
@@ -586,11 +589,10 @@ class Engine:
     # ------------------------------------------------------------------
 
     def switch(self, caller: int, core: int, handle: Optional[int] = None):
-        with self._serialized(core):
-            self._record("switch", core,
-                         {"caller": caller, "core": core,
-                          "target": "ret" if handle is None else handle},
-                         lambda: self._switch(caller, core, handle))
+        self._call("switch", caller,
+                   {"caller": caller, "core": core,
+                    "target": "ret" if handle is None else handle},
+                   lambda: self._switch(caller, core, handle), core=core)
 
     def _switch(self, caller: int, core: int, handle: Optional[int]) -> dict:
         dom = self._live_caller(caller)
@@ -674,10 +676,9 @@ class Engine:
         cs.last_payload = (int(code), detail)
 
     def route_interrupt(self, core: int, vector: int) -> int:
-        with self._serialized(core):
-            return self._record("irq", core, {"vector": vector},
-                                lambda: self._route_interrupt(core, vector)
-                                )["handler"]
+        return self._call("irq", None, {"vector": vector},
+                          lambda: self._route_interrupt(core, vector),
+                          core=core)["handler"]
 
     def _route_interrupt(self, core: int, vector: int) -> dict:
         if not 0 <= vector < NUM_VECTORS:
@@ -743,7 +744,7 @@ class Engine:
 
     def route_device_interrupt(self, vector: int) -> Optional[int]:
         """Route a device interrupt on the lowest core the handler may use."""
-        with self._serialized(None):
+        with self._serialized():
             for cs in self.cores:
                 handler = self._prospective_handler(cs.current, vector)
                 if not self.domains[handler].policies.cores & (1 << cs.id):
@@ -796,12 +797,10 @@ class Engine:
     # ------------------------------------------------------------------
 
     def getchan(self, caller: int, handle: Optional[int] = None) -> int:
-        with self._serialized(self._running_core(caller)):
-            return self._record(
-                "getchan", self._core_of(caller),
-                {"caller": caller,
-                 "from": "self" if handle is None else handle},
-                lambda: self._getchan(caller, handle))["handle"]
+        return self._call(
+            "getchan", caller,
+            {"caller": caller, "from": "self" if handle is None else handle},
+            lambda: self._getchan(caller, handle))["handle"]
 
     def _getchan(self, caller: int, handle: Optional[int]) -> dict:
         dom = self._live_caller(caller)
@@ -817,10 +816,6 @@ class Engine:
         return {"handle": new_handle, "to": target.id}
 
     def enumerate(self, caller: int, cursor: int):
-        with self._serialized(self._running_core(caller)):
-            return self._enumerate_traced(caller, cursor)
-
-    def _enumerate_traced(self, caller: int, cursor: int):
         out: dict = {}
 
         def run():
@@ -830,8 +825,8 @@ class Engine:
             return {"next": nxt,
                     "entry": desc.render().replace(" ", "~") if desc else "end"}
 
-        self._record("enumerate", self._core_of(caller),
-                     {"caller": caller, "cursor": cursor}, run)
+        self._call("enumerate", caller, {"caller": caller, "cursor": cursor},
+                   run)
         return out["desc"], out["next"]
 
     def _enumerate(self, caller: int, cursor: int):
@@ -871,38 +866,33 @@ class Engine:
                verifier_key: Optional[bytes] = None,
                nonce: Optional[bytes] = None,
                domain_key: Optional[bytes] = None):
-        with self._serialized(self._running_core(caller)):
-            out: dict = {}
+        out: dict = {}
 
-            def run():
-                dom = self._live_caller(caller)
-                self._gate(dom, ApiCall.ATTEST)
-                if handle is None:
-                    subject = dom
-                else:
-                    subject = self._resolve_td(dom, handle, allow_channel=True)
-                report = attest_mod.build_report(
-                    self, subject.id, verifier_key=verifier_key, nonce=nonce,
-                    domain_key=domain_key)
-                out["report"] = report
-                return {"subject": subject.id}
+        def run():
+            dom = self._live_caller(caller)
+            self._gate(dom, ApiCall.ATTEST)
+            if handle is None:
+                subject = dom
+            else:
+                subject = self._resolve_td(dom, handle, allow_channel=True)
+            out["report"] = attest_mod.build_report(
+                self, subject.id, verifier_key=verifier_key, nonce=nonce,
+                domain_key=domain_key)
+            return {"subject": subject.id}
 
-            self._record("attest", self._core_of(caller),
-                         {"caller": caller,
-                          "subject": "self" if handle is None else handle}, run)
-            return out["report"]
+        self._call("attest", caller,
+                   {"caller": caller,
+                    "subject": "self" if handle is None else handle}, run)
+        return out["report"]
 
     # ------------------------------------------------------------------
     # revocation
     # ------------------------------------------------------------------
 
     def revoke_region(self, caller: int, handle: int, child_index: int):
-        with self._serialized(self._running_core(caller)):
-            self._record("revoke_region", self._core_of(caller),
-                         {"caller": caller, "handle": handle,
-                          "child": child_index},
-                         lambda: self._revoke_region(caller, handle,
-                                                     child_index))
+        self._call("revoke_region", caller,
+                   {"caller": caller, "handle": handle, "child": child_index},
+                   lambda: self._revoke_region(caller, handle, child_index))
 
     def _revoke_region(self, caller: int, handle: int,
                        child_index: int) -> dict:
@@ -923,10 +913,9 @@ class Engine:
                 "regions": len(regions), "domains": len(dom_ids)}
 
     def revoke_domain(self, caller: int, handle: int):
-        with self._serialized(self._running_core(caller)):
-            self._record("revoke_domain", self._core_of(caller),
-                         {"caller": caller, "handle": handle},
-                         lambda: self._revoke_domain(caller, handle))
+        self._call("revoke_domain", caller,
+                   {"caller": caller, "handle": handle},
+                   lambda: self._revoke_domain(caller, handle))
 
     def _revoke_domain(self, caller: int, handle: int) -> dict:
         dom = self._live_caller(caller)
@@ -1015,12 +1004,15 @@ class Engine:
                     self.platform.zero_range(node.initial_range)
             # 3. nodes leave the tree; carve parents regain their sub-ranges
             self.tree.destroy(ordered)
-            # 4. domains become terminally revoked
+            # 4. domains become terminally revoked, undrained outputs dropped
             for did in dom_ids:
                 node = self.domains[did]
                 node.state = DomainState.REVOKED
                 node.owned = type(node.owned)()
                 node.regs.clear()
+            for token in [t for t, (owner, _, _) in self._buffers.items()
+                          if owner in dom_ids]:
+                del self._buffers[token]
             if root_heir is not None:
                 self.tree.nodes[self.root_region].owner = root_heir
                 self.domains[root_heir].owned.insert(
@@ -1041,8 +1033,6 @@ class Engine:
 
         self.platform.barrier_update(self._core_of(caller), affected,
                                      publish, tag)
-        if self.debug_checks:
-            self.tree.check_invariants()
 
     def _destruction_order(self, regions: set[int]) -> list[int]:
         order: list[int] = []
@@ -1221,36 +1211,38 @@ class Engine:
 
     def _dispatch_attest(self, caller: int, args: list[int]) -> list[int]:
         if args[1] != 0:
-            return self._consume_buffer(args[1])
+            return self._consume_buffer(caller, args[1])
         report = self.attest(caller, None if args[0] == 0 else args[0] - 1)
         blob = report.to_bytes()
-        token = self._next_token
-        self._next_token += 1
-        self._buffers[token] = (blob, 0)
-        return [len(blob), token]
+        return [len(blob), self._issue_buffer(caller, blob)]
 
     def _dispatch_enumerate(self, caller: int, args: list[int]) -> list[int]:
         if args[1] != 0:
-            return self._consume_buffer(args[1])
+            return self._consume_buffer(caller, args[1])
         desc, nxt = self.enumerate(caller, args[0])
         if desc is None:
             return [nxt, 0, 0]
         blob = desc.render().encode()
+        return [nxt, self._issue_buffer(caller, blob), len(blob)]
+
+    def _issue_buffer(self, caller: int, blob: bytes) -> int:
         token = self._next_token
         self._next_token += 1
-        self._buffers[token] = (blob, 0)
-        return [nxt, token, len(blob)]
+        self._buffers[token] = (caller, blob, 0)
+        return token
 
-    def _consume_buffer(self, token: int) -> list[int]:
-        if token not in self._buffers:
+    def _consume_buffer(self, caller: int, token: int) -> list[int]:
+        # a token drains only for the domain whose call produced the output
+        entry = self._buffers.get(token)
+        if entry is None or entry[0] != caller:
             raise deny(ErrorCode.BAD_CURSOR, f"token {token}")
-        blob, offset = self._buffers[token]
+        owner, blob, offset = entry
         chunk = blob[offset:offset + 16]
         offset += len(chunk)
         if offset >= len(blob):
             del self._buffers[token]
         else:
-            self._buffers[token] = (blob, offset)
+            self._buffers[token] = (owner, blob, offset)
         padded = chunk.ljust(16, b"\0")
         return [len(chunk),
                 int.from_bytes(padded[:8], "little"),
@@ -1262,23 +1254,21 @@ class Engine:
 
     def tree_alias(self, caller: int, handle: int, rng: PhysRange,
                    rights: Rights) -> int:
-        with self._serialized(self._running_core(caller)):
-            return self._record(
-                "alias", self._core_of(caller),
-                {"caller": caller, "handle": handle, "start": rng.start,
-                 "end": rng.end, "rights": rights.render()},
-                lambda: self._derive(caller, handle, rng, rights, carve=False)
-            )["handle"]
+        return self._call(
+            "alias", caller,
+            {"caller": caller, "handle": handle, "start": rng.start,
+             "end": rng.end, "rights": rights.render()},
+            lambda: self._derive(caller, handle, rng, rights, carve=False)
+        )["handle"]
 
     def tree_carve(self, caller: int, handle: int, rng: PhysRange,
                    rights: Rights) -> int:
-        with self._serialized(self._running_core(caller)):
-            return self._record(
-                "carve", self._core_of(caller),
-                {"caller": caller, "handle": handle, "start": rng.start,
-                 "end": rng.end, "rights": rights.render()},
-                lambda: self._derive(caller, handle, rng, rights, carve=True)
-            )["handle"]
+        return self._call(
+            "carve", caller,
+            {"caller": caller, "handle": handle, "start": rng.start,
+             "end": rng.end, "rights": rights.render()},
+            lambda: self._derive(caller, handle, rng, rights, carve=True)
+        )["handle"]
 
     def _derive(self, caller: int, handle: int, rng: PhysRange,
                 rights: Rights, carve: bool) -> dict:
@@ -1302,48 +1292,6 @@ class Engine:
         affected = self._cores_running({caller})
         self.platform.barrier_update(self._core_of(caller), affected, publish,
                                      f"{'carve' if carve else 'alias'}:{new_id}")
-        if self.debug_checks:
-            self.tree.check_invariants()
         return {"region": new_id, "handle": new_handle,
                 "parent": entry.ref,
                 "status": self.tree.nodes[new_id].status.value}
-
-    # ------------------------------------------------------------------
-    # state digest (used to prove rejected operations change nothing)
-    # ------------------------------------------------------------------
-
-    def _core_of(self, caller: int) -> int:
-        core = self._running_core(caller)
-        return -1 if core is None else core
-
-    def state_digest(self) -> str:
-        h = hashlib.sha256()
-        for rid in sorted(self.tree.nodes):
-            node = self.tree.nodes[rid]
-            h.update(repr((
-                rid, node.owner, node.initial_range.start,
-                node.initial_range.end, int(node.rights), node.status.value,
-                node.kind.value, node.parent, tuple(node.children),
-                node.attributes.hash_digest, node.attributes.clean,
-                node.attributes.vital)).encode())
-        for did in sorted(self.domains):
-            dom = self.domains[did]
-            h.update(repr((
-                did, dom.state.value, dom.parent, tuple(dom.children),
-                dom.policies.cores, dom.policies.mon_api,
-                dom.policies.user_calls, dom.policies.receive_after_seal,
-                tuple(sorted((v, p.visibility.value, p.readable_regs)
-                             for v, p in dom.policies.interrupts.items())),
-                tuple(sorted((c, tuple(r)) for c, r in dom.regs.items())),
-                tuple(dom.owned.slots), dom.register_hash)).encode())
-        for cs in self.cores:
-            h.update(repr((
-                cs.id, cs.current,
-                tuple((e.domain, tuple(e.saved_regs), e.pending_observation)
-                      for e in cs.chain),
-                None if cs.irq is None else (
-                    cs.irq.vector,
-                    tuple((e.domain, tuple(e.saved_regs),
-                           e.pending_observation) for e in cs.irq.resume)),
-                tuple(cs.deferred_vectors))).encode())
-        return h.hexdigest()

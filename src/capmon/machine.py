@@ -367,7 +367,7 @@ class ConcurrentPlatform(Platform):
 
     # -- engine lock with IPI servicing ------------------------------------
 
-    def acquire_engine(self, core: Optional[int] = None):
+    def acquire_engine(self):
         # poll for updates on each locking attempt so a parked request never
         # deadlocks against the initiator holding the lock; the servicing
         # identity is the physical core of the calling thread

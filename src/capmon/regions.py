@@ -196,9 +196,6 @@ class RegionTree:
             raise deny(ErrorCode.UNKNOWN_REGION, f"region {region_id}")
         return node
 
-    def owned_by(self, owner: int) -> list[RegionNode]:
-        return [n for n in self.nodes.values() if n.owner == owner]
-
     # -- effective view (local computation) -------------------------------
 
     def effective_view(self, region_id: int) -> list[ViewSegment]:

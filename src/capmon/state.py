@@ -1,8 +1,11 @@
-"""Engine state dumps: JSON snapshots that tooling can reload.
+"""Engine state dumps: the engine's one snapshot, as JSON tooling can reload.
 
 A dump captures the full logical state of the engine (trees, tables,
-policies, cores) but not memory content; reloading is enough to attest and
-inspect, not to keep executing scenarios.
+policies, cores, id counters, continuation buffers, delivered vectors and
+quantum deadlines) but not memory content; reloading is enough to attest and
+inspect, not to keep executing scenarios.  Two dumps compare equal exactly
+when the engine states do, which is how the tests prove that a rejected call
+changed nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .regions import (
 def dump_state(engine: Engine) -> dict:
     config = engine.platform.config
     return {
-        "version": 1,
+        "version": 2,
         "seed": engine.seed,
         "step": engine.platform.now,
         "config": {
@@ -45,6 +48,14 @@ def dump_state(engine: Engine) -> dict:
         "root_region": engine.root_region,
         "next_domain": engine._next_domain,
         "next_region": engine.tree._next_id,
+        "next_channel": engine._next_channel,
+        "next_token": engine._next_token,
+        "buffers": [[token, owner, blob.hex(), offset] for token,
+                    (owner, blob, offset) in sorted(engine._buffers.items())],
+        "delivered": [list(d) for d in engine.delivered],
+        "quantum": engine.quantum,
+        "quantum_deadlines": [[core, deadline, dom] for core, (deadline, dom)
+                              in sorted(engine._quantum_deadlines.items())],
         "regions": [_dump_region(node) for _, node
                     in sorted(engine.tree.nodes.items())],
         "domains": [_dump_domain(dom) for _, dom
@@ -86,7 +97,8 @@ def _dump_domain(dom) -> dict:
             "interrupts": [[v, p.visibility.value, p.readable_regs]
                            for v, p in sorted(dom.policies.interrupts.items())],
         },
-        "regs": {str(core): regs for core, regs in sorted(dom.regs.items())},
+        "regs": {str(core): list(regs)
+                 for core, regs in sorted(dom.regs.items())},
         "owned": [None if e is None else [e.kind.value, e.ref]
                   for e in dom.owned.slots],
         "is_device": dom.is_device,
@@ -100,11 +112,11 @@ def _dump_core(cs) -> dict:
     return {
         "id": cs.id,
         "current": cs.current,
-        "chain": [[e.domain, e.saved_regs, e.pending_observation]
+        "chain": [[e.domain, list(e.saved_regs), e.pending_observation]
                   for e in cs.chain],
         "irq": None if cs.irq is None else {
             "vector": cs.irq.vector,
-            "resume": [[e.domain, e.saved_regs, e.pending_observation]
+            "resume": [[e.domain, list(e.saved_regs), e.pending_observation]
                        for e in cs.irq.resume],
         },
         "deferred": list(cs.deferred_vectors),
@@ -132,6 +144,14 @@ def load_state(dump: dict) -> Engine:
     engine.root_region = dump["root_region"]
     engine._next_domain = dump["next_domain"]
     engine.tree._next_id = dump["next_region"]
+    engine._next_channel = dump["next_channel"]
+    engine._next_token = dump["next_token"]
+    engine._buffers = {token: (owner, bytes.fromhex(blob), offset)
+                       for token, owner, blob, offset in dump["buffers"]}
+    engine.delivered = [tuple(d) for d in dump["delivered"]]
+    engine.quantum = dump["quantum"]
+    engine._quantum_deadlines = {core: (deadline, dom) for core, deadline, dom
+                                 in dump["quantum_deadlines"]}
     if engine.root_region is not None:
         engine.tree._root_id = engine.root_region
 

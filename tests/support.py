@@ -20,6 +20,7 @@ from capmon import (
 )
 from capmon.domains import ALL_CALLS_MASK, CapKind, DomainState
 from capmon.regions import PAGE
+from capmon.state import dump_state
 
 _VISES = (Visibility.DELIVER, Visibility.REPORT, Visibility.NOT_REPORT)
 
@@ -273,15 +274,14 @@ class FuzzDriver:
                 op = name
                 break
             roll -= weight
-        digest_before = self.engine.state_digest()
+        before = dump_state(self.engine)
         try:
             getattr(self, "_op_" + op)()
         except _Skip:
             return
         except MonitorError:
             self.rejected += 1
-            digest_after = self.engine.state_digest()
-            assert digest_after == digest_before, \
+            assert dump_state(self.engine) == before, \
                 f"rejected {op} changed engine state (seed step {self.steps})"
         else:
             self.accepted += 1
@@ -291,6 +291,7 @@ class FuzzDriver:
             assert not problems, \
                 f"oracle diff after {op} (step {self.steps}): {problems[:4]}"
             check_core_paths(self.engine)
+            self.engine.tree.check_invariants()
 
     def run(self, n: int):
         for _ in range(n):

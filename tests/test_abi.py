@@ -6,21 +6,26 @@ from capmon import AttestationReport, Rights
 from capmon.domains import ApiCall, CapKind, PayloadCode
 from capmon.errors import ErrorCode
 from capmon.regions import PAGE
+from capmon.state import dump_state
 
 from support import make_child, small_engine
 
 A = [PAGE * (1 + k) for k in range(8)]
 
 
-def call(engine, core, call_id, *args):
-    """Load registers, trap into the monitor, read the result registers."""
-    caller = engine.current_domain(core)
-    regs = engine.domains[caller].core_regs(core)
+def load(engine, core, call_id, *args):
+    """Put a call id and its arguments in the current domain's registers."""
+    regs = engine.domains[engine.current_domain(core)].core_regs(core)
     regs[0] = int(call_id)
     for i, value in enumerate(args):
         regs[1 + i] = value
     for i in range(len(args), 6):
         regs[1 + i] = 0
+
+
+def call(engine, core, call_id, *args):
+    """Load registers, trap into the monitor, read the result registers."""
+    load(engine, core, call_id, *args)
     engine.monitor_call(core)
     out = engine.domains[engine.current_domain(core)].core_regs(core)
     return out[0], out[1], out[2], out[3]
@@ -154,3 +159,51 @@ class TestAbiContinuation:
         engine, td0 = small_engine()
         status, *_ = call(engine, 0, ApiCall.ATTEST, 0, 12345)
         assert status == ErrorCode.BAD_CURSOR
+
+    def test_foreign_token_rejected(self):
+        engine, td0 = small_engine()
+        dom, handle = make_child(engine, td0)
+        engine.switch(td0, 1, handle)
+        status, nxt, token, total = call(engine, 0, ApiCall.ENUMERATE, 0, 0)
+        assert status == 0 and token != 0
+        status, *_ = call(engine, 1, ApiCall.ENUMERATE, 0, token)
+        assert status == ErrorCode.BAD_CURSOR
+        blob = drain(engine, 0, ApiCall.ENUMERATE, token, total)
+        assert blob.decode().startswith("region exclusive")
+
+    def test_revoke_drops_undrained_buffers(self):
+        engine, td0 = small_engine()
+        dom, handle = make_child(engine, td0)
+        engine.switch(td0, 1, handle)
+        status, *_ = call(engine, 1, ApiCall.ATTEST, 0, 0)
+        assert status == 0
+        status, *_ = call(engine, 0, ApiCall.ENUMERATE, 0, 0)
+        assert status == 0
+        engine.revoke_domain(td0, handle)
+        assert [owner for _, owner, _, _ in dump_state(engine)["buffers"]] \
+            == [td0]
+
+
+class TestAbiRejections:
+    def test_rejected_calls_change_only_register_zero(self):
+        engine, td0 = small_engine()
+        dom, handle = make_child(engine, td0)  # user calls stay off
+        engine.switch(td0, 1, handle)
+        status, _, token, _ = call(engine, 0, ApiCall.ENUMERATE, 0, 0)
+        assert status == 0
+        cases = [  # core, user mode, registers, expected error
+            (0, False, (ApiCall.ATTEST, 0, 12345), ErrorCode.BAD_CURSOR),
+            (1, False, (ApiCall.ENUMERATE, 0, token), ErrorCode.BAD_CURSOR),
+            (1, True, (ApiCall.GETCHAN, 0), ErrorCode.POLICY_DENIED),
+            (0, False, (77,), ErrorCode.BAD_HANDLE),
+        ]
+        for core, user, registers, code in cases:
+            load(engine, core, *registers)
+            expected = dump_state(engine)
+            caller = engine.current_domain(core)
+            record = next(d for d in expected["domains"] if d["id"] == caller)
+            record["regs"][str(core)][0] = int(code)
+            # the dump is a copy: editing it leaves the registers alone
+            assert engine.domains[caller].core_regs(core)[0] == registers[0]
+            engine.monitor_call(core, user=user)
+            assert dump_state(engine) == expected, registers

@@ -264,16 +264,38 @@ class TestDumpReload:
         import json
 
         from capmon import Visibility, state
-        engine, td0 = small_engine()
+        from capmon.domains import ApiCall
+        routed, td0 = small_engine()
         dom, handle = make_child(
-            engine, td0, interrupts=[(9, Visibility.NOT_REPORT, 0)])
-        engine.switch(td0, 0, handle)
-        engine.route_interrupt(0, 9)
-        assert engine.cores[0].irq is not None
-        blob = json.dumps(state.dump_state(engine), sort_keys=True)
-        reloaded = state.load_state(json.loads(blob))
-        cs = reloaded.cores[0]
+            routed, td0, interrupts=[(9, Visibility.NOT_REPORT, 0)])
+        routed.switch(td0, 0, handle)
+        routed.route_interrupt(0, 9)
+        assert routed.cores[0].irq is not None
+
+        # an undrained ATTEST buffer, a minted channel, a vector delivered
+        # in place and an armed quantum
+        pending, td0 = small_engine()
+        _, child = make_child(pending, td0)
+        regs = pending.domains[td0].core_regs(0)
+        regs[:3] = [int(ApiCall.ATTEST), 0, 0]
+        pending.monitor_call(0)
+        assert regs[0] == 0
+        pending.getchan(td0, child)
+        pending.route_interrupt(0, 9)
+        pending.set_quantum(50)
+        pending.switch(td0, 1, child)
+
+        reloads = []
+        for engine in (routed, pending):
+            blob = json.dumps(state.dump_state(engine), sort_keys=True)
+            reloaded = state.load_state(json.loads(blob))
+            assert json.dumps(state.dump_state(reloaded), sort_keys=True) \
+                == blob
+            for attr in ("_next_channel", "_next_token", "_buffers",
+                         "delivered", "quantum", "_quantum_deadlines"):
+                assert getattr(reloaded, attr) == getattr(engine, attr), attr
+            reloads.append(reloaded)
+        cs = reloads[0].cores[0]
         assert cs.current == td0
         assert cs.irq is not None and cs.irq.vector == 9
         assert [e.domain for e in cs.irq.resume] == [dom]
-        assert json.dumps(state.dump_state(reloaded), sort_keys=True) == blob
