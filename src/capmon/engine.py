@@ -10,7 +10,6 @@ time; in concurrent mode the platform supplies an IPI-aware lock.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,11 +21,15 @@ from .domains import (
     Visibility, zero_registers,
 )
 from .errors import ErrorCode, MonitorError, deny
-from .machine import FAULT_VECTOR, TIMER_VECTOR
+from .machine import FAULT_VECTOR, TIMER_VECTOR, view_allows
 from .regions import (
     AttrFlags, PhysRange, RegionAttributes, RegionStatus, RegionTree, Rights,
 )
 from .trace import OpRecord, TraceLog
+
+# continuation buffers one domain may leave undrained; a further ATTEST or
+# ENUMERATE through the register ABI is denied OUT_OF_METADATA
+MAX_UNDRAINED = 8
 
 
 @dataclass
@@ -80,28 +83,27 @@ class Engine:
     # serialization of operations
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def _serialized(self):
-        if self.platform.concurrent:
-            self.platform.acquire_engine()
-            try:
-                yield
-            finally:
-                self.platform.release_engine()
-        else:
-            yield
-
-    def _call(self, op: str, caller: Optional[int], args: dict, fn,
+    def _call(self, call: ApiCall, op: str, caller: int, args: dict, body,
               core: Optional[int] = None) -> dict:
         """Run one monitor call under the engine lock and trace it.
 
-        The trace names `core`, or else the core the caller runs on (-1 if
+        Inside the traced region the caller must be a live domain whose
+        policy allows `call`; `body` then runs with the caller's node.  The
+        trace names `core`, or else the core the caller runs on (-1 if
         none), read only once the lock is held.
         """
-        with self._serialized():
+        def gated():
+            dom = self.domain(caller)
+            if not dom.live:
+                raise deny(ErrorCode.DOMAIN_REVOKED, f"caller {caller}")
+            if not dom.policies.allows(call):
+                raise deny(ErrorCode.POLICY_DENIED, f"{call.name} bit clear")
+            return body(dom)
+
+        with self.platform.engine_lock:
             if core is None:
                 core = self._core_of(caller)
-            return self._record(op, core, args, fn)
+            return self._record(op, core, args, gated)
 
     def _record(self, op: str, core: int, args: dict, fn):
         try:
@@ -210,16 +212,6 @@ class Engine:
     def current_domain(self, core: int) -> int:
         return self.cores[core].current
 
-    def _live_caller(self, caller: int) -> DomainNode:
-        dom = self.domain(caller)
-        if not dom.live:
-            raise deny(ErrorCode.DOMAIN_REVOKED, f"caller {caller}")
-        return dom
-
-    def _gate(self, dom: DomainNode, call: ApiCall):
-        if not dom.policies.allows(call):
-            raise deny(ErrorCode.POLICY_DENIED, f"{call.name} bit clear")
-
     def _resolve(self, dom: DomainNode, handle: int) -> CapEntry:
         entry = dom.owned.get(handle)
         if entry is None:
@@ -252,36 +244,40 @@ class Engine:
     def _cores_running(self, dom_ids: set[int]) -> set[int]:
         return {c.id for c in self.cores if c.current in dom_ids}
 
-    def _visibility(self, dom_id: int, vector: int) -> Visibility:
-        return self.domains[dom_id].policies.interrupt(vector).visibility
-
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
+
+    def _segments(self, dom: DomainNode):
+        """(region id, segment) over the effective views of dom's regions;
+        callers pass live domains only."""
+        for _, entry in dom.owned.entries():
+            if entry.kind is CapKind.REGION:
+                for seg in self.tree.effective_view(entry.ref):
+                    yield entry.ref, seg
 
     def view_cache_for(self, dom_id: int) -> list[tuple[int, int, int]]:
         dom = self.domains.get(dom_id)
         if dom is None or not dom.live:
             return []
-        cache = []
-        for _, entry in dom.owned.entries():
-            if entry.kind is not CapKind.REGION:
-                continue
-            for seg in self.tree.effective_view(entry.ref):
-                cache.append((seg.range.start, seg.range.end, int(seg.rights)))
-        return cache
+        return [(seg.range.start, seg.range.end, int(seg.rights))
+                for _, seg in self._segments(dom)]
 
     def _refresh_views(self, cores: set[int]):
         for core in cores:
             self.platform.cores[core].local_view = \
                 self.view_cache_for(self.cores[core].current)
 
+    def _push_views(self, cores: set[int]):
+        """Queue each core's new view of the domain it runs (drained later)."""
+        for core in cores:
+            current = self.cores[core].current
+            self.platform.enqueue_update(core, Update(
+                UpdateKind.ACCESS_CHANGED, domain=current,
+                view=self.view_cache_for(current)))
+
     def domain_may_access(self, dom_id: int, addr: int, kind: str) -> bool:
-        bit = {"R": 4, "W": 2, "X": 1}[kind]
-        for start, end, rights in self.view_cache_for(dom_id):
-            if start <= addr < end and rights & bit:
-                return True
-        return False
+        return view_allows(self.view_cache_for(dom_id), addr, kind)
 
     def page_access_map(self) -> dict[int, dict[int, tuple[int, bool]]]:
         """Per-domain, per-page access as the engine sees it (for the oracle diff)."""
@@ -290,15 +286,11 @@ class Engine:
             if not dom.live:
                 continue
             pages: dict[int, tuple[int, bool]] = {}
-            for _, entry in dom.owned.entries():
-                if entry.kind is not CapKind.REGION:
-                    continue
-                for seg in self.tree.effective_view(entry.ref):
-                    excl = seg.status is RegionStatus.EXCLUSIVE
-                    for page in seg.range.pages():
-                        rights, old_excl = pages.get(page, (0, False))
-                        pages[page] = (rights | int(seg.rights),
-                                       old_excl or excl)
+            for _, seg in self._segments(dom):
+                excl = seg.status is RegionStatus.EXCLUSIVE
+                for page in seg.range.pages():
+                    rights, old_excl = pages.get(page, (0, False))
+                    pages[page] = (rights | int(seg.rights), old_excl or excl)
             out[dom.id] = pages
         return out
 
@@ -323,35 +315,31 @@ class Engine:
     # ------------------------------------------------------------------
 
     def create(self, caller: int) -> int:
-        return self._call("create", caller, {"caller": caller},
-                          lambda: self._create(caller))["handle"]
+        return self._call(ApiCall.CREATE, "create", caller, {"caller": caller},
+                          self._create)["handle"]
 
-    def _create(self, caller: int) -> dict:
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.CREATE)
+    def _create(self, dom: DomainNode) -> dict:
         if dom.state is not DomainState.SEALED or \
-                self._running_core(caller) is None:
+                self._running_core(dom.id) is None:
             raise deny(ErrorCode.NOT_RUNNING, "caller must be sealed and running")
         live = sum(1 for d in self.domains.values() if d.live)
         if live >= self.max_domains:
             raise deny(ErrorCode.OUT_OF_METADATA, "domain pool exhausted")
-        child = self._new_domain(parent=caller)
+        child = self._new_domain(parent=dom.id)
         dom.children.append((ChildKind.TD, child.id))
         handle = dom.owned.insert(CapEntry(CapKind.DOMAIN, child.id))
         return {"dom": child.id, "handle": handle}
 
     def set_register(self, caller: int, handle: int, core: int,
                      index: int, value: int):
-        self._call("set_reg", caller,
+        self._call(ApiCall.SET_GET, "set_reg", caller,
                    {"caller": caller, "handle": handle, "core": core,
                     "index": index, "value": value},
-                   lambda: self._set_register(caller, handle, core, index,
-                                              value))
+                   lambda dom: self._set_register(dom, handle, core, index,
+                                                  value))
 
-    def _set_register(self, caller: int, handle: int, core: int,
+    def _set_register(self, dom: DomainNode, handle: int, core: int,
                       index: int, value: int) -> dict:
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.SET_GET)
         child = self._resolve_td(dom, handle)
         if child.state is not DomainState.UNSEALED:
             raise deny(ErrorCode.SEALED, "registers frozen after seal")
@@ -365,14 +353,12 @@ class Engine:
     def get_register(self, caller: int, handle: int, core: int,
                      index: int) -> int:
         return self._call(
-            "get_reg", caller,
+            ApiCall.SET_GET, "get_reg", caller,
             {"caller": caller, "handle": handle, "core": core, "index": index},
-            lambda: self._get_register(caller, handle, core, index))["value"]
+            lambda dom: self._get_register(dom, handle, core, index))["value"]
 
-    def _get_register(self, caller: int, handle: int, core: int,
+    def _get_register(self, dom: DomainNode, handle: int, core: int,
                       index: int) -> dict:
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.SET_GET)
         child = self._resolve_td(dom, handle, allow_channel=False)
         if not 0 <= index < NUM_REGS:
             raise deny(ErrorCode.BAD_HANDLE, f"register index {index}")
@@ -381,7 +367,7 @@ class Engine:
         # post-seal reads only for the active handler/observer, gated by the
         # child's readable-registers bitmap for the routed vector
         cs = self.cores[core] if 0 <= core < len(self.cores) else None
-        if cs is None or cs.irq is None or cs.current != caller or \
+        if cs is None or cs.irq is None or cs.current != dom.id or \
                 not cs.irq.resume or cs.irq.resume[0].domain != child.id:
             raise deny(ErrorCode.REGISTER_HIDDEN, "no routed interrupt grants access")
         policy = child.policies.interrupt(cs.irq.vector)
@@ -391,15 +377,13 @@ class Engine:
         return {"value": cs.irq.resume[0].saved_regs[index]}
 
     def set_policy(self, caller: int, handle: int, fname: str, value: int):
-        self._call("set_policy", caller,
+        self._call(ApiCall.SET_GET, "set_policy", caller,
                    {"caller": caller, "handle": handle, "field": fname,
                     "value": value},
-                   lambda: self._set_policy(caller, handle, fname, value))
+                   lambda dom: self._set_policy(dom, handle, fname, value))
 
-    def _set_policy(self, caller: int, handle: int, fname: str,
+    def _set_policy(self, dom: DomainNode, handle: int, fname: str,
                     value: int) -> dict:
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.SET_GET)
         child = self._resolve_td(dom, handle)
         if child.state is not DomainState.UNSEALED:
             raise deny(ErrorCode.SEALED, "policies frozen after seal")
@@ -425,13 +409,11 @@ class Engine:
 
     def get_policy(self, caller: int, handle: int, fname: str) -> int:
         return self._call(
-            "get_policy", caller,
+            ApiCall.SET_GET, "get_policy", caller,
             {"caller": caller, "handle": handle, "field": fname},
-            lambda: self._get_policy(caller, handle, fname))["value"]
+            lambda dom: self._get_policy(dom, handle, fname))["value"]
 
-    def _get_policy(self, caller: int, handle: int, fname: str) -> dict:
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.SET_GET)
+    def _get_policy(self, dom: DomainNode, handle: int, fname: str) -> dict:
         child = self._resolve_td(dom, handle, allow_channel=False)
         if fname == "cores":
             return {"value": child.policies.cores}
@@ -445,17 +427,15 @@ class Engine:
 
     def set_interrupt_policy(self, caller: int, handle: int, vector: int,
                              visibility: Visibility, readable_regs: int = 0):
-        self._call("set_intr", caller,
+        self._call(ApiCall.SET_GET, "set_intr", caller,
                    {"caller": caller, "handle": handle, "vector": vector,
                     "vis": visibility.value, "regs": readable_regs},
-                   lambda: self._set_interrupt_policy(
-                       caller, handle, vector, visibility, readable_regs))
+                   lambda dom: self._set_interrupt_policy(
+                       dom, handle, vector, visibility, readable_regs))
 
-    def _set_interrupt_policy(self, caller: int, handle: int, vector: int,
+    def _set_interrupt_policy(self, dom: DomainNode, handle: int, vector: int,
                               visibility: Visibility,
                               readable_regs: int) -> dict:
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.SET_GET)
         child = self._resolve_td(dom, handle)
         if child.state is not DomainState.UNSEALED:
             raise deny(ErrorCode.SEALED, "policies frozen after seal")
@@ -474,15 +454,13 @@ class Engine:
 
     def send(self, caller: int, handle: int, dest_handle: int,
              attrs: AttrFlags = AttrFlags.NONE):
-        self._call("send", caller,
+        self._call(ApiCall.SEND, "send", caller,
                    {"caller": caller, "handle": handle, "dest": dest_handle,
                     "attrs": int(attrs)},
-                   lambda: self._send(caller, handle, dest_handle, attrs))
+                   lambda dom: self._send(dom, handle, dest_handle, attrs))
 
-    def _send(self, caller: int, handle: int, dest_handle: int,
+    def _send(self, dom: DomainNode, handle: int, dest_handle: int,
               attrs: AttrFlags) -> dict:
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.SEND)
         entry = self._resolve(dom, handle)
         if entry.kind is CapKind.DOMAIN:
             raise deny(ErrorCode.UNTRANSFERABLE_TD,
@@ -524,14 +502,10 @@ class Engine:
                     clean=bool(attrs & AttrFlags.CLEAN),
                     vital=bool(attrs & AttrFlags.VITAL))
                 dest.owned.insert(CapEntry(CapKind.REGION, node.id))
-                for core in affected:
-                    self.platform.enqueue_update(core, Update(
-                        UpdateKind.ACCESS_CHANGED,
-                        domain=self.cores[core].current,
-                        view=self.view_cache_for(self.cores[core].current)))
+                self._push_views(affected)
 
-            affected = self._cores_running({caller, dest.id})
-            self.platform.barrier_update(self._core_of(caller), affected,
+            affected = self._cores_running({dom.id, dest.id})
+            self.platform.barrier_update(self._core_of(dom.id), affected,
                                          publish, f"send:{node.id}")
             results.update({"region": node.id, "to": dest.id})
         else:
@@ -544,41 +518,30 @@ class Engine:
         for other in self.domains.values():
             if not other.live:
                 continue
-            for _, entry in other.owned.entries():
-                if entry.kind is not CapKind.REGION or entry.ref in exclude:
-                    continue
-                for seg in self.tree.effective_view(entry.ref):
-                    if seg.range.overlaps(rng):
-                        raise deny(ErrorCode.STILL_ACCESSIBLE,
-                                   f"{rng} reachable via region {entry.ref}")
+            for region, seg in self._segments(other):
+                if region not in exclude and seg.range.overlaps(rng):
+                    raise deny(ErrorCode.STILL_ACCESSIBLE,
+                               f"{rng} reachable via region {region}")
 
     def region_digest(self, rng: PhysRange) -> bytes:
         """Digest of raw memory; only legal when no domain can reach it."""
-        with self._serialized():
+        with self.platform.engine_lock:
             if not self.platform.memory.in_bounds(rng):
                 raise deny(ErrorCode.OUT_OF_MEMORY_BOUNDS, repr(rng))
             self._check_unmapped(rng, exclude=set())
             return hashlib.sha256(self.platform.read_bytes(rng)).digest()
 
     def seal(self, caller: int, handle: int):
-        self._call("seal", caller, {"caller": caller, "handle": handle},
-                   lambda: self._seal(caller, handle))
+        self._call(ApiCall.SEAL, "seal", caller,
+                   {"caller": caller, "handle": handle},
+                   lambda dom: self._seal(dom, handle))
 
-    def _seal(self, caller: int, handle: int) -> dict:
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.SEAL)
+    def _seal(self, dom: DomainNode, handle: int) -> dict:
         child = self._resolve_td(dom, handle)
         if child.state is not DomainState.UNSEALED:
             raise deny(ErrorCode.ALREADY_SEALED, f"domain {child.id}")
         for vector in range(NUM_VECTORS):
-            if child.policies.interrupt(vector).visibility is Visibility.DELIVER:
-                continue
-            walker = child.parent
-            while walker is not None:
-                if self._visibility(walker, vector) is Visibility.DELIVER:
-                    break
-                walker = self.domains[walker].parent
-            else:
+            if self._handler_of(child.id, vector) is None:
                 raise deny(ErrorCode.UNDELIVERABLE_VECTOR, f"vector {vector}")
         child.register_hash = self._register_hash(child)
         child.state = DomainState.SEALED
@@ -589,20 +552,19 @@ class Engine:
     # ------------------------------------------------------------------
 
     def switch(self, caller: int, core: int, handle: Optional[int] = None):
-        self._call("switch", caller,
+        self._call(ApiCall.SWITCH, "switch", caller,
                    {"caller": caller, "core": core,
                     "target": "ret" if handle is None else handle},
-                   lambda: self._switch(caller, core, handle), core=core)
+                   lambda dom: self._switch(dom, core, handle), core=core)
 
-    def _switch(self, caller: int, core: int, handle: Optional[int]) -> dict:
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.SWITCH)
+    def _switch(self, dom: DomainNode, core: int,
+                handle: Optional[int]) -> dict:
         if not 0 <= core < len(self.cores):
             raise deny(ErrorCode.CORE_NOT_ALLOWED, f"core {core}")
         cs = self.cores[core]
-        if cs.current != caller:
+        if cs.current != dom.id:
             raise deny(ErrorCode.NOT_RUNNING,
-                       f"domain {caller} is not current on core {core}")
+                       f"domain {dom.id} is not current on core {core}")
 
         if cs.irq is not None:
             # active routed interrupt: the only way down is resuming the chain
@@ -613,7 +575,7 @@ class Engine:
             if target.id != cs.irq.resume[0].domain:
                 raise deny(ErrorCode.IRQ_RESUME_REQUIRED,
                            "must resume the preempted chain")
-            return self._resume_step(cs, caller, core)
+            return self._resume_step(cs, dom.id, core)
 
         if handle is None:
             return self._switch_return(cs, dom, core)
@@ -623,7 +585,7 @@ class Engine:
         if not target.policies.cores & (1 << core):
             raise deny(ErrorCode.CORE_NOT_ALLOWED,
                        f"domain {target.id} not allowed on core {core}")
-        cs.chain.append(ChainEntry(caller, list(dom.core_regs(core))))
+        cs.chain.append(ChainEntry(dom.id, list(dom.core_regs(core))))
         cs.current = target.id
         self._arm_quantum(core, target.id)
         self._refresh_views({core})
@@ -676,16 +638,18 @@ class Engine:
         cs.last_payload = (int(code), detail)
 
     def route_interrupt(self, core: int, vector: int) -> int:
-        return self._call("irq", None, {"vector": vector},
-                          lambda: self._route_interrupt(core, vector),
-                          core=core)["handler"]
+        with self.platform.engine_lock:
+            return self._record("irq", core, {"vector": vector},
+                                lambda: self._route_interrupt(core, vector)
+                                )["handler"]
 
     def _route_interrupt(self, core: int, vector: int) -> dict:
         if not 0 <= vector < NUM_VECTORS:
             raise deny(ErrorCode.BAD_HANDLE, f"vector {vector}")
         cs = self.cores[core]
         current = cs.current
-        if self._visibility(current, vector) is Visibility.DELIVER:
+        handler = self._handler_of(current, vector)
+        if handler == current:
             # delivered in place, no preemption
             self.delivered.append((self.platform.now, core, vector, current))
             return {"handler": current, "delivered": "inplace"}
@@ -693,25 +657,18 @@ class Engine:
             # nested routing is deferred until the active chain resumes
             cs.deferred_vectors.append(vector)
             return {"handler": -1, "deferred": 1}
-
-        ancestry = []
-        walker: Optional[int] = current
-        while walker is not None:
-            ancestry.append(walker)
-            walker = self.domains[walker].parent
-        ancestry.reverse()
-        handler_idx = None
-        for i in range(len(ancestry) - 1, -1, -1):
-            if self._visibility(ancestry[i], vector) is Visibility.DELIVER:
-                handler_idx = i
-                break
-        assert handler_idx is not None, \
+        assert handler is not None, \
             "td0 delivers every vector, so a handler always exists"
-        handler = ancestry[handler_idx]
+        below = []      # the path from under the handler down to current
+        walker = current
+        while walker != handler:
+            below.append(walker)
+            walker = self.domains[walker].parent
+        below.reverse()
 
         chain_map = {e.domain: e for e in cs.chain}
         resume = []
-        for dom_id in ancestry[handler_idx + 1:]:
+        for dom_id in below:
             if dom_id == current:
                 entry = ChainEntry(dom_id,
                                    list(self.domains[dom_id].core_regs(core)))
@@ -720,12 +677,14 @@ class Engine:
             else:
                 entry = ChainEntry(dom_id,
                                    list(self.domains[dom_id].core_regs(core)))
-            entry.pending_observation = \
-                self._visibility(dom_id, vector) is Visibility.REPORT
+            policy = self.domains[dom_id].policies.interrupt(vector)
+            entry.pending_observation = policy.visibility is Visibility.REPORT
             resume.append(entry)
-        keep = set(ancestry[:handler_idx])
+        # the chain is the core's path above current: keep what is above
+        # the handler
         handler_entry = chain_map.get(handler)
-        cs.chain = [e for e in cs.chain if e.domain in keep]
+        dropped = set(below) | {handler}
+        cs.chain = [e for e in cs.chain if e.domain not in dropped]
         if handler_entry is not None:
             self.domains[handler].regs[core] = list(handler_entry.saved_regs)
         cs.current = handler
@@ -744,9 +703,9 @@ class Engine:
 
     def route_device_interrupt(self, vector: int) -> Optional[int]:
         """Route a device interrupt on the lowest core the handler may use."""
-        with self._serialized():
+        with self.platform.engine_lock:
             for cs in self.cores:
-                handler = self._prospective_handler(cs.current, vector)
+                handler = self._handler_of(cs.current, vector)
                 if not self.domains[handler].policies.cores & (1 << cs.id):
                     continue
                 if self.platform.cores[cs.id].run_state == "parked":
@@ -759,13 +718,14 @@ class Engine:
                 )["handler"]
             raise AssertionError("td0 runs everywhere and delivers everything")
 
-    def _prospective_handler(self, dom_id: int, vector: int) -> int:
-        walker: Optional[int] = dom_id
-        while walker is not None:
-            if self._visibility(walker, vector) is Visibility.DELIVER:
-                return walker
-            walker = self.domains[walker].parent
-        raise AssertionError("no handler found walking to the root")
+    def _handler_of(self, dom_id: Optional[int], vector: int) -> Optional[int]:
+        """The nearest domain at or above dom_id that delivers the vector."""
+        while dom_id is not None:
+            dom = self.domains[dom_id]
+            if dom.policies.interrupt(vector).visibility is Visibility.DELIVER:
+                return dom_id
+            dom_id = dom.parent
+        return None
 
     # -- switch quantum (experimental) ----------------------------------
 
@@ -798,13 +758,11 @@ class Engine:
 
     def getchan(self, caller: int, handle: Optional[int] = None) -> int:
         return self._call(
-            "getchan", caller,
+            ApiCall.GETCHAN, "getchan", caller,
             {"caller": caller, "from": "self" if handle is None else handle},
-            lambda: self._getchan(caller, handle))["handle"]
+            lambda dom: self._getchan(dom, handle))["handle"]
 
-    def _getchan(self, caller: int, handle: Optional[int]) -> dict:
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.GETCHAN)
+    def _getchan(self, dom: DomainNode, handle: Optional[int]) -> dict:
         if handle is None:
             # self-channel: documented extension, lets a domain hand out
             # attestation references to itself
@@ -818,20 +776,18 @@ class Engine:
     def enumerate(self, caller: int, cursor: int):
         out: dict = {}
 
-        def run():
-            desc, nxt = self._enumerate(caller, cursor)
+        def run(dom):
+            desc, nxt = self._enumerate(dom, cursor)
             out["desc"] = desc
             out["next"] = nxt
             return {"next": nxt,
                     "entry": desc.render().replace(" ", "~") if desc else "end"}
 
-        self._call("enumerate", caller, {"caller": caller, "cursor": cursor},
-                   run)
+        self._call(ApiCall.ENUMERATE, "enumerate", caller,
+                   {"caller": caller, "cursor": cursor}, run)
         return out["desc"], out["next"]
 
-    def _enumerate(self, caller: int, cursor: int):
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.ENUMERATE)
+    def _enumerate(self, dom: DomainNode, cursor: int):
         if cursor < 0 or cursor > len(dom.owned.slots):
             raise deny(ErrorCode.BAD_CURSOR, f"cursor {cursor}")
         for index in range(cursor, len(dom.owned.slots)):
@@ -868,9 +824,7 @@ class Engine:
                domain_key: Optional[bytes] = None):
         out: dict = {}
 
-        def run():
-            dom = self._live_caller(caller)
-            self._gate(dom, ApiCall.ATTEST)
+        def run(dom):
             if handle is None:
                 subject = dom
             else:
@@ -880,7 +834,7 @@ class Engine:
                 domain_key=domain_key)
             return {"subject": subject.id}
 
-        self._call("attest", caller,
+        self._call(ApiCall.ATTEST, "attest", caller,
                    {"caller": caller,
                     "subject": "self" if handle is None else handle}, run)
         return out["report"]
@@ -890,14 +844,12 @@ class Engine:
     # ------------------------------------------------------------------
 
     def revoke_region(self, caller: int, handle: int, child_index: int):
-        self._call("revoke_region", caller,
+        self._call(ApiCall.REVOKE, "revoke_region", caller,
                    {"caller": caller, "handle": handle, "child": child_index},
-                   lambda: self._revoke_region(caller, handle, child_index))
+                   lambda dom: self._revoke_region(dom, handle, child_index))
 
-    def _revoke_region(self, caller: int, handle: int,
+    def _revoke_region(self, dom: DomainNode, handle: int,
                        child_index: int) -> dict:
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.REVOKE)
         entry = self._resolve(dom, handle)
         if entry.kind is not CapKind.REGION:
             raise deny(ErrorCode.BAD_HANDLE, "expected a region capability")
@@ -905,24 +857,22 @@ class Engine:
         if not 0 <= child_index < len(parent.children):
             raise deny(ErrorCode.NOT_A_CHILD, f"child index {child_index}")
         child_id = parent.children[child_index]
-        self.tree.check_revoke(caller, parent.id, child_id)
+        self.tree.check_revoke(dom.id, parent.id, child_id)
         regions, dom_ids = self._closure({child_id}, set())
-        self._execute_destruction(regions, dom_ids, caller,
+        self._execute_destruction(regions, dom_ids, dom.id,
                                   f"revoke_region:{child_id}")
         return {"parent": parent.id, "child": child_id,
                 "regions": len(regions), "domains": len(dom_ids)}
 
     def revoke_domain(self, caller: int, handle: int):
-        self._call("revoke_domain", caller,
+        self._call(ApiCall.REVOKE, "revoke_domain", caller,
                    {"caller": caller, "handle": handle},
-                   lambda: self._revoke_domain(caller, handle))
+                   lambda dom: self._revoke_domain(dom, handle))
 
-    def _revoke_domain(self, caller: int, handle: int) -> dict:
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.REVOKE)
+    def _revoke_domain(self, dom: DomainNode, handle: int) -> dict:
         child = self._resolve_td(dom, handle)
         regions, dom_ids = self._closure(set(), {child.id})
-        self._execute_destruction(regions, dom_ids, caller,
+        self._execute_destruction(regions, dom_ids, dom.id,
                                   f"revoke_domain:{child.id}")
         return {"dom": child.id, "regions": len(regions),
                 "domains": len(dom_ids)}
@@ -1027,9 +977,7 @@ class Engine:
                         UpdateKind.DOMAIN_REVOKED, domain=unwind["revoked"],
                         unwind=unwind))
                 else:
-                    self.platform.enqueue_update(cs.id, Update(
-                        UpdateKind.ACCESS_CHANGED, domain=cs.current,
-                        view=self.view_cache_for(cs.current)))
+                    self._push_views({cs.id})
 
         self.platform.barrier_update(self._core_of(caller), affected,
                                      publish, tag)
@@ -1120,26 +1068,29 @@ class Engine:
 
         Call id sits in register 0, arguments in 1..6; results land in
         registers 0..3 with register 0 holding 0 for success or the error
-        code.  Large outputs are consumed via a continuation token.
+        code.  Large outputs are consumed via a continuation token.  The
+        whole call, register decoding included, holds the engine lock.
         """
-        self.process_updates(core)
-        caller_id = self.cores[core].current
-        caller = self.domains[caller_id]
-        regs = caller.core_regs(core)
-        call_id, args = regs[0], regs[1:7]
-        try:
-            if user and not caller.policies.user_calls:
-                raise deny(ErrorCode.POLICY_DENIED, "user calls not allowed")
-            results = self._dispatch(caller_id, core, call_id, args)
-        except MonitorError as exc:
-            regs = self.domains[self.cores[core].current].core_regs(core)
-            regs[0] = int(exc.code)
-            return
-        # a switch transfers control; its results reach the caller on resume
-        if ApiCall(call_id) is not ApiCall.SWITCH:
-            regs[0] = 0
-            for i, value in enumerate(results[:3]):
-                regs[1 + i] = value
+        with self.platform.engine_lock:
+            self.process_updates(core)
+            caller_id = self.cores[core].current
+            caller = self.domains[caller_id]
+            regs = caller.core_regs(core)
+            call_id, args = regs[0], regs[1:7]
+            try:
+                if user and not caller.policies.user_calls:
+                    raise deny(ErrorCode.POLICY_DENIED, "user calls not allowed")
+                results = self._dispatch(caller_id, core, call_id, args)
+            except MonitorError as exc:
+                regs = self.domains[self.cores[core].current].core_regs(core)
+                regs[0] = int(exc.code)
+                return
+            # a switch transfers control; its results reach the caller on
+            # resume
+            if ApiCall(call_id) is not ApiCall.SWITCH:
+                regs[0] = 0
+                for i, value in enumerate(results[:3]):
+                    regs[1 + i] = value
 
     def _dispatch(self, caller: int, core: int, call_id: int,
                   args: list[int]) -> list[int]:
@@ -1157,10 +1108,17 @@ class Engine:
         if call is ApiCall.SEAL:
             self.seal(caller, args[0])
             return []
-        if call is ApiCall.ATTEST:
-            return self._dispatch_attest(caller, args)
-        if call is ApiCall.ENUMERATE:
-            return self._dispatch_enumerate(caller, args)
+        if call is ApiCall.ATTEST or call is ApiCall.ENUMERATE:
+            if args[1] != 0:
+                return self._consume_buffer(caller, args[1])
+            held = sum(1 for owner, _, _ in self._buffers.values()
+                       if owner == caller)
+            if held >= MAX_UNDRAINED:
+                raise deny(ErrorCode.OUT_OF_METADATA,
+                           f"{held} outputs left undrained")
+            if call is ApiCall.ATTEST:
+                return self._dispatch_attest(caller, args[0])
+            return self._dispatch_enumerate(caller, args[0])
         if call is ApiCall.SWITCH:
             self.switch(caller, core, None if args[0] == 0 else args[0] - 1)
             return []
@@ -1173,8 +1131,10 @@ class Engine:
             handle = self.tree_carve(caller, args[0], rng, Rights(args[3]))
             return [handle]
         if call is ApiCall.REVOKE:
-            entry = self._resolve(self._live_caller(caller), args[0])
-            if entry.kind is CapKind.REGION:
+            # resolved without raising, so that every rejection, a bad
+            # handle included, happens gated and traced inside the call
+            entry = self.domains[caller].owned.get(args[0])
+            if entry is not None and entry.kind is CapKind.REGION:
                 self.revoke_region(caller, args[0], args[1])
             else:
                 self.revoke_domain(caller, args[0])
@@ -1209,17 +1169,13 @@ class Engine:
             return []
         raise deny(ErrorCode.BAD_HANDLE, f"set/get sub-op {sub}")
 
-    def _dispatch_attest(self, caller: int, args: list[int]) -> list[int]:
-        if args[1] != 0:
-            return self._consume_buffer(caller, args[1])
-        report = self.attest(caller, None if args[0] == 0 else args[0] - 1)
+    def _dispatch_attest(self, caller: int, subject: int) -> list[int]:
+        report = self.attest(caller, None if subject == 0 else subject - 1)
         blob = report.to_bytes()
         return [len(blob), self._issue_buffer(caller, blob)]
 
-    def _dispatch_enumerate(self, caller: int, args: list[int]) -> list[int]:
-        if args[1] != 0:
-            return self._consume_buffer(caller, args[1])
-        desc, nxt = self.enumerate(caller, args[0])
+    def _dispatch_enumerate(self, caller: int, cursor: int) -> list[int]:
+        desc, nxt = self.enumerate(caller, cursor)
         if desc is None:
             return [nxt, 0, 0]
         blob = desc.render().encode()
@@ -1255,43 +1211,36 @@ class Engine:
     def tree_alias(self, caller: int, handle: int, rng: PhysRange,
                    rights: Rights) -> int:
         return self._call(
-            "alias", caller,
+            ApiCall.ALIAS, "alias", caller,
             {"caller": caller, "handle": handle, "start": rng.start,
              "end": rng.end, "rights": rights.render()},
-            lambda: self._derive(caller, handle, rng, rights, carve=False)
+            lambda dom: self._derive(dom, handle, rng, rights, carve=False)
         )["handle"]
 
     def tree_carve(self, caller: int, handle: int, rng: PhysRange,
                    rights: Rights) -> int:
         return self._call(
-            "carve", caller,
+            ApiCall.CARVE, "carve", caller,
             {"caller": caller, "handle": handle, "start": rng.start,
              "end": rng.end, "rights": rights.render()},
-            lambda: self._derive(caller, handle, rng, rights, carve=True)
+            lambda dom: self._derive(dom, handle, rng, rights, carve=True)
         )["handle"]
 
-    def _derive(self, caller: int, handle: int, rng: PhysRange,
+    def _derive(self, dom: DomainNode, handle: int, rng: PhysRange,
                 rights: Rights, carve: bool) -> dict:
-        dom = self._live_caller(caller)
-        self._gate(dom, ApiCall.CARVE if carve else ApiCall.ALIAS)
         entry = self._resolve(dom, handle)
         if entry.kind is not CapKind.REGION:
             raise deny(ErrorCode.BAD_HANDLE, "expected a region capability")
         if carve:
-            new_id = self.tree.carve(caller, entry.ref, rng, rights)
+            new_id = self.tree.carve(dom.id, entry.ref, rng, rights)
         else:
-            new_id = self.tree.alias(caller, entry.ref, rng, rights)
+            new_id = self.tree.alias(dom.id, entry.ref, rng, rights)
         new_handle = dom.owned.insert(CapEntry(CapKind.REGION, new_id))
-
-        def publish():
-            for core in affected:
-                self.platform.enqueue_update(core, Update(
-                    UpdateKind.ACCESS_CHANGED, domain=caller,
-                    view=self.view_cache_for(caller)))
-
-        affected = self._cores_running({caller})
-        self.platform.barrier_update(self._core_of(caller), affected, publish,
-                                     f"{'carve' if carve else 'alias'}:{new_id}")
+        affected = self._cores_running({dom.id})
+        self.platform.barrier_update(
+            self._core_of(dom.id), affected,
+            lambda: self._push_views(affected),
+            f"{'carve' if carve else 'alias'}:{new_id}")
         return {"region": new_id, "handle": new_handle,
                 "parent": entry.ref,
                 "status": self.tree.nodes[new_id].status.value}

@@ -10,6 +10,7 @@ synchronization.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import threading
 import time
@@ -162,7 +163,6 @@ class SimMemory:
 
 
 class CoreRunState:
-    IDLE = "idle"
     RUNNING = "running"
     PARKED = "parked"
 
@@ -172,16 +172,26 @@ class SimCore:
     id: int
     run_state: str = CoreRunState.RUNNING
     steps: int = 0
-    ipi_pending: bool = False
     queue: list = field(default_factory=list)
     # local cached view of the current domain: list of (start, end, rights)
     local_view: list[tuple[int, int, int]] = field(default_factory=list)
 
 
+_ACCESS_BITS = {"R": 4, "W": 2, "X": 1}
+
+
+def view_allows(view: list[tuple[int, int, int]], addr: int,
+                kind: str) -> bool:
+    """Whether a (start, end, rights) view grants `kind` access at addr."""
+    bit = _ACCESS_BITS[kind]
+    for start, end, rights in view:
+        if start <= addr < end and rights & bit:
+            return True
+    return False
+
+
 class Platform:
     """Deterministic single-context platform; also the base for concurrent mode."""
-
-    concurrent = False
 
     def __init__(self, config: MachineConfig):
         config.validate()
@@ -195,6 +205,8 @@ class Platform:
         self.protocol_log: list[ProtocolEvent] = []
         self._pending_irqs: list[tuple[int, int, int]] = []  # (step, order, vector)
         self._irq_order = 0
+        # one context runs everything, so engine calls need no lock
+        self.engine_lock = contextlib.nullcontext()
 
     # -- wiring -----------------------------------------------------------
 
@@ -214,34 +226,30 @@ class Platform:
     def read_bytes(self, rng: PhysRange) -> bytes:
         if not self.memory.in_bounds(rng):
             raise deny(ErrorCode.OUT_OF_MEMORY_BOUNDS, repr(rng))
-        self.access_log.append(AccessEvent(
+        self.log_access(AccessEvent(
             self.next_seq(), self.now, -1, -1, rng.start, "MON-R", True))
         return self.memory.peek(rng.start, rng.end)
 
     def zero_range(self, rng: PhysRange):
         if not self.memory.in_bounds(rng):
             raise deny(ErrorCode.OUT_OF_MEMORY_BOUNDS, repr(rng))
-        self.access_log.append(AccessEvent(
+        self.log_access(AccessEvent(
             self.next_seq(), self.now, -1, -1, rng.start, "MON-W", True))
         self.memory.poke(rng.start, bytes(rng.end - rng.start))
 
-    # -- interposed domain accesses ----------------------------------------
+    def log_access(self, event: AccessEvent):
+        self.access_log.append(event)
 
-    def check_view(self, core: int, addr: int, kind: str) -> bool:
-        rights_bit = {"R": 4, "W": 2, "X": 1}[kind]
-        for start, end, rights in self.cores[core].local_view:
-            if start <= addr < end and rights & rights_bit:
-                return True
-        return False
+    # -- interposed domain accesses ----------------------------------------
 
     def mem_access(self, core: int, addr: int, kind: str) -> bool:
         sim = self.cores[core]
         assert sim.run_state != CoreRunState.PARKED, \
             "parked cores make no memory accesses"
         domain = self.engine.current_domain(core)
-        allowed = self.check_view(core, addr, kind) and \
+        allowed = view_allows(sim.local_view, addr, kind) and \
             0 <= addr < self.memory.size
-        self.access_log.append(AccessEvent(
+        self.log_access(AccessEvent(
             self.next_seq(), self.now, core, domain, addr, kind, allowed))
         return allowed
 
@@ -258,7 +266,7 @@ class Platform:
 
     def dma_access(self, device_domain: int, addr: int, kind: str) -> bool:
         allowed = self.engine.domain_may_access(device_domain, addr, kind)
-        self.access_log.append(AccessEvent(
+        self.log_access(AccessEvent(
             self.next_seq(), self.now, -1, device_domain, addr,
             f"DMA-{kind}", allowed))
         return allowed
@@ -331,14 +339,31 @@ class _IpiRequest:
         self.tag = tag
 
 
+class _EngineLock:
+    """Reentrant engine lock whose waiters service IPIs to their own core,
+    so a parked request never deadlocks against the initiator holding it;
+    a register-ABI call holds it while running the call it decodes."""
+
+    def __init__(self, platform: "ConcurrentPlatform"):
+        self._platform = platform
+        self._lock = threading.RLock()
+
+    def __enter__(self):
+        my_core = getattr(self._platform._thread_core, "core", None)
+        while not self._lock.acquire(timeout=0.0002):
+            if my_core is not None:
+                self._platform.service_ipi(my_core)
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
 class ConcurrentPlatform(Platform):
     """One worker thread per core; engine ops serialize on an IPI-aware lock."""
 
-    concurrent = True
-
     def __init__(self, config: MachineConfig):
         super().__init__(config)
-        self._lock = threading.Lock()
+        self.engine_lock = _EngineLock(self)
         self._log_lock = threading.Lock()
         self._ipi_requests: list[Optional[_IpiRequest]] = [None] * config.cores
         self._work: list[list] = [[] for _ in range(config.cores)]
@@ -357,27 +382,7 @@ class ConcurrentPlatform(Platform):
         with self._log_lock:
             self.access_log.append(event)
 
-    def mem_access(self, core: int, addr: int, kind: str) -> bool:
-        domain = self.engine.current_domain(core)
-        allowed = self.check_view(core, addr, kind) and \
-            0 <= addr < self.memory.size
-        self.log_access(AccessEvent(
-            self.next_seq(), self.now, core, domain, addr, kind, allowed))
-        return allowed
-
-    # -- engine lock with IPI servicing ------------------------------------
-
-    def acquire_engine(self):
-        # poll for updates on each locking attempt so a parked request never
-        # deadlocks against the initiator holding the lock; the servicing
-        # identity is the physical core of the calling thread
-        my_core = getattr(self._thread_core, "core", None)
-        while not self._lock.acquire(timeout=0.0002):
-            if my_core is not None:
-                self.service_ipi(my_core)
-
-    def release_engine(self):
-        self._lock.release()
+    # -- IPI servicing ------------------------------------------------------
 
     def service_ipi(self, core: int):
         req = self._ipi_requests[core]

@@ -86,10 +86,7 @@ class ScenarioRunner:
         self.concurrent = concurrent
         self.names: dict[str, tuple[str, int]] = {"td0": ("dom", self.td0),
                                                   "root": ("region", 0)}
-        for dom in self.engine.domains.values():
-            if dom.is_device:
-                # device names come from the machine config, in boot order
-                pass
+        # device names come from the machine config, in boot order
         for dev_cfg, dom in zip(config.devices,
                                 [d for d in self.engine.domains.values()
                                  if d.is_device]):

@@ -88,17 +88,13 @@ def _parse_value(raw: str):
 
 
 class TraceLog:
-    """Accumulates operation records and auxiliary event lines."""
+    """Accumulates operation records."""
 
     def __init__(self):
         self.records: list[OpRecord] = []
-        self.events: list[str] = []
 
     def record(self, rec: OpRecord):
         self.records.append(rec)
-
-    def event(self, text: str):
-        self.events.append(text)
 
     def lines(self) -> list[str]:
         return [r.to_line() for r in self.records]

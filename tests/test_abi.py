@@ -3,7 +3,8 @@ registers 1..6, results in registers 0..3, large outputs drained through a
 continuation token."""
 
 from capmon import AttestationReport, Rights
-from capmon.domains import ApiCall, CapKind, PayloadCode
+from capmon.domains import ALL_CALLS_MASK, ApiCall, CapKind, PayloadCode
+from capmon.engine import MAX_UNDRAINED
 from capmon.errors import ErrorCode
 from capmon.regions import PAGE
 from capmon.state import dump_state
@@ -183,21 +184,42 @@ class TestAbiContinuation:
         assert [owner for _, owner, _, _ in dump_state(engine)["buffers"]] \
             == [td0]
 
+    def test_undrained_outputs_are_capped(self):
+        engine, td0 = small_engine()
+        status, total, token, _ = call(engine, 0, ApiCall.ATTEST, 0, 0)
+        assert status == 0
+        codes = [call(engine, 0, ApiCall.ATTEST, 0, 0)[0] for _ in range(999)]
+        assert codes == [0] * (MAX_UNDRAINED - 1) + \
+            [ErrorCode.OUT_OF_METADATA] * (1000 - MAX_UNDRAINED)
+        assert len(dump_state(engine)["buffers"]) == MAX_UNDRAINED
+        # draining one output makes room for the next
+        drain(engine, 0, ApiCall.ATTEST, token, total)
+        assert call(engine, 0, ApiCall.ATTEST, 0, 0)[0] == 0
+
 
 class TestAbiRejections:
     def test_rejected_calls_change_only_register_zero(self):
         engine, td0 = small_engine()
-        dom, handle = make_child(engine, td0)  # user calls stay off
+        # user calls stay off and the REVOKE bit is clear for the child
+        dom, handle = make_child(
+            engine, td0, mon_api=ALL_CALLS_MASK & ~(1 << ApiCall.REVOKE))
         engine.switch(td0, 1, handle)
         status, _, token, _ = call(engine, 0, ApiCall.ENUMERATE, 0, 0)
         assert status == 0
-        cases = [  # core, user mode, registers, expected error
-            (0, False, (ApiCall.ATTEST, 0, 12345), ErrorCode.BAD_CURSOR),
-            (1, False, (ApiCall.ENUMERATE, 0, token), ErrorCode.BAD_CURSOR),
-            (1, True, (ApiCall.GETCHAN, 0), ErrorCode.POLICY_DENIED),
-            (0, False, (77,), ErrorCode.BAD_HANDLE),
+        for _ in range(MAX_UNDRAINED - 1):  # td0 then holds the most it may
+            assert call(engine, 0, ApiCall.ATTEST, 0, 0)[0] == 0
+        cases = [  # core, user mode, registers, expected error, traced op
+            (0, False, (ApiCall.ATTEST, 0, 12345), ErrorCode.BAD_CURSOR, None),
+            (1, False, (ApiCall.ENUMERATE, 0, token), ErrorCode.BAD_CURSOR,
+             None),
+            (1, True, (ApiCall.GETCHAN, 0), ErrorCode.POLICY_DENIED, None),
+            (0, False, (77,), ErrorCode.BAD_HANDLE, None),
+            (1, False, (ApiCall.REVOKE, 99), ErrorCode.POLICY_DENIED,
+             "revoke_domain"),
+            (0, False, (ApiCall.ATTEST, 0, 0), ErrorCode.OUT_OF_METADATA,
+             None),
         ]
-        for core, user, registers, code in cases:
+        for core, user, registers, code, op in cases:
             load(engine, core, *registers)
             expected = dump_state(engine)
             caller = engine.current_domain(core)
@@ -205,5 +227,11 @@ class TestAbiRejections:
             record["regs"][str(core)][0] = int(code)
             # the dump is a copy: editing it leaves the registers alone
             assert engine.domains[caller].core_regs(core)[0] == registers[0]
+            traced = len(engine.trace.records)
             engine.monitor_call(core, user=user)
             assert dump_state(engine) == expected, registers
+            if op is not None:
+                lines = [r.to_line() for r in engine.trace.records[traced:]]
+                assert lines == [f"0 {core} {op} caller={caller} "
+                                 f"handle={registers[1]:#x} "
+                                 f"-> err={code.name}"], registers

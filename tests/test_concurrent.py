@@ -2,12 +2,15 @@
 two-barrier update protocol.  Verifies access atomicity outside barrier
 windows and linearizability against a deterministic replay."""
 
+import sys
+
 from capmon import Oracle, PhysRange, Rights, boot
-from capmon.domains import ALL_CALLS_MASK, CapKind
+from capmon.domains import ALL_CALLS_MASK, ApiCall, CapKind
 from capmon.regions import PAGE
 from capmon.state import dump_state
 
 from support import replay_trace, small_config
+from test_abi import call, drain
 
 A = [PAGE * (1 + k) for k in range(16)]
 
@@ -52,6 +55,40 @@ class TestConcurrentBasics:
                   if e.tag.startswith("send:")]
         assert ("ipi", 1) in phases
         assert ("park", 1) in phases
+
+
+class TestConcurrentAbi:
+    CYCLES = 20
+
+    def test_attest_and_drain_from_two_cores(self):
+        engine, td0, config = build_concurrent(cores=2, pages=32)
+        platform = engine.platform
+        blobs, tokens = [], []
+
+        def cycles(core):
+            def fn():
+                for _ in range(self.CYCLES):
+                    status, total, token, _ = call(engine, core,
+                                                   ApiCall.ATTEST, 0, 0)
+                    assert status == 0
+                    tokens.append(token)
+                    blobs.append(drain(engine, core, ApiCall.ATTEST, token,
+                                       total))
+            return fn
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            platform.start_cores()
+            for core in range(2):
+                platform.submit(core, cycles(core))
+            platform.join()
+        finally:
+            sys.setswitchinterval(interval)
+        expected = engine.attest(td0).to_bytes()
+        assert len(blobs) == 2 * self.CYCLES
+        assert all(blob == expected for blob in blobs)
+        assert len(set(tokens)) == len(tokens)
 
 
 class TestConcurrentStress:

@@ -5,7 +5,9 @@ import hashlib
 import pytest
 
 from capmon import AttrFlags, PhysRange, Rights, Visibility
-from capmon.domains import ALL_CALLS_MASK, ApiCall, CapKind, DomainState
+from capmon.domains import (
+    ALL_CALLS_MASK, ApiCall, CapKind, DomainState, InterruptPolicy,
+)
 from capmon.errors import ErrorCode, MonitorError
 from capmon.regions import PAGE
 from capmon.state import dump_state
@@ -164,6 +166,19 @@ class TestSeal:
         handle = engine.create(td0)
         engine.seal(td0, handle)
         expect_code(ErrorCode.ALREADY_SEALED, engine.seal, td0, handle)
+
+    def test_seal_needs_a_deliverer_for_every_vector(self):
+        engine, td0 = small_engine()
+        # td0 has no parent to set its policies, so the test edits them
+        engine.domains[td0].policies.interrupts[40] = \
+            InterruptPolicy(Visibility.REPORT)
+        handle = engine.create(td0)
+        before = dump_state(engine)
+        expect_code(ErrorCode.UNDELIVERABLE_VECTOR, engine.seal, td0, handle)
+        assert dump_state(engine) == before
+        # a child that delivers the vector itself needs no ancestor for it
+        engine.set_interrupt_policy(td0, handle, 40, Visibility.DELIVER)
+        engine.seal(td0, handle)
 
 
 class TestSend:
