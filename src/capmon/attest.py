@@ -37,9 +37,8 @@ HASH_NAME = "sha-256"
 SIG_SCHEME = "ed25519"
 MONITOR_IDENTITY = b"capmon security monitor v0.1.0\n"
 
-_VIS_CODE = {Visibility.DELIVER: 0, Visibility.REPORT: 1,
-             Visibility.NOT_REPORT: 2}
-_VIS_NAME = {0: "Deliver", 1: "Report", 2: "Not report"}
+# a visibility's code in a report is its position in declaration order
+_CODE_OF = {vis: code for code, vis in enumerate(Visibility)}
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ def _describe_domain(engine, dom_id: int, namer: _Namer,
     interrupts = []
     for vector in range(NUM_VECTORS):
         pol = policies.interrupt(vector)
-        interrupts.append((_VIS_CODE[pol.visibility], pol.readable_regs))
+        interrupts.append((_CODE_OF[pol.visibility], pol.readable_regs))
     desc = DomainDescriptor(
         name=namer.domain(dom_id),
         register_hash=dom.register_hash or bytes(32),
@@ -224,7 +223,7 @@ def _describe_domain(engine, dom_id: int, namer: _Namer,
         cores=policies.cores,
         mon_api=policies.mon_api,
         user_calls=policies.user_calls,
-        receive=policies.receive_after_seal,
+        receive=policies.receive,
         interrupts=interrupts)
 
     for _, entry in dom.owned.entries():
@@ -473,7 +472,7 @@ def _render_domain(lines: list[str], dom: DomainDescriptor, ncores: int,
     lines.append(f"{pad}interrupts: {{")
     for lo, hi, vis, readable in _group_vectors(dom.interrupts):
         span = f"{lo}" if lo == hi else f"{lo}-{hi}"
-        lines.append(f"{pad} {span} -> {{{_VIS_NAME[vis]}, "
+        lines.append(f"{pad} {span} -> {{{list(Visibility)[vis].render()}, "
                      f"registers: 0b{readable:b}}},")
     lines.append(f"{pad}}}")
     if shallow:

@@ -13,7 +13,6 @@ from typing import Optional
 from .regions import PhysRange
 
 NUM_VECTORS = 256
-NUM_GPRS = 16
 REG_PC = 16
 REG_SW = 17
 NUM_REGS = 18
@@ -40,6 +39,13 @@ ALL_CALLS_MASK = (1 << len(ApiCall)) - 1
 
 
 class Visibility(enum.Enum):
+    """How a domain treats a vector routed over it.
+
+    The value is the name scripts, traces and dumps use.  The position in
+    declaration order is the code: the register ABI's visibility id and the
+    byte an attestation report carries.
+    """
+
     DELIVER = "deliver"
     REPORT = "report"
     NOT_REPORT = "noreport"
@@ -58,6 +64,12 @@ class InterruptPolicy:
 DEFAULT_INTERRUPT_POLICY = InterruptPolicy()
 
 
+# the scalar policy fields, by name, with their value types; a field's
+# position is its id in the register ABI
+POLICY_FIELDS = {"cores": int, "mon_api": int, "user_calls": bool,
+                 "receive": bool}
+
+
 @dataclass
 class Policies:
     """Per-domain permission set; monotonic along the domain tree."""
@@ -65,7 +77,7 @@ class Policies:
     cores: int = 0
     mon_api: int = 0
     user_calls: bool = False
-    receive_after_seal: bool = False
+    receive: bool = False  # may receive capabilities after seal
     interrupts: dict[int, InterruptPolicy] = field(default_factory=dict)
 
     def interrupt(self, vector: int) -> InterruptPolicy:

@@ -15,13 +15,13 @@ from typing import Optional
 
 from . import attest as attest_mod
 from .domains import (
-    ALL_CALLS_MASK, REG_MASK, NUM_REGS, NUM_VECTORS, ApiCall, CapEntry,
-    CapKind, ChainEntry, ChildKind, CoreState, DomainNode, DomainState,
-    InterruptPolicy, IrqFrame, PayloadCode, Policies, Update, UpdateKind,
-    Visibility, zero_registers,
+    ALL_CALLS_MASK, POLICY_FIELDS, REG_MASK, NUM_REGS, NUM_VECTORS, ApiCall,
+    CapEntry, CapKind, ChainEntry, ChildKind, CoreState, DomainNode,
+    DomainState, InterruptPolicy, IrqFrame, PayloadCode, Policies, Update,
+    UpdateKind, Visibility, zero_registers,
 )
 from .errors import ErrorCode, MonitorError, deny
-from .machine import FAULT_VECTOR, TIMER_VECTOR, view_allows
+from .machine import FAULT_VECTOR, TIMER_VECTOR, CoreRunState, view_allows
 from .regions import (
     AttrFlags, PhysRange, RegionAttributes, RegionStatus, RegionTree, Rights,
 )
@@ -74,7 +74,6 @@ class Engine:
         self.max_domains = platform.config.metadata_pool
         self.quantum: Optional[int] = None
         self._quantum_deadlines: dict[int, tuple[int, int]] = {}
-        self.delivered: list[tuple[int, int, int, int]] = []
         # continuation token -> (issuing domain, output bytes, bytes drained)
         self._buffers: dict[int, tuple[int, bytes, int]] = {}
         self._next_token = 1
@@ -127,7 +126,7 @@ class Engine:
             cores=(1 << config.cores) - 1,
             mon_api=ALL_CALLS_MASK,
             user_calls=True,
-            receive_after_seal=True,
+            receive=True,
             interrupts={v: InterruptPolicy(Visibility.DELIVER, 0)
                         for v in range(NUM_VECTORS)},
         )
@@ -230,6 +229,13 @@ class Engine:
         if not target.live:
             raise deny(ErrorCode.DOMAIN_REVOKED, f"domain {target.id}")
         return target
+
+    def _unsealed_child(self, dom: DomainNode, handle: int) -> DomainNode:
+        """A child still open to configuration: it resolves and is unsealed."""
+        child = self._resolve_td(dom, handle)
+        if child.state is not DomainState.UNSEALED:
+            raise deny(ErrorCode.SEALED, "configuration frozen after seal")
+        return child
 
     def _running_core(self, dom_id: int) -> Optional[int]:
         for core in self.cores:
@@ -340,9 +346,7 @@ class Engine:
 
     def _set_register(self, dom: DomainNode, handle: int, core: int,
                       index: int, value: int) -> dict:
-        child = self._resolve_td(dom, handle)
-        if child.state is not DomainState.UNSEALED:
-            raise deny(ErrorCode.SEALED, "registers frozen after seal")
+        child = self._unsealed_child(dom, handle)
         if not 0 <= core < self.platform.ncores:
             raise deny(ErrorCode.CORE_NOT_ALLOWED, f"core {core}")
         if not 0 <= index < NUM_REGS:
@@ -384,27 +388,16 @@ class Engine:
 
     def _set_policy(self, dom: DomainNode, handle: int, fname: str,
                     value: int) -> dict:
-        child = self._resolve_td(dom, handle)
-        if child.state is not DomainState.UNSEALED:
-            raise deny(ErrorCode.SEALED, "policies frozen after seal")
-        if fname == "cores":
-            if value & ~dom.policies.cores:
-                raise deny(ErrorCode.POLICY_ESCALATION, "cores beyond parent")
-            child.policies.cores = value
-        elif fname == "mon_api":
-            if value & ~ALL_CALLS_MASK or value & ~dom.policies.mon_api:
-                raise deny(ErrorCode.POLICY_ESCALATION, "mon_api beyond parent")
-            child.policies.mon_api = value
-        elif fname == "user_calls":
-            if value and not dom.policies.user_calls:
-                raise deny(ErrorCode.POLICY_ESCALATION, "user_calls beyond parent")
-            child.policies.user_calls = bool(value)
-        elif fname == "receive":
-            if value and not dom.policies.receive_after_seal:
-                raise deny(ErrorCode.POLICY_ESCALATION, "receive beyond parent")
-            child.policies.receive_after_seal = bool(value)
-        else:
+        child = self._unsealed_child(dom, handle)
+        kind = POLICY_FIELDS.get(fname)
+        if kind is None:
             raise deny(ErrorCode.BAD_HANDLE, f"policy field {fname}")
+        # a child holds a subset of its parent's bits; td0 holds every call
+        # bit and no more, so mon_api also stays within ALL_CALLS_MASK
+        value = kind(value)
+        if value & ~getattr(dom.policies, fname):
+            raise deny(ErrorCode.POLICY_ESCALATION, f"{fname} beyond parent")
+        setattr(child.policies, fname, value)
         return {"dom": child.id}
 
     def get_policy(self, caller: int, handle: int, fname: str) -> int:
@@ -414,16 +407,10 @@ class Engine:
             lambda dom: self._get_policy(dom, handle, fname))["value"]
 
     def _get_policy(self, dom: DomainNode, handle: int, fname: str) -> dict:
-        child = self._resolve_td(dom, handle, allow_channel=False)
-        if fname == "cores":
-            return {"value": child.policies.cores}
-        if fname == "mon_api":
-            return {"value": child.policies.mon_api}
-        if fname == "user_calls":
-            return {"value": int(child.policies.user_calls)}
-        if fname == "receive":
-            return {"value": int(child.policies.receive_after_seal)}
-        raise deny(ErrorCode.BAD_HANDLE, f"policy field {fname}")
+        child = self._resolve_td(dom, handle)
+        if fname not in POLICY_FIELDS:
+            raise deny(ErrorCode.BAD_HANDLE, f"policy field {fname}")
+        return {"value": int(getattr(child.policies, fname))}
 
     def set_interrupt_policy(self, caller: int, handle: int, vector: int,
                              visibility: Visibility, readable_regs: int = 0):
@@ -436,9 +423,7 @@ class Engine:
     def _set_interrupt_policy(self, dom: DomainNode, handle: int, vector: int,
                               visibility: Visibility,
                               readable_regs: int) -> dict:
-        child = self._resolve_td(dom, handle)
-        if child.state is not DomainState.UNSEALED:
-            raise deny(ErrorCode.SEALED, "policies frozen after seal")
+        child = self._unsealed_child(dom, handle)
         if not 0 <= vector < NUM_VECTORS:
             raise deny(ErrorCode.BAD_HANDLE, f"vector {vector}")
         if readable_regs & ~REG_MASK:
@@ -472,7 +457,7 @@ class Engine:
         if not dest.live:
             raise deny(ErrorCode.DOMAIN_REVOKED, f"domain {dest.id}")
         if dest.state is DomainState.SEALED and \
-                not dest.policies.receive_after_seal:
+                not dest.policies.receive:
             raise deny(ErrorCode.RECEIVE_DENIED, f"domain {dest.id} !RECEIVE")
         if attrs:
             if entry.kind is CapKind.CHANNEL:
@@ -651,7 +636,6 @@ class Engine:
         handler = self._handler_of(current, vector)
         if handler == current:
             # delivered in place, no preemption
-            self.delivered.append((self.platform.now, core, vector, current))
             return {"handler": current, "delivered": "inplace"}
         if cs.irq is not None:
             # nested routing is deferred until the active chain resumes
@@ -669,14 +653,9 @@ class Engine:
         chain_map = {e.domain: e for e in cs.chain}
         resume = []
         for dom_id in below:
-            if dom_id == current:
-                entry = ChainEntry(dom_id,
-                                   list(self.domains[dom_id].core_regs(core)))
-            elif dom_id in chain_map:
-                entry = chain_map[dom_id]
-            else:
-                entry = ChainEntry(dom_id,
-                                   list(self.domains[dom_id].core_regs(core)))
+            # current is never on its own core's chain
+            entry = chain_map.get(dom_id) or ChainEntry(
+                dom_id, list(self.domains[dom_id].core_regs(core)))
             policy = self.domains[dom_id].policies.interrupt(vector)
             entry.pending_observation = policy.visibility is Visibility.REPORT
             resume.append(entry)
@@ -708,7 +687,7 @@ class Engine:
                 handler = self._handler_of(cs.current, vector)
                 if not self.domains[handler].policies.cores & (1 << cs.id):
                     continue
-                if self.platform.cores[cs.id].run_state == "parked":
+                if self.platform.cores[cs.id].run_state == CoreRunState.PARKED:
                     self.platform.enqueue_update(cs.id, Update(
                         UpdateKind.INTERRUPT_ROUTED, vector=vector))
                     return None
@@ -878,9 +857,14 @@ class Engine:
                 "domains": len(dom_ids)}
 
     def _closure(self, seed_regions: set[int],
-                 seed_domains: set[int]) -> tuple[set[int], set[int]]:
-        """Fixpoint of cascading revocation: subtrees, owned regions, vital."""
-        regions: set[int] = set()
+                 seed_domains: set[int]) -> tuple[list[int], set[int]]:
+        """Fixpoint of cascading revocation: subtrees, owned regions, vital.
+
+        Regions come back children first: each is added by a bottom-up
+        subtree walk, and a walk that reaches a region added earlier has
+        already added that region's whole subtree.
+        """
+        regions: dict[int, None] = {}  # an ordered set
         doms: set[int] = set()
         region_work = list(seed_regions)
         dom_work = list(seed_domains)
@@ -892,7 +876,7 @@ class Engine:
                 for sub in self.tree.subtree(rid):
                     if sub in regions:
                         continue
-                    regions.add(sub)
+                    regions[sub] = None
                     node = self.tree.nodes[sub]
                     if node.attributes.vital and node.owner not in doms:
                         owner = self.domains[node.owner]
@@ -911,20 +895,20 @@ class Engine:
                     if entry.kind is CapKind.REGION and \
                             entry.ref not in regions:
                         region_work.append(entry.ref)
-        return regions, doms
+        return list(regions), doms
 
-    def _execute_destruction(self, regions: set[int], dom_ids: set[int],
+    def _execute_destruction(self, ordered: list[int], dom_ids: set[int],
                              caller: int, tag: str):
         # the root region is never destroyed: a machine always has exactly
         # one; if its owner goes away, ownership climbs to a live ancestor
         root_heir = None
-        if self.root_region in regions:
-            regions = regions - {self.root_region}
+        if self.root_region in ordered:
+            ordered = [rid for rid in ordered if rid != self.root_region]
             walker = self.tree.nodes[self.root_region].owner
             while walker in dom_ids:
                 walker = self.domains[walker].parent
             root_heir = walker
-        ordered = [rid for rid in self._destruction_order(regions)]
+        regions = set(ordered)
         owners = {self.tree.nodes[r].owner for r in regions}
         reclaimers = {self.tree.nodes[self.tree.nodes[r].parent].owner
                       for r in regions
@@ -981,18 +965,6 @@ class Engine:
 
         self.platform.barrier_update(self._core_of(caller), affected,
                                      publish, tag)
-
-    def _destruction_order(self, regions: set[int]) -> list[int]:
-        order: list[int] = []
-        seen: set[int] = set()
-        roots = [r for r in regions
-                 if self.tree.nodes[r].parent not in regions]
-        for root in roots:
-            for rid in self.tree.subtree(root):
-                if rid not in seen:
-                    seen.add(rid)
-                    order.append(rid)
-        return order
 
     def _plan_unwind(self, cs: CoreState, dom_ids: set[int]) -> Optional[dict]:
         path = cs.path_domains()
@@ -1059,17 +1031,14 @@ class Engine:
     # register ABI
     # ------------------------------------------------------------------
 
-    _POLICY_BY_ID = {0: "cores", 1: "mon_api", 2: "user_calls", 3: "receive"}
-    _VIS_BY_ID = {0: Visibility.DELIVER, 1: Visibility.REPORT,
-                  2: Visibility.NOT_REPORT}
-
     def monitor_call(self, core: int, user: bool = False):
         """Dispatch one call from the current domain's registers.
 
         Call id sits in register 0, arguments in 1..6; results land in
         registers 0..3 with register 0 holding 0 for success or the error
         code.  Large outputs are consumed via a continuation token.  The
-        whole call, register decoding included, holds the engine lock.
+        whole call, register decoding included, holds the engine lock.  A
+        call rejected before any monitor call traced it is traced as `abi`.
         """
         with self.platform.engine_lock:
             self.process_updates(core)
@@ -1077,11 +1046,17 @@ class Engine:
             caller = self.domains[caller_id]
             regs = caller.core_regs(core)
             call_id, args = regs[0], regs[1:7]
+            traced = len(self.trace.records)
             try:
                 if user and not caller.policies.user_calls:
                     raise deny(ErrorCode.POLICY_DENIED, "user calls not allowed")
                 results = self._dispatch(caller_id, core, call_id, args)
             except MonitorError as exc:
+                if len(self.trace.records) == traced:
+                    self.trace.record(OpRecord(
+                        self.platform.now, core, "abi",
+                        {"caller": caller_id, "call": call_id}, False,
+                        exc.code.name))
                 regs = self.domains[self.cores[core].current].core_regs(core)
                 regs[0] = int(exc.code)
                 return
@@ -1151,20 +1126,14 @@ class Engine:
         if sub == 1:
             return [self.get_register(caller, args[1], args[2], args[3])]
         if sub == 2:
-            fname = self._POLICY_BY_ID.get(args[2])
-            if fname is None:
-                raise deny(ErrorCode.BAD_HANDLE, f"policy field {args[2]}")
+            fname = _by_id(POLICY_FIELDS, args[2], "policy field")
             self.set_policy(caller, args[1], fname, args[3])
             return []
         if sub == 3:
-            fname = self._POLICY_BY_ID.get(args[2])
-            if fname is None:
-                raise deny(ErrorCode.BAD_HANDLE, f"policy field {args[2]}")
+            fname = _by_id(POLICY_FIELDS, args[2], "policy field")
             return [self.get_policy(caller, args[1], fname)]
         if sub == 4:
-            vis = self._VIS_BY_ID.get(args[3])
-            if vis is None:
-                raise deny(ErrorCode.BAD_HANDLE, f"visibility {args[3]}")
+            vis = _by_id(Visibility, args[3], "visibility")
             self.set_interrupt_policy(caller, args[1], args[2], vis, args[4])
             return []
         raise deny(ErrorCode.BAD_HANDLE, f"set/get sub-op {sub}")
@@ -1244,3 +1213,12 @@ class Engine:
         return {"region": new_id, "handle": new_handle,
                 "parent": entry.ref,
                 "status": self.tree.nodes[new_id].status.value}
+
+
+def _by_id(table, ident: int, what: str):
+    """The entry of an ordered table (dict keys or enum members) at a
+    register-ABI id."""
+    entries = list(table)
+    if not 0 <= ident < len(entries):
+        raise deny(ErrorCode.BAD_HANDLE, f"{what} {ident}")
+    return entries[ident]

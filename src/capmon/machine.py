@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .domains import NUM_VECTORS
 from .errors import ErrorCode, MonitorError, deny
 from .regions import PAGE, PhysRange
 
@@ -60,7 +61,7 @@ class MachineConfig:
             if dev.mmio.start < self.memory_size:
                 raise deny(ErrorCode.BAD_CONFIG,
                            f"device {dev.name} MMIO must sit above RAM")
-            if not 0 <= dev.vector < 256:
+            if not 0 <= dev.vector < NUM_VECTORS:
                 raise deny(ErrorCode.BAD_CONFIG, f"device {dev.name} vector")
             for other in self.devices:
                 if other is not dev and other.mmio.overlaps(dev.mmio):
@@ -396,7 +397,8 @@ class ConcurrentPlatform(Platform):
         req.barrier1.wait()
         req.barrier2.wait()
         self.cores[core].run_state = CoreRunState.RUNNING
-        self.engine.process_updates(core)
+        with self.engine_lock:
+            self.engine.process_updates(core)
         with self._log_lock:
             self.protocol_log.append(ProtocolEvent(
                 self._bump_seq(), "drain", core, req.tag))

@@ -294,7 +294,3 @@ _READ_ONLY_OPS = {
     "set_reg", "get_reg", "set_policy", "get_policy", "getchan",
     "attest", "enumerate", "irq",
 }
-
-
-def replay(records: list[OpRecord]) -> Oracle:
-    return Oracle().replay(records)

@@ -13,14 +13,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import attest as attest_mod
-from .domains import CapKind, DomainState, PayloadCode, Visibility
+from .domains import (
+    NUM_VECTORS, POLICY_FIELDS, REG_PC, REG_SW, CapKind, DomainState,
+    PayloadCode, Visibility,
+)
 from .errors import ErrorCode, MonitorError, deny
 from .machine import MachineConfig, boot
 from .regions import AttrFlags, PhysRange, RegionStatus, Rights
 
-_VIS = {"deliver": Visibility.DELIVER, "report": Visibility.REPORT,
-        "noreport": Visibility.NOT_REPORT}
-_REG_NAMES = {"pc": 16, "sw": 17}
+_REG_NAMES = {"pc": REG_PC, "sw": REG_SW}
 
 
 class ScriptError(Exception):
@@ -191,20 +192,24 @@ class ScenarioRunner:
         caller = self._caller(stmt.core)
         _, dom_id = self._lookup(name, ("dom",))
         handle = self._handle_for_domain(caller, dom_id, channels_ok=False)
-        if fname in ("cores", "mon_api"):
+        kind = POLICY_FIELDS.get(fname)
+        if kind is int:
             self.engine.set_policy(caller, handle, fname,
                                    self._value(stmt.args[2]))
-        elif fname in ("user_calls", "receive"):
+        elif kind is bool:
             value = stmt.args[2].lower() in ("1", "on", "true")
             self.engine.set_policy(caller, handle, fname, int(value))
         elif fname == "intr":
             vspec, vis = stmt.args[2], stmt.args[3]
             readable = self._value(stmt.args[4]) if len(stmt.args) > 4 else 0
-            if vis not in _VIS:
-                raise deny(ErrorCode.BAD_HANDLE, f"visibility {vis!r}")
+            try:
+                visibility = Visibility(vis)
+            except ValueError:
+                raise deny(ErrorCode.BAD_HANDLE, f"visibility {vis!r}") \
+                    from None
             for vector in self._vectors(vspec):
                 self.engine.set_interrupt_policy(caller, handle, vector,
-                                                 _VIS[vis], readable)
+                                                 visibility, readable)
         elif fname == "reg":
             core, index = self._value(stmt.args[2]), self._reg(stmt.args[3])
             self.engine.set_register(caller, handle, core, index,
@@ -232,7 +237,7 @@ class ScenarioRunner:
     @staticmethod
     def _vectors(vspec: str) -> range:
         if vspec == "all":
-            return range(256)
+            return range(NUM_VECTORS)
         if "-" in vspec:
             lo, hi = vspec.split("-", 1)
             return range(int(lo, 0), int(hi, 0) + 1)
@@ -477,9 +482,10 @@ class ScenarioRunner:
     def _expect_delivered(self, stmt: Statement, args: list[str]):
         vector = self._value(args[0])
         _, dom_id = self._lookup(args[1], ("dom",))
-        hits = [d for d in self.engine.delivered
-                if d[2] == vector and d[3] == dom_id]
-        if not hits:
+        if not any(r.ok and r.op == "irq" and r.args["vector"] == vector
+                   and r.results.get("delivered") == "inplace"
+                   and r.results["handler"] == dom_id
+                   for r in self.engine.trace.records):
             self._fail(stmt, f"vector {vector} never delivered in place "
                              f"to domain {dom_id}")
 

@@ -1,11 +1,11 @@
 """Engine state dumps: the engine's one snapshot, as JSON tooling can reload.
 
 A dump captures the full logical state of the engine (trees, tables,
-policies, cores, id counters, continuation buffers, delivered vectors and
-quantum deadlines) but not memory content; reloading is enough to attest and
-inspect, not to keep executing scenarios.  Two dumps compare equal exactly
-when the engine states do, which is how the tests prove that a rejected call
-changed nothing.
+policies, cores, id counters, continuation buffers and quantum deadlines)
+but not memory content; reloading is enough to attest and inspect, not to
+keep executing scenarios.  Two dumps compare equal exactly when the engine
+states do, which is how the tests prove that a rejected call changed
+nothing.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import json
 
 from .attest import BootMeasurement
 from .domains import (
-    CapEntry, CapKind, ChainEntry, ChildKind, DomainState, InterruptPolicy,
-    IrqFrame, Visibility,
+    POLICY_FIELDS, CapEntry, CapKind, ChainEntry, ChildKind, DomainNode,
+    DomainState, InterruptPolicy, IrqFrame, Visibility,
 )
 from .engine import Engine
 from .machine import DeviceConfig, MachineConfig, Platform
@@ -28,7 +28,7 @@ from .regions import (
 def dump_state(engine: Engine) -> dict:
     config = engine.platform.config
     return {
-        "version": 2,
+        "version": 3,
         "seed": engine.seed,
         "step": engine.platform.now,
         "config": {
@@ -52,7 +52,6 @@ def dump_state(engine: Engine) -> dict:
         "next_token": engine._next_token,
         "buffers": [[token, owner, blob.hex(), offset] for token,
                     (owner, blob, offset) in sorted(engine._buffers.items())],
-        "delivered": [list(d) for d in engine.delivered],
         "quantum": engine.quantum,
         "quantum_deadlines": [[core, deadline, dom] for core, (deadline, dom)
                               in sorted(engine._quantum_deadlines.items())],
@@ -90,10 +89,7 @@ def _dump_domain(dom) -> dict:
         "parent": dom.parent,
         "children": [[kind.value, ref] for kind, ref in dom.children],
         "policies": {
-            "cores": dom.policies.cores,
-            "mon_api": dom.policies.mon_api,
-            "user_calls": dom.policies.user_calls,
-            "receive": dom.policies.receive_after_seal,
+            **{name: getattr(dom.policies, name) for name in POLICY_FIELDS},
             "interrupts": [[v, p.visibility.value, p.readable_regs]
                            for v, p in sorted(dom.policies.interrupts.items())],
         },
@@ -148,7 +144,6 @@ def load_state(dump: dict) -> Engine:
     engine._next_token = dump["next_token"]
     engine._buffers = {token: (owner, bytes.fromhex(blob), offset)
                        for token, owner, blob, offset in dump["buffers"]}
-    engine.delivered = [tuple(d) for d in dump["delivered"]]
     engine.quantum = dump["quantum"]
     engine._quantum_deadlines = {core: (deadline, dom) for core, deadline, dom
                                  in dump["quantum_deadlines"]}
@@ -170,17 +165,14 @@ def load_state(dump: dict) -> Engine:
                 vital=rec["attributes"]["vital"]))
         engine.tree.nodes[node.id] = node
 
-    from .domains import DomainNode
     for rec in dump["domains"]:
         dom = DomainNode(id=rec["id"])
         dom.state = DomainState(rec["state"])
         dom.parent = rec["parent"]
         dom.children = [(ChildKind(kind), ref)
                         for kind, ref in rec["children"]]
-        dom.policies.cores = rec["policies"]["cores"]
-        dom.policies.mon_api = rec["policies"]["mon_api"]
-        dom.policies.user_calls = rec["policies"]["user_calls"]
-        dom.policies.receive_after_seal = rec["policies"]["receive"]
+        for name in POLICY_FIELDS:
+            setattr(dom.policies, name, rec["policies"][name])
         dom.policies.interrupts = {
             v: InterruptPolicy(Visibility(vis), regs)
             for v, vis, regs in rec["policies"]["interrupts"]}

@@ -57,6 +57,15 @@ def make_child(engine: Engine, parent: int, cores: int = None,
     return dom, handle
 
 
+def delivered_in_place(engine: Engine) -> list[tuple[int, int, int]]:
+    """(core, vector, handler) of each vector the trace shows delivered in
+    place, in order."""
+    return [(r.core, r.args["vector"], r.results["handler"])
+            for r in engine.trace.records
+            if r.ok and r.op == "irq"
+            and r.results.get("delivered") == "inplace"]
+
+
 def carve_to(engine: Engine, owner: int, dest_handle: int, rng: PhysRange,
              rights: Rights = Rights.RWX,
              attrs: AttrFlags = AttrFlags.NONE) -> int:

@@ -3,7 +3,9 @@ registers 1..6, results in registers 0..3, large outputs drained through a
 continuation token."""
 
 from capmon import AttestationReport, Rights
-from capmon.domains import ALL_CALLS_MASK, ApiCall, CapKind, PayloadCode
+from capmon.domains import (
+    ALL_CALLS_MASK, ApiCall, CapKind, InterruptPolicy, PayloadCode, Visibility,
+)
 from capmon.engine import MAX_UNDRAINED
 from capmon.errors import ErrorCode
 from capmon.regions import PAGE
@@ -97,6 +99,42 @@ class TestAbiLifecycle:
         assert status == 0
         entry = engine.domains[td0].owned.get(chan)
         assert entry.kind is CapKind.CHANNEL and entry.ref == td0
+
+
+class TestAbiSetGet:
+    def test_every_policy_field_and_visibility_by_id(self):
+        engine, td0 = small_engine()
+        status, handle, *_ = call(engine, 0, ApiCall.CREATE)
+        assert status == 0
+        dom = engine.domains[td0].owned.get(handle).ref
+        # field ids 0-3: cores, mon_api, user_calls, receive
+        values = [0b10, ALL_CALLS_MASK & ~(1 << ApiCall.CREATE), 1, 1]
+        for field_id, value in enumerate(values):
+            assert call(engine, 0, ApiCall.SET_GET, 2, handle, field_id,
+                        value)[0] == 0
+        for field_id, value in enumerate(values):
+            assert call(engine, 0, ApiCall.SET_GET, 3, handle,
+                        field_id) == (0, value, handle, field_id)
+        assert [engine.get_policy(td0, handle, name) for name in
+                ("cores", "mon_api", "user_calls", "receive")] == values
+        # visibility ids 0-2: deliver, report, not report
+        for vis_id in range(3):
+            assert call(engine, 0, ApiCall.SET_GET, 4, handle, 40 + vis_id,
+                        vis_id, 1 << vis_id)[0] == 0
+        assert [engine.domains[dom].policies.interrupt(40 + vis_id)
+                for vis_id in range(3)] == [
+            InterruptPolicy(Visibility.DELIVER, 0b1),
+            InterruptPolicy(Visibility.REPORT, 0b10),
+            InterruptPolicy(Visibility.NOT_REPORT, 0b100)]
+        # one id past each table, and one sub-op past the last
+        for registers in ((2, handle, 4, 1), (3, handle, 4),
+                          (4, handle, 43, 3, 0), (5, handle)):
+            load(engine, 0, ApiCall.SET_GET, *registers)
+            expected = dump_state(engine)
+            expected["domains"][td0]["regs"]["0"][0] = int(
+                ErrorCode.BAD_HANDLE)
+            engine.monitor_call(0)
+            assert dump_state(engine) == expected, registers
 
 
 class TestAbiErrors:
@@ -208,18 +246,30 @@ class TestAbiRejections:
         assert status == 0
         for _ in range(MAX_UNDRAINED - 1):  # td0 then holds the most it may
             assert call(engine, 0, ApiCall.ATTEST, 0, 0)[0] == 0
-        cases = [  # core, user mode, registers, expected error, traced op
-            (0, False, (ApiCall.ATTEST, 0, 12345), ErrorCode.BAD_CURSOR, None),
+        cases = [  # core, user mode, registers, expected error, trace line
+            (0, False, (ApiCall.ATTEST, 0, 12345), ErrorCode.BAD_CURSOR,
+             "abi call=4"),
             (1, False, (ApiCall.ENUMERATE, 0, token), ErrorCode.BAD_CURSOR,
-             None),
-            (1, True, (ApiCall.GETCHAN, 0), ErrorCode.POLICY_DENIED, None),
-            (0, False, (77,), ErrorCode.BAD_HANDLE, None),
+             "abi call=5"),
+            (1, True, (ApiCall.GETCHAN, 0), ErrorCode.POLICY_DENIED,
+             "abi call=0xa"),
+            (0, False, (77,), ErrorCode.BAD_HANDLE, "abi call=0x4d"),
+            (0, False, (ApiCall.SET_GET, 5, handle), ErrorCode.BAD_HANDLE,
+             "abi call=1"),
+            (0, False, (ApiCall.SET_GET, 2, handle, 4, 1),
+             ErrorCode.BAD_HANDLE, "abi call=1"),
+            (0, False, (ApiCall.SET_GET, 4, handle, 9, 3, 0),
+             ErrorCode.BAD_HANDLE, "abi call=1"),
+            (0, False, (ApiCall.ALIAS, 0, A[2], A[0], int(Rights.RW)),
+             ErrorCode.INVALID_RANGE, "abi call=7"),
+            (0, False, (ApiCall.CARVE, 0, A[0], A[0] + 1, int(Rights.RW)),
+             ErrorCode.INVALID_RANGE, "abi call=8"),
             (1, False, (ApiCall.REVOKE, 99), ErrorCode.POLICY_DENIED,
-             "revoke_domain"),
+             "revoke_domain handle=0x63"),
             (0, False, (ApiCall.ATTEST, 0, 0), ErrorCode.OUT_OF_METADATA,
-             None),
+             "abi call=4"),
         ]
-        for core, user, registers, code, op in cases:
+        for core, user, registers, code, line in cases:
             load(engine, core, *registers)
             expected = dump_state(engine)
             caller = engine.current_domain(core)
@@ -230,8 +280,7 @@ class TestAbiRejections:
             traced = len(engine.trace.records)
             engine.monitor_call(core, user=user)
             assert dump_state(engine) == expected, registers
-            if op is not None:
-                lines = [r.to_line() for r in engine.trace.records[traced:]]
-                assert lines == [f"0 {core} {op} caller={caller} "
-                                 f"handle={registers[1]:#x} "
-                                 f"-> err={code.name}"], registers
+            op, detail = line.split(" ", 1)
+            lines = [r.to_line() for r in engine.trace.records[traced:]]
+            assert lines == [f"0 {core} {op} caller={caller} {detail} "
+                             f"-> err={code.name}"], registers

@@ -36,6 +36,15 @@ class TestConcurrentBasics:
     def test_barrier_send_parks_receiver_core(self):
         engine, td0, config = build_concurrent(cores=2, pages=32)
         platform = engine.platform
+        # whether each drain of a core's update queue holds the engine lock
+        drains = []
+        process_updates = engine.process_updates
+
+        def drain_updates(core):
+            drains.append(platform.engine_lock._lock._is_owned())
+            process_updates(core)
+
+        engine.process_updates = drain_updates
         platform.start_cores()
         handle = engine.create(td0)
         dom = engine.domains[td0].owned.get(handle).ref
@@ -55,6 +64,7 @@ class TestConcurrentBasics:
                   if e.tag.startswith("send:")]
         assert ("ipi", 1) in phases
         assert ("park", 1) in phases
+        assert drains and all(drains), drains
 
 
 class TestConcurrentAbi:

@@ -8,7 +8,10 @@ from capmon.domains import PayloadCode
 from capmon.errors import ErrorCode, MonitorError
 from capmon.machine import FAULT_VECTOR, TIMER_VECTOR
 
-from support import build_policy_tree, drive_resume, make_child, small_engine
+from support import (
+    build_policy_tree, delivered_in_place, drive_resume, make_child,
+    small_engine,
+)
 
 
 def expect_code(code, fn, *args, **kw):
@@ -70,7 +73,7 @@ class TestRouting:
         handler = engine.route_interrupt(0, 7)
         assert handler == td0
         assert engine.cores[0].irq is None
-        assert (0, 7, td0) in [(c, v, d) for _, c, v, d in engine.delivered]
+        assert (0, 7, td0) in delivered_in_place(engine)
 
     def test_walk_to_first_deliver(self):
         engine, td0 = small_engine()
@@ -153,7 +156,7 @@ class TestRouting:
         engine.switch(td0, 0, mid_handle)
         engine.route_interrupt(0, 9)
         engine.route_interrupt(0, 11)  # td0 delivers: handled in place
-        assert (0, 11, td0) in [(c, v, d) for _, c, v, d in engine.delivered]
+        assert (0, 11, td0) in delivered_in_place(engine)
         mid2, mid2_handle = make_child(
             engine, td0, interrupts=[(11, Visibility.NOT_REPORT, 0)])
         # a vector that cannot be delivered in place defers while routed
@@ -346,6 +349,6 @@ class TestDeviceRouting:
         engine, td0, _ = boot(config)
         engine.platform.schedule_device_interrupt(0x21, at_step=5)
         engine.platform.tick(3)
-        assert not engine.delivered
+        assert not delivered_in_place(engine)
         engine.platform.tick(3)
-        assert any(v == 0x21 for _, _, v, _ in engine.delivered)
+        assert any(v == 0x21 for _, v, _ in delivered_in_place(engine))
