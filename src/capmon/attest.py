@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -39,6 +40,8 @@ MONITOR_IDENTITY = b"capmon security monitor v0.1.0\n"
 
 # a visibility's code in a report is its position in declaration order
 _CODE_OF = {vis: code for code, vis in enumerate(Visibility)}
+# a domain's interrupt table: (visibility code, readable registers) per vector
+_INTERRUPT_TABLE = struct.Struct("<" + "BI" * NUM_VECTORS)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +369,7 @@ def _write_domain(buf: io.BytesIO, dom: DomainDescriptor):
     buf.write(struct.pack("<Q", dom.cores))
     buf.write(struct.pack("<H", dom.mon_api))
     buf.write(struct.pack("<B", int(dom.user_calls) | (int(dom.receive) << 1)))
-    for vis, readable in dom.interrupts:
-        buf.write(struct.pack("<BI", vis, readable))
+    buf.write(_INTERRUPT_TABLE.pack(*itertools.chain(*dom.interrupts)))
     buf.write(struct.pack("<I", len(dom.owned_names)))
     region_by_name = {r.name: r for r in dom.regions}
     nested_by_name = {n.name: n for n in dom.nested}
@@ -393,11 +395,11 @@ def _read_domain(reader: _Reader) -> DomainDescriptor:
     cores = reader.u64()
     mon_api = reader.u16()
     flags = reader.u8()
-    interrupts = []
-    for _ in range(NUM_VECTORS):
-        vis = reader.u8()
-        readable = reader.u32()
-        interrupts.append((vis, readable))
+    table = _INTERRUPT_TABLE.unpack(reader.take(_INTERRUPT_TABLE.size))
+    codes = table[::2]
+    if max(codes) >= len(_CODE_OF):
+        raise deny(ErrorCode.PARSE_ERROR, f"bad visibility code {max(codes)}")
+    interrupts = list(zip(codes, table[1::2]))
     dom = DomainDescriptor(
         name=name, register_hash=register_hash, sealed=sealed, cores=cores,
         mon_api=mon_api, user_calls=bool(flags & 1), receive=bool(flags & 2),

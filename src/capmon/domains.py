@@ -79,9 +79,11 @@ class Policies:
     user_calls: bool = False
     receive: bool = False  # may receive capabilities after seal
     interrupts: dict[int, InterruptPolicy] = field(default_factory=dict)
+    # the policy of every vector without an entry in `interrupts`
+    interrupt_default: InterruptPolicy = DEFAULT_INTERRUPT_POLICY
 
     def interrupt(self, vector: int) -> InterruptPolicy:
-        return self.interrupts.get(vector, DEFAULT_INTERRUPT_POLICY)
+        return self.interrupts.get(vector, self.interrupt_default)
 
     def allows(self, call: ApiCall) -> bool:
         return bool(self.mon_api & (1 << call))

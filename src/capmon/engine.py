@@ -127,8 +127,7 @@ class Engine:
             mon_api=ALL_CALLS_MASK,
             user_calls=True,
             receive=True,
-            interrupts={v: InterruptPolicy(Visibility.DELIVER, 0)
-                        for v in range(NUM_VECTORS)},
+            interrupt_default=InterruptPolicy(Visibility.DELIVER, 0),
         )
         for core in range(config.cores):
             td0.regs[core] = zero_registers()

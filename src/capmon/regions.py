@@ -207,46 +207,39 @@ class RegionTree:
         identical status.
         """
         node = self.get(region_id)
-        carves = []
-        aliases = []
+        lo, hi = node.initial_range.start, node.initial_range.end
+        # (address, carve delta, alias delta) at each clipped child boundary
+        events = [(lo, 0, 0)]
         for cid in node.children:
             child = self.nodes[cid]
+            start = max(child.initial_range.start, lo)
+            end = min(child.initial_range.end, hi)
+            if start >= end:
+                continue
             if child.kind is DerivationKind.CARVE:
-                carves.append(child.initial_range)
+                events += ((start, 1, 0), (end, -1, 0))
             else:
-                aliases.append(child.initial_range)
+                events += ((start, 0, 1), (end, 0, -1))
+        events.sort()
+        events.append((hi, 0, 0))
 
-        cuts = {node.initial_range.start, node.initial_range.end}
-        for rng in carves + aliases:
-            cuts.add(max(rng.start, node.initial_range.start))
-            cuts.add(min(rng.end, node.initial_range.end))
-        points = sorted(p for p in cuts
-                        if node.initial_range.start <= p <= node.initial_range.end)
-
-        segments: list[ViewSegment] = []
-        for lo, hi in zip(points, points[1:]):
-            if lo == hi:
+        always_aliased = node.status is RegionStatus.ALIASED
+        pieces: list[list] = []  # [start, end, aliased], merged as emitted
+        carves = aliases = 0
+        for (at, d_carve, d_alias), (upto, _, _) in zip(events, events[1:]):
+            carves += d_carve
+            aliases += d_alias
+            if at == upto or carves:
                 continue
-            piece = PhysRange(lo, hi)
-            if any(c.overlaps(piece) for c in carves):
-                continue
-            if node.status is RegionStatus.ALIASED or \
-                    any(a.overlaps(piece) for a in aliases):
-                status = RegionStatus.ALIASED
+            aliased = always_aliased or aliases > 0
+            if pieces and pieces[-1][1] == at and pieces[-1][2] == aliased:
+                pieces[-1][1] = upto
             else:
-                status = RegionStatus.EXCLUSIVE
-            segments.append(ViewSegment(piece, node.rights, status))
-
-        merged: list[ViewSegment] = []
-        for seg in segments:
-            if merged and merged[-1].status is seg.status and \
-                    merged[-1].range.end == seg.range.start:
-                merged[-1] = ViewSegment(
-                    PhysRange(merged[-1].range.start, seg.range.end),
-                    seg.rights, seg.status)
-            else:
-                merged.append(seg)
-        return merged
+                pieces.append([at, upto, aliased])
+        return [ViewSegment(PhysRange(start, end), node.rights,
+                            RegionStatus.ALIASED if aliased
+                            else RegionStatus.EXCLUSIVE)
+                for start, end, aliased in pieces]
 
     def accessible_ranges(self, region_id: int) -> list[PhysRange]:
         return [seg.range for seg in self.effective_view(region_id)]

@@ -24,11 +24,14 @@ from .regions import (
     Rights,
 )
 
+# a dump of another version has other keys, so load_state refuses it
+DUMP_VERSION = 4
+
 
 def dump_state(engine: Engine) -> dict:
     config = engine.platform.config
     return {
-        "version": 3,
+        "version": DUMP_VERSION,
         "seed": engine.seed,
         "step": engine.platform.now,
         "config": {
@@ -83,15 +86,18 @@ def _dump_region(node: RegionNode) -> dict:
 
 
 def _dump_domain(dom) -> dict:
+    policies = dom.policies
     return {
         "id": dom.id,
         "state": dom.state.value,
         "parent": dom.parent,
         "children": [[kind.value, ref] for kind, ref in dom.children],
         "policies": {
-            **{name: getattr(dom.policies, name) for name in POLICY_FIELDS},
+            **{name: getattr(policies, name) for name in POLICY_FIELDS},
             "interrupts": [[v, p.visibility.value, p.readable_regs]
-                           for v, p in sorted(dom.policies.interrupts.items())],
+                           for v, p in sorted(policies.interrupts.items())],
+            "interrupt_default": [policies.interrupt_default.visibility.value,
+                                  policies.interrupt_default.readable_regs],
         },
         "regs": {str(core): list(regs)
                  for core, regs in sorted(dom.regs.items())},
@@ -120,6 +126,8 @@ def _dump_core(cs) -> dict:
 
 
 def load_state(dump: dict) -> Engine:
+    if dump.get("version") != DUMP_VERSION:
+        raise ValueError(f"unsupported dump version {dump.get('version')}")
     config = MachineConfig(
         memory_size=dump["config"]["memory"],
         cores=dump["config"]["cores"],
@@ -176,6 +184,8 @@ def load_state(dump: dict) -> Engine:
         dom.policies.interrupts = {
             v: InterruptPolicy(Visibility(vis), regs)
             for v, vis, regs in rec["policies"]["interrupts"]}
+        vis, regs = rec["policies"]["interrupt_default"]
+        dom.policies.interrupt_default = InterruptPolicy(Visibility(vis), regs)
         dom.regs = {int(core): list(regs)
                     for core, regs in rec["regs"].items()}
         dom.owned.slots = [

@@ -72,6 +72,15 @@ class TestCanonicalForm:
             AttestationReport.from_bytes(blob)
         assert err.value.code is ErrorCode.PARSE_ERROR
 
+    def test_unknown_visibility_code_rejected(self):
+        engine, td0 = small_engine()
+        report = engine.attest(td0)
+        report.subject.interrupts[5] = (len(Visibility) + 4, 0)
+        blob = report.to_bytes()
+        with pytest.raises(MonitorError) as err:
+            AttestationReport.from_bytes(blob)
+        assert err.value.code is ErrorCode.PARSE_ERROR
+
     def test_remote_fields_measured_into_signature(self):
         engine, td0, td1, td2, h1 = figure_engine()
         plain = engine.attest(td0, h1)

@@ -167,6 +167,22 @@ class TestAttestationGolden:
                        "--out", str(offline)) == 0
         assert offline.read_bytes() == report.read_bytes()
 
+    def test_attest_td0_from_state_dump(self, tmp_path):
+        # td0's interrupt table is a default, not 256 entries, in the dump
+        script = tmp_path / "self.tyscn"
+        script.write_text("boot\nattest rep self\n")
+        report = tmp_path / "live.bin"
+        dump = tmp_path / "state.json"
+        assert run_cli("run", CONFIG, str(script), "--attest",
+                       f"rep={report}", "--dump", str(dump)) == 0
+        assert json.loads(dump.read_text())["domains"][0]["policies"][
+            "interrupts"] == []
+        offline = tmp_path / "offline.bin"
+        assert run_cli("attest", str(dump), "0", "--out", str(offline)) == 0
+        assert offline.read_bytes() == report.read_bytes()
+        assert " 0-255 -> {Deliver, registers: 0b0}," in \
+            (tmp_path / "live.bin.txt").read_text()
+
 
 class TestVerify:
     def pipeline(self, tmp_path, scenario="llm.tyscn"):

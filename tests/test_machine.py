@@ -262,6 +262,35 @@ class TestDumpReload:
         after = build_report(reloaded, dom).to_bytes()
         assert before == after
 
+    def test_td0_interrupt_table_is_one_default(self):
+        # the JSON round trip of both kinds of table is
+        # test_dump_round_trips_interrupt_state's
+        from capmon import Visibility, state
+        from capmon.domains import (
+            DEFAULT_INTERRUPT_POLICY, NUM_VECTORS, InterruptPolicy,
+        )
+        engine, td0 = small_engine()
+        dom, _ = make_child(engine, td0, interrupts=[
+            (9, Visibility.NOT_REPORT, 0b11), (40, Visibility.REPORT, 0)])
+        dump = state.dump_state(engine)
+        policies = {rec["id"]: rec["policies"] for rec in dump["domains"]}
+        assert policies[td0]["interrupts"] == []
+        assert policies[td0]["interrupt_default"] == ["deliver", 0]
+        assert policies[dom]["interrupts"] == [[9, "noreport", 3],
+                                               [40, "report", 0]]
+        assert policies[dom]["interrupt_default"] == ["noreport", 0]
+        for live in (engine, state.load_state(dump)):
+            td0_policies = live.domains[td0].policies
+            assert all(td0_policies.interrupt(v) ==
+                       InterruptPolicy(Visibility.DELIVER, 0)
+                       for v in range(NUM_VECTORS))
+            child = live.domains[dom].policies
+            assert child.interrupt(9) == \
+                InterruptPolicy(Visibility.NOT_REPORT, 0b11)
+            assert child.interrupt(41) == DEFAULT_INTERRUPT_POLICY
+        with pytest.raises(ValueError):
+            state.load_state(dict(dump, version=3))
+
     def test_dump_round_trips_interrupt_state(self):
         import json
 

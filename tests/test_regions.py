@@ -2,11 +2,13 @@
 exclusivity tracking, and revocation plumbing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capmon.errors import ErrorCode, MonitorError
 from capmon.regions import (
     PAGE, AttrFlags, DerivationKind, PhysRange, RegionStatus, RegionTree,
-    Rights,
+    Rights, ViewSegment,
 )
 
 A = [0x100000 + k * 0x1000 for k in range(6)]
@@ -23,6 +25,52 @@ def fresh_tree() -> tuple[RegionTree, int]:
 def view_tuples(tree, node):
     return [(s.range.start, s.range.end, s.rights.render(), s.status.value)
             for s in tree.effective_view(node)]
+
+
+def reference_view(tree: RegionTree, region_id: int) -> list[ViewSegment]:
+    """The first, quadratic effective_view: every piece between two child
+    boundaries is tested against every child."""
+    node = tree.get(region_id)
+    carves = []
+    aliases = []
+    for cid in node.children:
+        child = tree.nodes[cid]
+        if child.kind is DerivationKind.CARVE:
+            carves.append(child.initial_range)
+        else:
+            aliases.append(child.initial_range)
+
+    cuts = {node.initial_range.start, node.initial_range.end}
+    for rng in carves + aliases:
+        cuts.add(max(rng.start, node.initial_range.start))
+        cuts.add(min(rng.end, node.initial_range.end))
+    points = sorted(p for p in cuts
+                    if node.initial_range.start <= p <= node.initial_range.end)
+
+    segments: list[ViewSegment] = []
+    for lo, hi in zip(points, points[1:]):
+        if lo == hi:
+            continue
+        piece = PhysRange(lo, hi)
+        if any(c.overlaps(piece) for c in carves):
+            continue
+        if node.status is RegionStatus.ALIASED or \
+                any(a.overlaps(piece) for a in aliases):
+            status = RegionStatus.ALIASED
+        else:
+            status = RegionStatus.EXCLUSIVE
+        segments.append(ViewSegment(piece, node.rights, status))
+
+    merged: list[ViewSegment] = []
+    for seg in segments:
+        if merged and merged[-1].status is seg.status and \
+                merged[-1].range.end == seg.range.start:
+            merged[-1] = ViewSegment(
+                PhysRange(merged[-1].range.start, seg.range.end),
+                seg.rights, seg.status)
+        else:
+            merged.append(seg)
+    return merged
 
 
 class TestPhysRange:
@@ -202,6 +250,49 @@ class TestEffectiveView:
         tree.carve(TD0, r2, PhysRange(A[3], A[4]), Rights.RWX)
         tree.alias(TD0, r2, PhysRange(A[2], A[3]), Rights.RW)
         assert view_tuples(tree, root) == before
+
+
+class TestViewAgainstReference:
+    def test_root_with_74_single_page_aliases(self):
+        # the shape of the host's root region in the guest_mem benchmark:
+        # 74 single-page aliases, in runs of three with a page between runs
+        tree = RegionTree()
+        root = tree.create_root(TD0, PhysRange(0x100000, 0x200000),
+                                Rights.RWX)
+        for k in range(74):
+            page = 0x100000 + (k + k // 3) * PAGE
+            tree.alias(TD0, root, PhysRange(page, page + PAGE), Rights.RW)
+        assert len(tree.nodes[root].children) == 74
+        assert tree.effective_view(root) == reference_view(tree, root)
+        assert len(tree.effective_view(root)) == 2 * 25
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(["alias", "carve", "destroy"]),
+                  st.integers(0, 63), st.integers(0, 15), st.integers(1, 8)),
+        min_size=1, max_size=30))
+    def test_sweep_equals_quadratic_reference(self, program):
+        tree = RegionTree()
+        tree.create_root(TD0, PhysRange(A[0], A[0] + 16 * PAGE), Rights.RWX)
+        for op, pick, lo, span in program:
+            ids = sorted(tree.nodes)
+            if op == "destroy":
+                if len(ids) > 1:
+                    tree.destroy(tree.subtree(ids[1:][pick % (len(ids) - 1)]))
+            else:
+                parent = tree.nodes[ids[pick % len(ids)]]
+                base, limit = parent.initial_range.start, \
+                    parent.initial_range.end
+                start = min(base + lo * PAGE, limit - PAGE)
+                end = min(start + span * PAGE, limit)
+                derive = tree.alias if op == "alias" else tree.carve
+                try:
+                    derive(TD0, parent.id, PhysRange(start, end),
+                           parent.rights)
+                except MonitorError:
+                    pass
+            for nid in tree.nodes:
+                assert tree.effective_view(nid) == reference_view(tree, nid)
 
 
 class TestRandomTreesAgainstPathWalk:
