@@ -21,7 +21,9 @@ from .domains import (
     UpdateKind, Visibility, zero_registers,
 )
 from .errors import ErrorCode, MonitorError, deny
-from .machine import FAULT_VECTOR, TIMER_VECTOR, CoreRunState, view_allows
+from .machine import (
+    FAULT_VECTOR, TIMER_VECTOR, CoreRunState, disjoint_view, view_allows,
+)
 from .regions import (
     AttrFlags, PhysRange, RegionAttributes, RegionStatus, RegionTree, Rights,
 )
@@ -265,8 +267,8 @@ class Engine:
         dom = self.domains.get(dom_id)
         if dom is None or not dom.live:
             return []
-        return [(seg.range.start, seg.range.end, int(seg.rights))
-                for _, seg in self._segments(dom)]
+        return disjoint_view([(seg.range.start, seg.range.end, int(seg.rights))
+                              for _, seg in self._segments(dom)])
 
     def _refresh_views(self, cores: set[int]):
         for core in cores:
@@ -282,21 +284,24 @@ class Engine:
                 view=self.view_cache_for(current)))
 
     def domain_may_access(self, dom_id: int, addr: int, kind: str) -> bool:
-        return view_allows(self.view_cache_for(dom_id), addr, kind)
+        with self.platform.engine_lock:
+            return view_allows(self.view_cache_for(dom_id), addr, kind)
 
     def page_access_map(self) -> dict[int, dict[int, tuple[int, bool]]]:
         """Per-domain, per-page access as the engine sees it (for the oracle diff)."""
         out: dict[int, dict[int, tuple[int, bool]]] = {}
-        for dom in self.domains.values():
-            if not dom.live:
-                continue
-            pages: dict[int, tuple[int, bool]] = {}
-            for _, seg in self._segments(dom):
-                excl = seg.status is RegionStatus.EXCLUSIVE
-                for page in seg.range.pages():
-                    rights, old_excl = pages.get(page, (0, False))
-                    pages[page] = (rights | int(seg.rights), old_excl or excl)
-            out[dom.id] = pages
+        with self.platform.engine_lock:
+            for dom in self.domains.values():
+                if not dom.live:
+                    continue
+                pages: dict[int, tuple[int, bool]] = {}
+                for _, seg in self._segments(dom):
+                    excl = seg.status is RegionStatus.EXCLUSIVE
+                    for page in seg.range.pages():
+                        rights, old_excl = pages.get(page, (0, False))
+                        pages[page] = (rights | int(seg.rights),
+                                       old_excl or excl)
+                out[dom.id] = pages
         return out
 
     # ------------------------------------------------------------------

@@ -14,6 +14,7 @@ import contextlib
 import heapq
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -174,21 +175,53 @@ class SimCore:
     run_state: str = CoreRunState.RUNNING
     steps: int = 0
     queue: list = field(default_factory=list)
-    # local cached view of the current domain: list of (start, end, rights)
+    # local cached view of the current domain: (start, end, rights) sorted
+    # by start and disjoint, as disjoint_view builds it
     local_view: list[tuple[int, int, int]] = field(default_factory=list)
 
 
 _ACCESS_BITS = {"R": 4, "W": 2, "X": 1}
 
 
+# an end past every address: (addr, _TOP, 8) sorts after each segment that
+# starts at or below addr
+_TOP = 1 << 64
+
+
+def disjoint_view(segments: list[tuple[int, int, int]]
+                  ) -> list[tuple[int, int, int]]:
+    """(start, end, rights) segments sorted by start and made disjoint:
+    where segments overlap, the overlap is split off with their rights OR'ed."""
+    view = sorted(segments)
+    if all(prev[1] <= seg[0] for prev, seg in zip(view, view[1:])):
+        return view
+    cuts = sorted({p for start, end, _ in view for p in (start, end)})
+    out: list[tuple[int, int, int]] = []
+    active: list[tuple[int, int, int]] = []
+    nxt = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        # every start is a cut, so a segment covers [lo, hi) iff it has
+        # started and not ended by lo
+        while nxt < len(view) and view[nxt][0] == lo:
+            active.append(view[nxt])
+            nxt += 1
+        active = [seg for seg in active if seg[1] > lo]
+        if active:
+            rights = 0
+            for seg in active:
+                rights |= seg[2]
+            out.append((lo, hi, rights))
+    return out
+
+
 def view_allows(view: list[tuple[int, int, int]], addr: int,
                 kind: str) -> bool:
-    """Whether a (start, end, rights) view grants `kind` access at addr."""
-    bit = _ACCESS_BITS[kind]
-    for start, end, rights in view:
-        if start <= addr < end and rights & bit:
-            return True
-    return False
+    """Whether a view from disjoint_view grants `kind` access at addr."""
+    at = bisect_right(view, (addr, _TOP, 8)) - 1
+    if at < 0:
+        return False
+    _, end, rights = view[at]
+    return addr < end and bool(rights & _ACCESS_BITS[kind])
 
 
 class Platform:

@@ -159,8 +159,17 @@ class RegionNode:
     status: RegionStatus
     kind: DerivationKind
     parent: Optional[int] = None
-    children: list[int] = field(default_factory=list)
+    # a tuple, so a new child is a write to this node and drops its memo
+    children: tuple[int, ...] = ()
     attributes: RegionAttributes = field(default_factory=RegionAttributes)
+    # memo of RegionTree.effective_view; a cache, never part of the state
+    _view: Optional[list[ViewSegment]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        # any write may change what the view is computed from
+        object.__setattr__(self, "_view", None)
+        object.__setattr__(self, name, value)
 
 
 class RegionTree:
@@ -204,9 +213,15 @@ class RegionTree:
         Sub-ranges taken by carve children are absent; sub-ranges covered by
         at least one alias child report Aliased regardless of the node's own
         status.  Segments are disjoint, sorted, and merged when adjacent with
-        identical status.
+        identical status.  The list is the node's memo: callers must not
+        mutate it.
         """
         node = self.get(region_id)
+        if node._view is None:
+            node._view = self._sweep(node)
+        return node._view
+
+    def _sweep(self, node: RegionNode) -> list[ViewSegment]:
         lo, hi = node.initial_range.start, node.initial_range.end
         # (address, carve delta, alias delta) at each clipped child boundary
         events = [(lo, 0, 0)]
@@ -283,7 +298,7 @@ class RegionTree:
             id=nid, owner=caller, initial_range=sub, rights=rights,
             status=RegionStatus.ALIASED, kind=DerivationKind.ALIAS,
             parent=parent_id)
-        parent.children.append(nid)
+        parent.children += (nid,)
         return nid
 
     def carve(self, caller: int, parent_id: int,
@@ -317,7 +332,7 @@ class RegionTree:
         self.nodes[nid] = RegionNode(
             id=nid, owner=caller, initial_range=sub, rights=rights,
             status=status, kind=DerivationKind.CARVE, parent=parent_id)
-        parent.children.append(nid)
+        parent.children += (nid,)
         return nid
 
     # -- revocation support ------------------------------------------------
@@ -349,7 +364,9 @@ class RegionTree:
         for rid in region_ids:
             node = self.nodes.pop(rid)
             if node.parent is not None and node.parent not in doomed:
-                self.nodes[node.parent].children.remove(rid)
+                parent = self.nodes[node.parent]
+                parent.children = tuple(c for c in parent.children
+                                        if c != rid)
 
     # -- invariants (debug / property tests) -------------------------------
 
@@ -364,6 +381,8 @@ class RegionTree:
 
     def check_invariants(self):
         for node in self.nodes.values():
+            assert node._view is None or node._view == self._sweep(node), \
+                f"stale view memo at region {node.id}"
             assert node.status is self.exclusivity_by_path_walk(node.id), \
                 f"exclusivity chain broken at region {node.id}"
             if node.parent is not None:

@@ -404,8 +404,9 @@ class ScenarioRunner:
             status = RegionStatus.EXCLUSIVE if parts[0].upper() == "X" \
                 else RegionStatus.ALIASED
             want.append((status, self._value(parts[1]), self._value(parts[2])))
-        got = [(s.status, s.range.start, s.range.end)
-               for s in self.engine.tree.effective_view(region_id)]
+        with self.engine.platform.engine_lock:
+            got = [(s.status, s.range.start, s.range.end)
+                   for s in self.engine.tree.effective_view(region_id)]
         if got != want:
             self._fail(stmt, f"view of {args[0]} is {got}, expected {want}")
 

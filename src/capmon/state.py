@@ -165,7 +165,7 @@ def load_state(dump: dict) -> Engine:
             rights=Rights(rec["rights"]),
             status=RegionStatus(rec["status"]),
             kind=DerivationKind(rec["kind"]),
-            parent=rec["parent"], children=list(rec["children"]),
+            parent=rec["parent"], children=tuple(rec["children"]),
             attributes=RegionAttributes(
                 hash_digest=bytes.fromhex(rec["attributes"]["hash"])
                             if rec["attributes"]["hash"] else None,

@@ -4,9 +4,10 @@ windows and linearizability against a deterministic replay."""
 
 import sys
 
-from capmon import Oracle, PhysRange, Rights, boot
+from capmon import DeviceConfig, Oracle, PhysRange, Rights, boot
 from capmon.domains import ALL_CALLS_MASK, ApiCall, CapKind
 from capmon.regions import PAGE
+from capmon.scenario import ScenarioRunner, parse_script
 from capmon.state import dump_state
 
 from support import replay_trace, small_config
@@ -65,6 +66,34 @@ class TestConcurrentBasics:
         assert ("ipi", 1) in phases
         assert ("park", 1) in phases
         assert drains and all(drains), drains
+
+    def test_views_are_read_under_the_engine_lock(self):
+        # a view memo filled outside the lock could race a mutator and keep
+        # a stale view for good, so every read of a view must hold the lock
+        config = small_config(pages=32, cores=2, devices=[
+            DeviceConfig("net0", PhysRange(0x20000, 0x21000), 0x21)])
+        runner = ScenarioRunner(config, concurrent=True)
+        engine = runner.engine
+        platform = engine.platform
+        dev = next(d.id for d in engine.domains.values() if d.is_device)
+        held = []
+        effective_view = engine.tree.effective_view
+
+        def locked_view(region_id):
+            held.append(platform.engine_lock._lock._is_owned())
+            return effective_view(region_id)
+
+        engine.tree.effective_view = locked_view
+        for addr in range(A[0], A[8], PAGE):
+            platform.submit(1, lambda a=addr: platform.dma_access(dev, a, "W"))
+            platform.submit(1, engine.page_access_map)
+        assert runner.run(parse_script(
+            "alias r1 root 0x2000 0x4000 RW_\n"
+            "expect view r1 S:0x2000:0x4000\n"
+            "carve r2 r1 0x2000 0x3000 RW_\n"
+            "expect view r1 S:0x3000:0x4000\n"
+            "revoke root r1\n")) == 0, runner.failures
+        assert len(held) > 16 and all(held), held
 
 
 class TestConcurrentAbi:

@@ -2,6 +2,8 @@
 update protocol ordering, and device modeling."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capmon import (
     DeviceConfig, MachineConfig, MonitorError, PhysRange, Rights, boot,
@@ -9,10 +11,11 @@ from capmon import (
 )
 from capmon.domains import ALL_CALLS_MASK, CapKind
 from capmon.errors import ErrorCode
+from capmon.machine import disjoint_view, view_allows
 from capmon.regions import PAGE
 
 from support import (
-    delivered_in_place, make_child, small_config, small_engine,
+    FuzzDriver, delivered_in_place, make_child, small_config, small_engine,
 )
 
 A = [PAGE * (1 + k) for k in range(8)]
@@ -137,6 +140,28 @@ class TestInterposition:
         engine.send(td0, rh, handle)
         assert not engine.platform.mem_access(0, A[0], "W")
         assert engine.platform.mem_access(0, A[2], "W")
+
+
+def linear_view_allows(segments, addr, kind):
+    """Reference view check: a linear scan over overlapping segments."""
+    bit = {"R": 4, "W": 2, "X": 1}[kind]
+    return any(start <= addr < end and rights & bit
+               for start, end, rights in segments)
+
+
+class TestViewLookup:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 12),
+                              st.integers(0, 7)), max_size=10))
+    def test_bisect_on_disjoint_view_equals_linear_scan(self, spans):
+        segments = [(start, start + length, rights)
+                    for start, length, rights in spans]
+        view = disjoint_view(segments)
+        assert all(prev[1] <= seg[0] for prev, seg in zip(view, view[1:]))
+        for addr in range(-1, 54):
+            for kind in "RWX":
+                assert view_allows(view, addr, kind) == \
+                    linear_view_allows(segments, addr, kind), (addr, kind)
 
 
 class TestUpdateProtocol:
@@ -290,6 +315,19 @@ class TestDumpReload:
             assert child.interrupt(41) == DEFAULT_INTERRUPT_POLICY
         with pytest.raises(ValueError):
             state.load_state(dict(dump, version=3))
+
+    def test_view_memo_is_not_state(self):
+        from capmon import state
+        driver = FuzzDriver(seed=8)
+        driver.run(300)  # each step's oracle diff warms the live views
+        dump = state.dump_state(driver.engine)
+        reloaded = state.load_state(dump)
+        assert all(node._view is None
+                   for node in reloaded.tree.nodes.values())
+        assert state.dump_state(reloaded) == dump
+        for nid in reloaded.tree.nodes:
+            reloaded.tree.effective_view(nid)
+        assert state.dump_state(reloaded) == dump
 
     def test_dump_round_trips_interrupt_state(self):
         import json

@@ -67,6 +67,23 @@ class TestFuzzEquivalence:
         assert problems
         assert f"domain {td0}" in problems[0]
 
+    @pytest.mark.parametrize("field, value", [
+        ("rights", Rights.R),
+        ("status", RegionStatus.ALIASED),
+        ("initial_range", PhysRange(A[0], A[1])),
+    ])
+    def test_diff_sees_behind_the_back_write_to_a_viewed_region(self, field,
+                                                                value):
+        engine, td0 = small_engine(pages=8)
+        root_handle = engine.domains[td0].owned.find(CapKind.REGION, 0)
+        engine.tree_carve(td0, root_handle, PhysRange(A[0], A[2]), Rights.RWX)
+        oracle = Oracle().replay(engine.trace.records)
+        assert not oracle.diff(engine)  # every view is now memoised
+        child = engine.tree.nodes[0].children[0]
+        setattr(engine.tree.nodes[child], field, value)
+        problems = oracle.diff(engine)
+        assert problems and f"domain {td0}" in problems[0]
+
     def test_trace_lines_replay_identically(self):
         driver = FuzzDriver(seed=42)
         driver.run(300)

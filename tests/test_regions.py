@@ -295,6 +295,44 @@ class TestViewAgainstReference:
                 assert tree.effective_view(nid) == reference_view(tree, nid)
 
 
+class TestViewMemo:
+    def test_second_read_without_a_write_is_the_same_object(self):
+        tree, root = fresh_tree()
+        tree.alias(TD0, root, PhysRange(A[1], A[2]), Rights.RW)
+        assert tree.effective_view(root) is tree.effective_view(root)
+
+    @pytest.mark.parametrize("field, value, want", [
+        ("rights", Rights.R, [(A[0], A[2], "R__", "exclusive")]),
+        ("status", RegionStatus.ALIASED, [(A[0], A[2], "RWX", "aliased")]),
+        ("initial_range", PhysRange(A[0], A[1]),
+         [(A[0], A[1], "RWX", "exclusive")]),
+    ])
+    def test_behind_the_back_write_changes_next_view(self, field, value,
+                                                     want):
+        tree, root = fresh_tree()
+        r1 = tree.carve(TD0, root, PhysRange(A[0], A[2]), Rights.RWX)
+        assert view_tuples(tree, r1) == [(A[0], A[2], "RWX", "exclusive")]
+        setattr(tree.nodes[r1], field, value)
+        assert view_tuples(tree, r1) == want
+
+    def test_moved_carve_child_leaves_parent_memo_stale(self):
+        # the parent's memo is dropped only by writes to the parent; a child
+        # moved behind the back is what check_invariants is there to catch
+        tree, root = fresh_tree()
+        r1 = tree.carve(TD0, root, PhysRange(A[1], A[2]), Rights.RWX)
+        tree.effective_view(root)
+        tree.check_invariants()
+        tree.nodes[r1].initial_range = PhysRange(A[3], A[4])
+        with pytest.raises(AssertionError, match=f"region {root}$"):
+            tree.check_invariants()
+
+    def test_children_cannot_change_in_place(self):
+        tree, root = fresh_tree()
+        tree.alias(TD0, root, PhysRange(A[1], A[2]), Rights.RW)
+        with pytest.raises(AttributeError):
+            tree.nodes[root].children.append(99)
+
+
 class TestRandomTreesAgainstPathWalk:
     def test_status_equals_independent_path_walk(self):
         import random
