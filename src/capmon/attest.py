@@ -241,12 +241,10 @@ def _describe_domain(engine, dom_id: int, namer: _Namer,
             if not shallow:
                 desc.nested.append(
                     _describe_domain(engine, entry.ref, namer, shallow=True))
+        elif entry.ref in engine.domains:
+            desc.owned_names.append(f"chan({namer.domain(entry.ref)})")
         else:
-            target = engine.domains.get(entry.ref)
-            if target is not None and target.live:
-                desc.owned_names.append(f"chan({namer.domain(entry.ref)})")
-            else:
-                desc.owned_names.append("chan(inert)")
+            desc.owned_names.append("chan(inert)")
     return desc
 
 

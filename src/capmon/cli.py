@@ -138,8 +138,7 @@ def cmd_attest(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.subject not in engine.domains or \
-            not engine.domains[args.subject].live:
+    if args.subject not in engine.domains:
         print("unknown or revoked subject", file=sys.stderr)
         return EXIT_FAIL
     report = attest_mod.build_report(engine, args.subject)

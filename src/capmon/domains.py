@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .regions import PhysRange
 
@@ -87,6 +87,26 @@ class Policies:
 
     def allows(self, call: ApiCall) -> bool:
         return bool(self.mon_api & (1 << call))
+
+
+def undeliverable_vectors(rootward: Iterable[Policies]) -> set[int]:
+    """The vectors that no policy on a root-ward path delivers.
+
+    `rootward` yields a domain's policies, then its parent's, and so on up;
+    a vector is deliverable when one of them has Deliver for it.
+    """
+    missing = set(range(NUM_VECTORS))
+    for policies in rootward:
+        if policies.interrupt_default.visibility is Visibility.DELIVER:
+            # only the vectors with an entry other than Deliver stay missing
+            missing &= {v for v, p in policies.interrupts.items()
+                        if p.visibility is not Visibility.DELIVER}
+        else:
+            missing -= {v for v, p in policies.interrupts.items()
+                        if p.visibility is Visibility.DELIVER}
+        if not missing:
+            break
+    return missing
 
 
 def zero_registers() -> list[int]:
@@ -176,6 +196,58 @@ class DomainNode:
     @property
     def live(self) -> bool:
         return self.state is not DomainState.REVOKED
+
+
+@dataclass(frozen=True)
+class RevokedDomain:
+    """What a reclaimed domain id reads as: its record is gone, and only the
+    id and the terminal state remain.  Writing to it raises."""
+
+    id: int
+    state: DomainState = DomainState.REVOKED
+    live = False
+
+
+class DomainTable(dict):
+    """Live domain records by id.
+
+    Iteration, `len`, `in` and `get` see live records only.  Ids are never
+    reused, so an id below `next_id` without a live record was revoked.
+    Indexing such an id returns its revoked record while some core path
+    still names it (`held`), and a `RevokedDomain` once the record is freed.
+    Any other id raises `KeyError`.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.next_id = 0
+        self.held: dict[int, DomainNode] = {}
+
+    def __missing__(self, dom_id: int):
+        held = self.held.get(dom_id)
+        if held is not None:
+            return held
+        if 0 <= dom_id < self.next_id:
+            return RevokedDomain(dom_id)
+        raise KeyError(dom_id)
+
+    def new(self, parent: Optional[int]) -> DomainNode:
+        dom = DomainNode(id=self.next_id, parent=parent)
+        self.next_id += 1
+        self[dom.id] = dom
+        return dom
+
+    def reclaim(self, dom_ids, named: set[int]):
+        """Drop revoked records; those a core path names wait in `held`."""
+        for dom_id in dom_ids:
+            dom = self.pop(dom_id)
+            if dom_id in named:
+                self.held[dom_id] = dom
+
+    def release(self, named: set[int]):
+        """Free the held records no core path names any more."""
+        for dom_id in [d for d in self.held if d not in named]:
+            del self.held[dom_id]
 
 
 class UpdateKind(enum.Enum):

@@ -17,15 +17,17 @@ from . import attest as attest_mod
 from .domains import (
     ALL_CALLS_MASK, POLICY_FIELDS, REG_MASK, NUM_REGS, NUM_VECTORS, ApiCall,
     CapEntry, CapKind, ChainEntry, ChildKind, CoreState, DomainNode,
-    DomainState, InterruptPolicy, IrqFrame, PayloadCode, Policies, Update,
-    UpdateKind, Visibility, zero_registers,
+    DomainState, DomainTable, InterruptPolicy, IrqFrame, PayloadCode,
+    Policies, RevokedDomain, Update, UpdateKind, Visibility,
+    undeliverable_vectors, zero_registers,
 )
 from .errors import ErrorCode, MonitorError, deny
 from .machine import (
     FAULT_VECTOR, TIMER_VECTOR, CoreRunState, disjoint_view, view_allows,
 )
 from .regions import (
-    AttrFlags, PhysRange, RegionAttributes, RegionStatus, RegionTree, Rights,
+    PAGE, AttrFlags, PhysRange, RegionAttributes, RegionStatus, RegionTree,
+    Rights,
 )
 from .trace import OpRecord, TraceLog
 
@@ -67,8 +69,7 @@ class Engine:
         self.seed = seed
         self.measurement = measurement
         self.tree = RegionTree()
-        self.domains: dict[int, DomainNode] = {}
-        self._next_domain = 0
+        self.domains = DomainTable()
         self._next_channel = 0
         self.cores = [CoreState(i) for i in range(platform.ncores)]
         self.trace = TraceLog()
@@ -123,7 +124,7 @@ class Engine:
 
     def boot_td0(self) -> int:
         config = self.platform.config
-        td0 = self._new_domain(parent=None)
+        td0 = self.domains.new(parent=None)
         td0.policies = Policies(
             cores=(1 << config.cores) - 1,
             mon_api=ALL_CALLS_MASK,
@@ -152,7 +153,7 @@ class Engine:
 
         ram = PhysRange(config.monitor_reserved.end, config.memory_size)
         for dev_cfg in config.devices:
-            dev = self._new_domain(parent=td0.id)
+            dev = self.domains.new(parent=td0.id)
             dev.is_device = True
             dev.device_vector = dev_cfg.vector
             dev.mmio = dev_cfg.mmio
@@ -179,12 +180,6 @@ class Engine:
         self._refresh_views({c.id for c in self.cores})
         return td0.id
 
-    def _new_domain(self, parent: Optional[int]) -> DomainNode:
-        dom = DomainNode(id=self._next_domain, parent=parent)
-        self._next_domain += 1
-        self.domains[dom.id] = dom
-        return dom
-
     def _mint_channel(self) -> int:
         self._next_channel += 1
         return self._next_channel
@@ -203,11 +198,13 @@ class Engine:
     # lookups and helpers
     # ------------------------------------------------------------------
 
-    def domain(self, dom_id: int) -> DomainNode:
-        dom = self.domains.get(dom_id)
-        if dom is None:
-            raise deny(ErrorCode.UNKNOWN_DOMAIN, f"domain {dom_id}")
-        return dom
+    def domain(self, dom_id: int) -> DomainNode | RevokedDomain:
+        """The record of a domain id; a revoked id reads as REVOKED, and an
+        id never issued is UNKNOWN_DOMAIN."""
+        try:
+            return self.domains[dom_id]
+        except KeyError:
+            raise deny(ErrorCode.UNKNOWN_DOMAIN, f"domain {dom_id}") from None
 
     def current_domain(self, core: int) -> int:
         return self.cores[core].current
@@ -256,8 +253,7 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _segments(self, dom: DomainNode):
-        """(region id, segment) over the effective views of dom's regions;
-        callers pass live domains only."""
+        """(region id, segment) over the effective views of dom's regions."""
         for _, entry in dom.owned.entries():
             if entry.kind is CapKind.REGION:
                 for seg in self.tree.effective_view(entry.ref):
@@ -265,7 +261,7 @@ class Engine:
 
     def view_cache_for(self, dom_id: int) -> list[tuple[int, int, int]]:
         dom = self.domains.get(dom_id)
-        if dom is None or not dom.live:
+        if dom is None:
             return []
         return disjoint_view([(seg.range.start, seg.range.end, int(seg.rights))
                               for _, seg in self._segments(dom)])
@@ -276,12 +272,16 @@ class Engine:
                 self.view_cache_for(self.cores[core].current)
 
     def _push_views(self, cores: set[int]):
-        """Queue each core's new view of the domain it runs (drained later)."""
+        """Queue each core's new view of the domain it runs (drained later);
+        cores that run the same domain share one view."""
+        views: dict[int, list[tuple[int, int, int]]] = {}
         for core in cores:
             current = self.cores[core].current
+            if current not in views:
+                views[current] = self.view_cache_for(current)
             self.platform.enqueue_update(core, Update(
                 UpdateKind.ACCESS_CHANGED, domain=current,
-                view=self.view_cache_for(current)))
+                view=views[current]))
 
     def domain_may_access(self, dom_id: int, addr: int, kind: str) -> bool:
         with self.platform.engine_lock:
@@ -292,15 +292,15 @@ class Engine:
         out: dict[int, dict[int, tuple[int, bool]]] = {}
         with self.platform.engine_lock:
             for dom in self.domains.values():
-                if not dom.live:
-                    continue
                 pages: dict[int, tuple[int, bool]] = {}
                 for _, seg in self._segments(dom):
+                    rights = int(seg.rights)
                     excl = seg.status is RegionStatus.EXCLUSIVE
-                    for page in seg.range.pages():
-                        rights, old_excl = pages.get(page, (0, False))
-                        pages[page] = (rights | int(seg.rights),
-                                       old_excl or excl)
+                    for page in range(seg.range.start // PAGE,
+                                      seg.range.end // PAGE):
+                        old = pages.get(page)
+                        pages[page] = (rights, excl) if old is None else \
+                            (old[0] | rights, old[1] or excl)
                 out[dom.id] = pages
         return out
 
@@ -332,10 +332,9 @@ class Engine:
         if dom.state is not DomainState.SEALED or \
                 self._running_core(dom.id) is None:
             raise deny(ErrorCode.NOT_RUNNING, "caller must be sealed and running")
-        live = sum(1 for d in self.domains.values() if d.live)
-        if live >= self.max_domains:
+        if len(self.domains) >= self.max_domains:
             raise deny(ErrorCode.OUT_OF_METADATA, "domain pool exhausted")
-        child = self._new_domain(parent=dom.id)
+        child = self.domains.new(parent=dom.id)
         dom.children.append((ChildKind.TD, child.id))
         handle = dom.owned.insert(CapEntry(CapKind.DOMAIN, child.id))
         return {"dom": child.id, "handle": handle}
@@ -505,8 +504,6 @@ class Engine:
 
     def _check_unmapped(self, rng: PhysRange, exclude: set[int]):
         for other in self.domains.values():
-            if not other.live:
-                continue
             for region, seg in self._segments(other):
                 if region not in exclude and seg.range.overlaps(rng):
                     raise deny(ErrorCode.STILL_ACCESSIBLE,
@@ -529,9 +526,10 @@ class Engine:
         child = self._resolve_td(dom, handle)
         if child.state is not DomainState.UNSEALED:
             raise deny(ErrorCode.ALREADY_SEALED, f"domain {child.id}")
-        for vector in range(NUM_VECTORS):
-            if self._handler_of(child.id, vector) is None:
-                raise deny(ErrorCode.UNDELIVERABLE_VECTOR, f"vector {vector}")
+        undeliverable = undeliverable_vectors(self._policies_rootward(child))
+        if undeliverable:
+            raise deny(ErrorCode.UNDELIVERABLE_VECTOR,
+                       f"vector {min(undeliverable)}")
         child.register_hash = self._register_hash(child)
         child.state = DomainState.SEALED
         return {"dom": child.id, "register_hash": child.register_hash.hex()}
@@ -701,6 +699,14 @@ class Engine:
                 )["handler"]
             raise AssertionError("td0 runs everywhere and delivers everything")
 
+    def _policies_rootward(self, dom: DomainNode):
+        """The policies of dom and each of its ancestors, dom's first."""
+        while True:
+            yield dom.policies
+            if dom.parent is None:
+                return
+            dom = self.domains[dom.parent]
+
     def _handler_of(self, dom_id: Optional[int], vector: int) -> Optional[int]:
         """The nearest domain at or above dom_id that delivers the vector."""
         while dom_id is not None:
@@ -796,8 +802,7 @@ class Engine:
                 rights=node.rights.render(),
                 attributes=node.attributes.flags.render(),
                 children=children)
-        target = self.domains.get(entry.ref)
-        state = target.state.value if target is not None else "revoked"
+        state = self.domains[entry.ref].state.value
         kind = "domain" if entry.kind is CapKind.DOMAIN else "channel"
         return CapDescription(kind=kind, state=state)
 
@@ -928,8 +933,6 @@ class Engine:
         def publish():
             # 1. all access removed: capability entries disappear
             for dom in self.domains.values():
-                if not dom.live:
-                    continue
                 for idx, entry in dom.owned.entries():
                     if entry.kind is CapKind.REGION and entry.ref in regions:
                         dom.owned.remove(idx)
@@ -942,12 +945,16 @@ class Engine:
                     self.platform.zero_range(node.initial_range)
             # 3. nodes leave the tree; carve parents regain their sub-ranges
             self.tree.destroy(ordered)
-            # 4. domains become terminally revoked, undrained outputs dropped
+            # 4. domains become terminally revoked and leave their live
+            # parents' children; undrained outputs are dropped
             for did in dom_ids:
                 node = self.domains[did]
                 node.state = DomainState.REVOKED
                 node.owned = type(node.owned)()
                 node.regs.clear()
+                if node.parent is not None and node.parent not in dom_ids:
+                    self.domains[node.parent].children.remove(
+                        (ChildKind.TD, did))
             for token in [t for t, (owner, _, _) in self._buffers.items()
                           if owner in dom_ids]:
                 del self._buffers[token]
@@ -966,9 +973,15 @@ class Engine:
                         unwind=unwind))
                 else:
                     self._push_views({cs.id})
+            # 6. records are freed; one a core path still names is held
+            # until that core's unwind drains
+            self.domains.reclaim(dom_ids, self._named_domains())
 
         self.platform.barrier_update(self._core_of(caller), affected,
                                      publish, tag)
+
+    def _named_domains(self) -> set[int]:
+        return {d for cs in self.cores for d in cs.path_domains()}
 
     def _plan_unwind(self, cs: CoreState, dom_ids: set[int]) -> Optional[dict]:
         path = cs.path_domains()
@@ -1030,6 +1043,8 @@ class Engine:
                                   unwind["revoked"])
         self.platform.cores[cs.id].local_view = unwind["view"]
         self._clear_quantum(cs.id)
+        if self.domains.held:
+            self.domains.release(self._named_domains())
 
     # ------------------------------------------------------------------
     # register ABI

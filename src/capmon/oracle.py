@@ -242,7 +242,9 @@ class Oracle:
 
     def address_map(self) -> dict[int, dict[int, tuple[int, bool]]]:
         cover: dict[int, int] = {}
+        by_owner: dict[int, list[OracleCap]] = {}
         for cap in self.caps.values():
+            by_owner.setdefault(cap.owner, []).append(cap)
             for page in cap.pages:
                 cover[page] = cover.get(page, 0) + 1
         out: dict[int, dict[int, tuple[int, bool]]] = {}
@@ -250,9 +252,7 @@ class Oracle:
             if dom.revoked:
                 continue
             pages: dict[int, tuple[int, bool]] = {}
-            for cap in self.caps.values():
-                if cap.owner != dom.id:
-                    continue
+            for cap in by_owner.get(dom.id, ()):
                 for page in cap.pages:
                     rights, _ = pages.get(page, (0, False))
                     pages[page] = (rights | cap.rights, cover[page] == 1)
@@ -272,6 +272,8 @@ class Oracle:
         """Empty iff the engine's effective views agree with this model."""
         mine = self.address_map()
         theirs = engine.page_access_map()
+        if mine == theirs:
+            return []
         problems: list[str] = []
         for dom_id in sorted(set(mine) | set(theirs)):
             a = mine.get(dom_id)

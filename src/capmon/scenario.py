@@ -76,6 +76,14 @@ _STATEMENT_OPS = {
     "read-mem", "irq", "devirq", "step", "expect",
 }
 
+# Every other statement runs in one engine-lock scope, so the handles it
+# resolves from engine state still name the same objects when the call they
+# feed runs.  Memory statements run unlocked, as a guest's loads and stores
+# do (a fault takes the lock to route), and `expect` locks per kind.
+_UNLOCKED_OPS = {"write-mem", "read-mem", "expect"}
+# `expect error` runs its statement through `execute`, which locks it
+_UNLOCKED_EXPECTS = {"read", "zero", "error"}
+
 
 class ScenarioRunner:
     def __init__(self, config: MachineConfig, seed: int = 0,
@@ -171,7 +179,11 @@ class ScenarioRunner:
 
     def execute(self, stmt: Statement):
         handler = getattr(self, "_stmt_" + stmt.op.replace("-", "_"))
-        handler(stmt)
+        if stmt.op in _UNLOCKED_OPS:
+            handler(stmt)
+        else:
+            with self.engine.platform.engine_lock:
+                handler(stmt)
 
     def _stmt_boot(self, stmt: Statement):
         pass  # the machine boots before the script runs
@@ -382,7 +394,11 @@ class ScenarioRunner:
         handler = getattr(self, "_expect_" + kind.replace("-", "_"), None)
         if handler is None:
             raise ScriptError(stmt.lineno, f"unknown expect {kind!r}")
-        handler(stmt, stmt.args[1:])
+        if kind in _UNLOCKED_EXPECTS:
+            handler(stmt, stmt.args[1:])
+        else:
+            with self.engine.platform.engine_lock:
+                handler(stmt, stmt.args[1:])
 
     def _expect_error(self, stmt: Statement, args: list[str]):
         code_name = args[0]
@@ -404,9 +420,8 @@ class ScenarioRunner:
             status = RegionStatus.EXCLUSIVE if parts[0].upper() == "X" \
                 else RegionStatus.ALIASED
             want.append((status, self._value(parts[1]), self._value(parts[2])))
-        with self.engine.platform.engine_lock:
-            got = [(s.status, s.range.start, s.range.end)
-                   for s in self.engine.tree.effective_view(region_id)]
+        got = [(s.status, s.range.start, s.range.end)
+               for s in self.engine.tree.effective_view(region_id)]
         if got != want:
             self._fail(stmt, f"view of {args[0]} is {got}, expected {want}")
 

@@ -3,14 +3,17 @@
 A dump captures the full logical state of the engine (trees, tables,
 policies, cores, id counters, continuation buffers and quantum deadlines)
 but not memory content; reloading is enough to attest and inspect, not to
-keep executing scenarios.  Two dumps compare equal exactly when the engine
-states do, which is how the tests prove that a rejected call changed
-nothing.
+keep executing scenarios.  Domain records are the live ones and the
+revoked ones a core path still names; any other id below `next_domain`
+was revoked and reclaimed.  Two dumps compare equal exactly when the
+engine states do, which is how the tests prove that a rejected call
+changed nothing.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 
 from .attest import BootMeasurement
 from .domains import (
@@ -25,7 +28,11 @@ from .regions import (
 )
 
 # a dump of another version has other keys, so load_state refuses it
-DUMP_VERSION = 4
+DUMP_VERSION = 5
+
+# enum fields are read as `_value_`: the same value as `.value`, without the
+# cost of that property on every field of every dump
+_policy_values = operator.attrgetter(*POLICY_FIELDS)
 
 
 def dump_state(engine: Engine) -> dict:
@@ -49,7 +56,7 @@ def dump_state(engine: Engine) -> dict:
                        for name, digest in engine.measurement.event_log],
         } if engine.measurement else None,
         "root_region": engine.root_region,
-        "next_domain": engine._next_domain,
+        "next_domain": engine.domains.next_id,
         "next_region": engine.tree._next_id,
         "next_channel": engine._next_channel,
         "next_token": engine._next_token,
@@ -61,47 +68,50 @@ def dump_state(engine: Engine) -> dict:
         "regions": [_dump_region(node) for _, node
                     in sorted(engine.tree.nodes.items())],
         "domains": [_dump_domain(dom) for _, dom
-                    in sorted(engine.domains.items())],
+                    in sorted([*engine.domains.items(),
+                               *engine.domains.held.items()])],
         "cores": [_dump_core(cs) for cs in engine.cores],
     }
 
 
 def _dump_region(node: RegionNode) -> dict:
+    rng, attributes = node.initial_range, node.attributes
     return {
         "id": node.id,
         "owner": node.owner,
-        "range": [node.initial_range.start, node.initial_range.end],
-        "rights": int(node.rights),
-        "status": node.status.value,
-        "kind": node.kind.value,
+        "range": [rng.start, rng.end],
+        "rights": node.rights._value_,
+        "status": node.status._value_,
+        "kind": node.kind._value_,
         "parent": node.parent,
         "children": list(node.children),
         "attributes": {
-            "hash": node.attributes.hash_digest.hex()
-                    if node.attributes.hash_digest else None,
-            "clean": node.attributes.clean,
-            "vital": node.attributes.vital,
+            "hash": attributes.hash_digest.hex()
+                    if attributes.hash_digest else None,
+            "clean": attributes.clean,
+            "vital": attributes.vital,
         },
     }
 
 
 def _dump_domain(dom) -> dict:
     policies = dom.policies
+    default = policies.interrupt_default
     return {
         "id": dom.id,
-        "state": dom.state.value,
+        "state": dom.state._value_,
         "parent": dom.parent,
-        "children": [[kind.value, ref] for kind, ref in dom.children],
+        "children": [[kind._value_, ref] for kind, ref in dom.children],
         "policies": {
-            **{name: getattr(policies, name) for name in POLICY_FIELDS},
-            "interrupts": [[v, p.visibility.value, p.readable_regs]
+            **dict(zip(POLICY_FIELDS, _policy_values(policies))),
+            "interrupts": [[v, p.visibility._value_, p.readable_regs]
                            for v, p in sorted(policies.interrupts.items())],
-            "interrupt_default": [policies.interrupt_default.visibility.value,
-                                  policies.interrupt_default.readable_regs],
+            "interrupt_default": [default.visibility._value_,
+                                  default.readable_regs],
         },
         "regs": {str(core): list(regs)
                  for core, regs in sorted(dom.regs.items())},
-        "owned": [None if e is None else [e.kind.value, e.ref]
+        "owned": [None if e is None else [e.kind._value_, e.ref]
                   for e in dom.owned.slots],
         "is_device": dom.is_device,
         "device_vector": dom.device_vector,
@@ -146,7 +156,7 @@ def load_state(dump: dict) -> Engine:
     platform.attach_engine(engine)
     platform.now = dump["step"]
     engine.root_region = dump["root_region"]
-    engine._next_domain = dump["next_domain"]
+    engine.domains.next_id = dump["next_domain"]
     engine.tree._next_id = dump["next_region"]
     engine._next_channel = dump["next_channel"]
     engine._next_token = dump["next_token"]
@@ -196,7 +206,10 @@ def load_state(dump: dict) -> Engine:
         dom.mmio = PhysRange(*rec["mmio"]) if rec["mmio"] else None
         dom.register_hash = bytes.fromhex(rec["register_hash"]) \
             if rec["register_hash"] else None
-        engine.domains[dom.id] = dom
+        if dom.live:
+            engine.domains[dom.id] = dom
+        else:
+            engine.domains.held[dom.id] = dom
 
     for rec in dump["cores"]:
         cs = engine.cores[rec["id"]]

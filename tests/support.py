@@ -106,11 +106,8 @@ class FuzzDriver:
 
     # -- random pickers --------------------------------------------------
 
-    def _live_domains(self) -> list[int]:
-        return [d.id for d in self.engine.domains.values() if d.live]
-
     def _pick_caller(self) -> int:
-        choices = self._live_domains()
+        choices = list(self.engine.domains)  # the live domains
         currents = [cs.current for cs in self.engine.cores]
         # bias toward running domains so policy-gated calls mostly land
         pool = currents * 3 + choices

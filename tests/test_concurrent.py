@@ -5,7 +5,7 @@ windows and linearizability against a deterministic replay."""
 import sys
 
 from capmon import DeviceConfig, Oracle, PhysRange, Rights, boot
-from capmon.domains import ALL_CALLS_MASK, ApiCall, CapKind
+from capmon.domains import ALL_CALLS_MASK, ApiCall, CapKind, CapTable
 from capmon.regions import PAGE
 from capmon.scenario import ScenarioRunner, parse_script
 from capmon.state import dump_state
@@ -92,8 +92,50 @@ class TestConcurrentBasics:
             "expect view r1 S:0x2000:0x4000\n"
             "carve r2 r1 0x2000 0x3000 RW_\n"
             "expect view r1 S:0x3000:0x4000\n"
-            "revoke root r1\n")) == 0, runner.failures
+            "revoke r1\n")) == 0, runner.failures
+        assert any(r.ok and r.op == "revoke_region"
+                   for r in engine.trace.records)
         assert len(held) > 16 and all(held), held
+
+    def test_scenario_resolves_handles_under_the_engine_lock(
+            self, monkeypatch):
+        # a handle resolved before the call takes the lock could name
+        # another capability or child by the time the call runs
+        runner = ScenarioRunner(small_config(pages=32, cores=2),
+                                concurrent=True)
+        lock = runner.engine.platform.engine_lock
+        held = []
+        find, get = CapTable.find, CapTable.get
+
+        def locked_find(table, kind, ref):
+            held.append(("find", lock._lock._is_owned()))
+            return find(table, kind, ref)
+
+        def locked_get(table, index):
+            held.append(("get", lock._lock._is_owned()))
+            return get(table, index)
+
+        monkeypatch.setattr(CapTable, "find", locked_find)
+        monkeypatch.setattr(CapTable, "get", locked_get)
+        assert runner.run(parse_script(
+            "create a\n"
+            "set a cores 3\n"
+            "set a mon_api 0x7ff\n"
+            "set a receive on\n"
+            "seal a\n"
+            "alias r1 root 0x2000 0x4000 RW_\n"
+            "carve r2 r1 0x2000 0x3000 RW_\n"
+            "send r2 a\n"
+            "getchan c a\n"
+            "attest rep a\n"
+            "revoke r1\n"
+            "expect gone r2\n"
+            "@1 alias r3 root 0x6000 0x8000 RW_\n"
+            "@1 revoke r3\n"
+            "revoke a\n"
+            "expect state a revoked\n")) == 0, runner.failures
+        assert {op for op, _ in held} == {"find", "get"}
+        assert all(owned for _, owned in held), held
 
 
 class TestConcurrentAbi:

@@ -2,9 +2,14 @@
 report/no-report return path, and revocation-forced control transfers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capmon import PhysRange, Visibility
-from capmon.domains import PayloadCode
+from capmon.domains import (
+    NUM_VECTORS, InterruptPolicy, PayloadCode, Policies,
+    undeliverable_vectors,
+)
 from capmon.errors import ErrorCode, MonitorError
 from capmon.machine import FAULT_VECTOR, TIMER_VECTOR
 
@@ -254,6 +259,53 @@ class TestRandomRoutingAgainstOracle:
             observers = drive_resume(engine, 0)
             assert observers == expected_observers, f"seed {seed}"
             assert engine.current_domain(0) == preempted, f"seed {seed}"
+
+
+def undeliverable_by_walks(rootward: list[Policies]) -> set[int]:
+    """Reference for `undeliverable_vectors`: one root-ward walk per vector,
+    looking for a Deliver policy, as seal checked it before."""
+    missing = set()
+    for vector in range(NUM_VECTORS):
+        for policies in rootward:
+            if policies.interrupt(vector).visibility is Visibility.DELIVER:
+                break
+        else:
+            missing.add(vector)
+    return missing
+
+
+# a few vectors that many chains share, so explicit entries overlap
+_SHARED_VECTORS = st.sampled_from([0, 1, 5, 14, 33, 200, NUM_VECTORS - 1])
+_POLICY = st.builds(
+    InterruptPolicy, st.sampled_from(list(Visibility)),
+    st.integers(0, 3))
+_POLICIES = st.builds(
+    lambda default, interrupts: Policies(interrupts=interrupts,
+                                         interrupt_default=default),
+    _POLICY,
+    st.dictionaries(st.one_of(_SHARED_VECTORS,
+                              st.integers(0, NUM_VECTORS - 1)),
+                    _POLICY, max_size=12))
+
+
+class TestSealDeliverability:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_POLICIES, min_size=1, max_size=5))
+    def test_one_pass_equals_a_walk_per_vector(self, rootward):
+        assert undeliverable_vectors(iter(rootward)) == \
+            undeliverable_by_walks(rootward)
+
+    def test_seal_names_the_lowest_undeliverable_vector(self):
+        engine, td0 = small_engine()
+        # td0 has no parent to set its policies, so the test edits them
+        for vector in (200, 40, 7):
+            engine.domains[td0].policies.interrupts[vector] = \
+                InterruptPolicy(Visibility.REPORT)
+        mid, mid_handle = make_child(engine, td0, seal=False)
+        engine.set_interrupt_policy(td0, mid_handle, 7, Visibility.REPORT)
+        err = expect_code(ErrorCode.UNDELIVERABLE_VECTOR, engine.seal, td0,
+                          mid_handle)
+        assert err.message == "vector 7"
 
 
 class TestQuantum:
