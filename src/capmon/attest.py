@@ -15,8 +15,8 @@ mirrors the binary content line for line.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import io
 import itertools
 import struct
 from dataclasses import dataclass, field
@@ -28,7 +28,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .domains import NUM_VECTORS, ApiCall, CapKind, Visibility
+from .domains import NUM_VECTORS, VISIBILITY_IDS, ApiCall, CapKind
 from .errors import ErrorCode, deny
 from .regions import AttrFlags, DerivationKind
 
@@ -38,17 +38,28 @@ HASH_NAME = "sha-256"
 SIG_SCHEME = "ed25519"
 MONITOR_IDENTITY = b"capmon security monitor v0.1.0\n"
 
-# a visibility's code in a report is its position in declaration order
-_CODE_OF = {vis: code for code, vis in enumerate(Visibility)}
+# the fixed-layout parts of the binary form
+_U8 = struct.Struct("<B")
+_U32 = struct.Struct("<I")
+_PREAMBLE = struct.Struct("<4sH")           # magic, version
+_MEASURED = struct.Struct("<32sB")          # measurement, ncores
+_DOMAIN_FIXED = struct.Struct("<BQHB")      # sealed, cores, mon_api, flags
+# the register hash and the fixed part: the reader takes the hash's 32
+# bytes with them, while the writer copies the hash as the field holds it
+_DOMAIN_HEAD = struct.Struct("<32sBQHB")
 # a domain's interrupt table: (visibility code, readable registers) per vector
 _INTERRUPT_TABLE = struct.Struct("<" + "BI" * NUM_VECTORS)
+_SPAN = struct.Struct("<BQQ")               # status or kind, start, end
 
 
 # ---------------------------------------------------------------------------
 # attestation keys and boot measurement
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
 def _private_key(seed: int) -> Ed25519PrivateKey:
+    """The monitor's key, derived from the seed alone; Ed25519 signing is
+    deterministic, so a cached key signs the same bytes identically."""
     material = hashlib.sha256(
         b"capmon attestation key" + seed.to_bytes(8, "little")).digest()
     return Ed25519PrivateKey.from_private_bytes(material)
@@ -143,23 +154,28 @@ class AttestationReport:
     sig_scheme: str = SIG_SCHEME
 
     def signed_bytes(self) -> bytes:
-        buf = io.BytesIO()
-        _write_header(buf, self)
-        _write_domain(buf, self.subject)
-        return buf.getvalue()
+        parts: list[bytes] = []
+        _write_header(parts, self)
+        _write_domain(parts, self.subject)
+        return b"".join(parts)
 
     def to_bytes(self) -> bytes:
-        body = self.signed_bytes()
-        return body + struct.pack("<I", len(self.signature)) + self.signature
+        return _with_signature(self.signed_bytes(), self.signature)
 
     @staticmethod
     def from_bytes(blob: bytes) -> "AttestationReport":
+        """Parse the canonical form.  Each report has exactly one encoding:
+        bytes that would serialise back differently are PARSE_ERROR."""
         reader = _Reader(blob)
-        report = _read_header(reader)
-        report.subject = _read_domain(reader)
-        signature = reader.read_bytes()
-        report.signature = signature
-        if not reader.exhausted():
+        try:
+            report = _read_header(reader)
+            report.subject = _read_domain(reader, nested=False)
+            report.signature = reader.read_bytes()
+        except struct.error:
+            raise deny(ErrorCode.PARSE_ERROR, "truncated report") from None
+        except UnicodeDecodeError:
+            raise deny(ErrorCode.PARSE_ERROR, "name is not UTF-8") from None
+        if reader.pos != len(blob):
             raise deny(ErrorCode.PARSE_ERROR, "trailing bytes in report")
         return report
 
@@ -198,6 +214,19 @@ def build_report(engine, subject_id: int,
                  verifier_key: Optional[bytes] = None,
                  nonce: Optional[bytes] = None,
                  domain_key: Optional[bytes] = None) -> AttestationReport:
+    return build_signed_report(engine, subject_id, verifier_key, nonce,
+                               domain_key)[0]
+
+
+def build_signed_report(engine, subject_id: int,
+                        verifier_key: Optional[bytes] = None,
+                        nonce: Optional[bytes] = None,
+                        domain_key: Optional[bytes] = None,
+                        ) -> tuple[AttestationReport, bytes]:
+    """A signed report and its canonical bytes, serialised once: the body
+    is signed, and the bytes are that body, the signature length and the
+    signature.  The bytes go back to the caller, never onto the report,
+    whose fields a caller may still change."""
     namer = _Namer()
     subject = _describe_domain(engine, subject_id, namer, shallow=False)
     report = AttestationReport(
@@ -205,20 +234,26 @@ def build_report(engine, subject_id: int,
         ncores=engine.platform.ncores,
         nonce=nonce, verifier_key=verifier_key, domain_key=domain_key,
         subject=subject)
-    report.signature = sign_bytes(engine.seed, report.signed_bytes())
+    body = report.signed_bytes()
+    report.signature = sign_bytes(engine.seed, body)
     # runtime-only convenience for tooling; never serialized
     report.name_of_domain = dict(namer.domains)
-    return report
+    return report, _with_signature(body, report.signature)
+
+
+def interrupt_table(policies) -> list[tuple[int, int]]:
+    """(visibility code, readable registers) for every vector: the default
+    row, with the explicit entries' rows written over it."""
+    table = [policies.interrupt_default.row] * NUM_VECTORS
+    for vector, pol in policies.interrupts.items():
+        table[vector] = pol.row
+    return table
 
 
 def _describe_domain(engine, dom_id: int, namer: _Namer,
                      shallow: bool) -> DomainDescriptor:
     dom = engine.domains[dom_id]
     policies = dom.policies
-    interrupts = []
-    for vector in range(NUM_VECTORS):
-        pol = policies.interrupt(vector)
-        interrupts.append((_CODE_OF[pol.visibility], pol.readable_regs))
     desc = DomainDescriptor(
         name=namer.domain(dom_id),
         register_hash=dom.register_hash or bytes(32),
@@ -227,7 +262,7 @@ def _describe_domain(engine, dom_id: int, namer: _Namer,
         mon_api=policies.mon_api,
         user_calls=policies.user_calls,
         receive=policies.receive,
-        interrupts=interrupts)
+        interrupts=interrupt_table(policies))
 
     for _, entry in dom.owned.entries():
         if entry.kind is CapKind.REGION:
@@ -276,81 +311,78 @@ def _describe_region(engine, region_id: int, namer: _Namer,
 # ---------------------------------------------------------------------------
 
 class _Reader:
+    """A cursor over report bytes.  Fixed-layout parts are read with a
+    precompiled struct at the cursor; a read past the end raises
+    `struct.error`, which `from_bytes` turns into PARSE_ERROR."""
+
     def __init__(self, blob: bytes):
         self.blob = blob
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise deny(ErrorCode.PARSE_ERROR, "truncated report")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
+    def unpack(self, layout: struct.Struct) -> tuple:
+        out = layout.unpack_from(self.blob, self.pos)
+        self.pos += layout.size
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
     def read_bytes(self) -> bytes:
-        return self.take(self.u32())
+        start = self.pos + 4
+        end = start + _U32.unpack_from(self.blob, self.pos)[0]
+        if end > len(self.blob):
+            raise deny(ErrorCode.PARSE_ERROR, "truncated report")
+        self.pos = end
+        return self.blob[start:end]
 
     def read_str(self) -> str:
         return self.read_bytes().decode()
 
     def read_opt(self) -> Optional[bytes]:
-        return self.read_bytes() if self.u8() else None
-
-    def exhausted(self) -> bool:
-        return self.pos == len(self.blob)
-
-
-def _w_bytes(buf: io.BytesIO, data: bytes):
-    buf.write(struct.pack("<I", len(data)))
-    buf.write(data)
+        present = self.unpack(_U8)[0]
+        if present > 1:
+            raise deny(ErrorCode.PARSE_ERROR, f"bad presence byte {present}")
+        return self.read_bytes() if present else None
 
 
-def _w_str(buf: io.BytesIO, text: str):
-    _w_bytes(buf, text.encode())
+def _with_signature(body: bytes, signature: bytes) -> bytes:
+    return body + _U32.pack(len(signature)) + signature
 
 
-def _w_opt(buf: io.BytesIO, data: Optional[bytes]):
+def _w_bytes(parts: list[bytes], data: bytes):
+    parts.append(_U32.pack(len(data)))
+    parts.append(data)
+
+
+def _w_str(parts: list[bytes], text: str):
+    _w_bytes(parts, text.encode())
+
+
+def _w_opt(parts: list[bytes], data: Optional[bytes]):
     if data is None:
-        buf.write(b"\0")
+        parts.append(b"\0")
     else:
-        buf.write(b"\1")
-        _w_bytes(buf, data)
+        parts.append(b"\1")
+        _w_bytes(parts, data)
 
 
-def _write_header(buf: io.BytesIO, report: AttestationReport):
-    buf.write(MAGIC)
-    buf.write(struct.pack("<H", VERSION))
-    _w_str(buf, report.hash_name)
-    _w_str(buf, report.sig_scheme)
-    buf.write(report.measurement)
-    buf.write(struct.pack("<B", report.ncores))
-    _w_opt(buf, report.nonce)
-    _w_opt(buf, report.verifier_key)
-    _w_opt(buf, report.domain_key)
+def _write_header(parts: list[bytes], report: AttestationReport):
+    parts.append(_PREAMBLE.pack(MAGIC, VERSION))
+    _w_str(parts, report.hash_name)
+    _w_str(parts, report.sig_scheme)
+    parts.append(report.measurement)
+    parts.append(_U8.pack(report.ncores))
+    _w_opt(parts, report.nonce)
+    _w_opt(parts, report.verifier_key)
+    _w_opt(parts, report.domain_key)
 
 
 def _read_header(reader: _Reader) -> AttestationReport:
-    if reader.take(4) != MAGIC:
+    magic, version = reader.unpack(_PREAMBLE)
+    if magic != MAGIC:
         raise deny(ErrorCode.PARSE_ERROR, "bad magic")
-    version = reader.u16()
     if version != VERSION:
         raise deny(ErrorCode.PARSE_ERROR, f"unsupported version {version}")
     hash_name = reader.read_str()
     sig_scheme = reader.read_str()
-    measurement = reader.take(32)
-    ncores = reader.u8()
+    measurement, ncores = reader.unpack(_MEASURED)
     nonce = reader.read_opt()
     verifier_key = reader.read_opt()
     domain_key = reader.read_opt()
@@ -360,100 +392,107 @@ def _read_header(reader: _Reader) -> AttestationReport:
         subject=None, hash_name=hash_name, sig_scheme=sig_scheme)
 
 
-def _write_domain(buf: io.BytesIO, dom: DomainDescriptor):
-    _w_str(buf, dom.name)
-    buf.write(dom.register_hash)
-    buf.write(struct.pack("<B", int(dom.sealed)))
-    buf.write(struct.pack("<Q", dom.cores))
-    buf.write(struct.pack("<H", dom.mon_api))
-    buf.write(struct.pack("<B", int(dom.user_calls) | (int(dom.receive) << 1)))
-    buf.write(_INTERRUPT_TABLE.pack(*itertools.chain(*dom.interrupts)))
-    buf.write(struct.pack("<I", len(dom.owned_names)))
+def _write_domain(parts: list[bytes], dom: DomainDescriptor):
+    _w_str(parts, dom.name)
+    parts.append(dom.register_hash)
+    parts.append(_DOMAIN_FIXED.pack(
+        int(dom.sealed), dom.cores, dom.mon_api,
+        int(dom.user_calls) | (int(dom.receive) << 1)))
+    parts.append(_INTERRUPT_TABLE.pack(
+        *itertools.chain.from_iterable(dom.interrupts)))
+    parts.append(_U32.pack(len(dom.owned_names)))
     region_by_name = {r.name: r for r in dom.regions}
     nested_by_name = {n.name: n for n in dom.nested}
     for name in dom.owned_names:
         if name in region_by_name:
-            buf.write(b"\0")
-            _write_region(buf, region_by_name[name])
+            parts.append(b"\0")
+            _write_region(parts, region_by_name[name])
         elif name in nested_by_name:
-            buf.write(b"\1")
-            _write_domain(buf, nested_by_name[name])
+            parts.append(b"\1")
+            _write_domain(parts, nested_by_name[name])
         elif name.startswith("chan("):
-            buf.write(b"\2")
-            _w_str(buf, name[5:-1])
+            parts.append(b"\2")
+            _w_str(parts, name[5:-1])
         else:
-            buf.write(b"\3")
-            _w_str(buf, name)
+            parts.append(b"\3")
+            _w_str(parts, name)
 
 
-def _read_domain(reader: _Reader) -> DomainDescriptor:
+def _read_domain(reader: _Reader, nested: bool) -> DomainDescriptor:
     name = reader.read_str()
-    register_hash = reader.take(32)
-    sealed = bool(reader.u8())
-    cores = reader.u64()
-    mon_api = reader.u16()
-    flags = reader.u8()
-    table = _INTERRUPT_TABLE.unpack(reader.take(_INTERRUPT_TABLE.size))
+    register_hash, sealed, cores, mon_api, flags = reader.unpack(_DOMAIN_HEAD)
+    if sealed > 1 or flags > 3:
+        raise deny(ErrorCode.PARSE_ERROR, "bad domain flag byte")
+    table = reader.unpack(_INTERRUPT_TABLE)
     codes = table[::2]
-    if max(codes) >= len(_CODE_OF):
+    if max(codes) >= len(VISIBILITY_IDS):
         raise deny(ErrorCode.PARSE_ERROR, f"bad visibility code {max(codes)}")
-    interrupts = list(zip(codes, table[1::2]))
     dom = DomainDescriptor(
-        name=name, register_hash=register_hash, sealed=sealed, cores=cores,
-        mon_api=mon_api, user_calls=bool(flags & 1), receive=bool(flags & 2),
-        interrupts=interrupts)
-    count = reader.u32()
-    for _ in range(count):
-        tag = reader.u8()
+        name=name, register_hash=register_hash, sealed=bool(sealed),
+        cores=cores, mon_api=mon_api, user_calls=bool(flags & 1),
+        receive=bool(flags & 2), interrupts=list(zip(codes, table[1::2])))
+    for _ in range(reader.unpack(_U32)[0]):
+        tag = reader.unpack(_U8)[0]
         if tag == 0:
             region = _read_region(reader)
             dom.owned_names.append(region.name)
             dom.regions.append(region)
-        elif tag == 1:
-            nested = _read_domain(reader)
-            dom.owned_names.append(nested.name)
-            dom.nested.append(nested)
+        elif tag == 1 and not nested:
+            inner = _read_domain(reader, nested=True)
+            dom.owned_names.append(inner.name)
+            dom.nested.append(inner)
         elif tag == 2:
             dom.owned_names.append(f"chan({reader.read_str()})")
         elif tag == 3:
-            dom.owned_names.append(reader.read_str())
+            other = reader.read_str()
+            if other.startswith("chan("):
+                raise deny(ErrorCode.PARSE_ERROR, f"domain name {other!r}")
+            dom.owned_names.append(other)
         else:
             raise deny(ErrorCode.PARSE_ERROR, f"bad capability tag {tag}")
+    # the writer finds an entry's description by its name, so a described
+    # name must name exactly one owned entry
+    described = {d.name for d in dom.regions} | {d.name for d in dom.nested}
+    if len(described) != len(dom.regions) + len(dom.nested) or \
+            sum(name in described for name in dom.owned_names) != \
+            len(described):
+        raise deny(ErrorCode.PARSE_ERROR, "a described name is not unique")
     return dom
 
 
-def _write_region(buf: io.BytesIO, region: RegionDescriptor):
-    _w_str(buf, region.name)
-    buf.write(struct.pack("<B", 0 if region.status == "exclusive" else 1))
-    buf.write(struct.pack("<QQ", region.start, region.end))
-    _w_str(buf, region.rights)
-    buf.write(struct.pack("<B", region.attr_flags))
-    _w_opt(buf, region.digest)
-    buf.write(struct.pack("<I", len(region.children)))
+def _write_region(parts: list[bytes], region: RegionDescriptor):
+    _w_str(parts, region.name)
+    parts.append(_SPAN.pack(0 if region.status == "exclusive" else 1,
+                            region.start, region.end))
+    _w_str(parts, region.rights)
+    parts.append(_U8.pack(region.attr_flags))
+    _w_opt(parts, region.digest)
+    parts.append(_U32.pack(len(region.children)))
     for child in region.children:
-        buf.write(struct.pack("<B", 0 if child.kind == "alias" else 1))
-        buf.write(struct.pack("<QQ", child.start, child.end))
-        _w_str(buf, child.name)
-        _w_str(buf, child.rights)
+        parts.append(_SPAN.pack(0 if child.kind == "alias" else 1,
+                                child.start, child.end))
+        _w_str(parts, child.name)
+        _w_str(parts, child.rights)
 
 
 def _read_region(reader: _Reader) -> RegionDescriptor:
     name = reader.read_str()
-    status = "exclusive" if reader.u8() == 0 else "aliased"
-    start, end = struct.unpack("<QQ", reader.take(16))
+    status, start, end = reader.unpack(_SPAN)
+    if status > 1:
+        raise deny(ErrorCode.PARSE_ERROR, f"bad region status {status}")
     rights = reader.read_str()
-    attr_flags = reader.u8()
-    digest = reader.read_opt()
-    region = RegionDescriptor(name=name, status=status, start=start, end=end,
-                              rights=rights, attr_flags=attr_flags,
-                              digest=digest)
-    for _ in range(reader.u32()):
-        kind = "alias" if reader.u8() == 0 else "carve"
-        cstart, cend = struct.unpack("<QQ", reader.take(16))
-        cname = reader.read_str()
-        crights = reader.read_str()
-        region.children.append(
-            RegionChildLine(kind, cstart, cend, cname, crights))
+    attr_flags = reader.unpack(_U8)[0]
+    region = RegionDescriptor(
+        name=name, status="aliased" if status else "exclusive",
+        start=start, end=end, rights=rights, attr_flags=attr_flags,
+        digest=reader.read_opt())
+    for _ in range(reader.unpack(_U32)[0]):
+        kind, cstart, cend = reader.unpack(_SPAN)
+        if kind > 1:
+            raise deny(ErrorCode.PARSE_ERROR, f"bad derivation kind {kind}")
+        region.children.append(RegionChildLine(
+            "carve" if kind else "alias", cstart, cend, reader.read_str(),
+            reader.read_str()))
     return region
 
 
@@ -472,7 +511,7 @@ def _render_domain(lines: list[str], dom: DomainDescriptor, ncores: int,
     lines.append(f"{pad}interrupts: {{")
     for lo, hi, vis, readable in _group_vectors(dom.interrupts):
         span = f"{lo}" if lo == hi else f"{lo}-{hi}"
-        lines.append(f"{pad} {span} -> {{{list(Visibility)[vis].render()}, "
+        lines.append(f"{pad} {span} -> {{{VISIBILITY_IDS[vis].render()}, "
                      f"registers: 0b{readable:b}}},")
     lines.append(f"{pad}}}")
     if shallow:

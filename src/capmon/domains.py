@@ -7,6 +7,7 @@ Data definitions only; the state machine that mutates them lives in
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -55,10 +56,21 @@ class Visibility(enum.Enum):
                 "noreport": "Not report"}[self.value]
 
 
+# a visibility's register-ABI id and report code is its position here
+VISIBILITY_IDS = tuple(Visibility)
+
+
 @dataclass(frozen=True)
 class InterruptPolicy:
     visibility: Visibility = Visibility.NOT_REPORT
     readable_regs: int = 0
+
+    @functools.cached_property
+    def row(self) -> tuple[int, int]:
+        """(visibility code, readable registers): the policy's row in a
+        report's interrupt table, derived once, as the policy never
+        changes."""
+        return VISIBILITY_IDS.index(self.visibility), self.readable_regs
 
 
 DEFAULT_INTERRUPT_POLICY = InterruptPolicy()
@@ -68,6 +80,8 @@ DEFAULT_INTERRUPT_POLICY = InterruptPolicy()
 # position is its id in the register ABI
 POLICY_FIELDS = {"cores": int, "mon_api": int, "user_calls": bool,
                  "receive": bool}
+# the fields by register-ABI id
+POLICY_FIELD_IDS = tuple(POLICY_FIELDS)
 
 
 @dataclass

@@ -15,11 +15,11 @@ from typing import Optional
 
 from . import attest as attest_mod
 from .domains import (
-    ALL_CALLS_MASK, POLICY_FIELDS, REG_MASK, NUM_REGS, NUM_VECTORS, ApiCall,
-    CapEntry, CapKind, ChainEntry, ChildKind, CoreState, DomainNode,
-    DomainState, DomainTable, InterruptPolicy, IrqFrame, PayloadCode,
-    Policies, RevokedDomain, Update, UpdateKind, Visibility,
-    undeliverable_vectors, zero_registers,
+    ALL_CALLS_MASK, POLICY_FIELD_IDS, POLICY_FIELDS, REG_MASK, NUM_REGS,
+    NUM_VECTORS, VISIBILITY_IDS, ApiCall, CapEntry, CapKind, ChainEntry,
+    ChildKind, CoreState, DomainNode, DomainState, DomainTable,
+    InterruptPolicy, IrqFrame, PayloadCode, Policies, RevokedDomain, Update,
+    UpdateKind, Visibility, undeliverable_vectors, zero_registers,
 )
 from .errors import ErrorCode, MonitorError, deny
 from .machine import (
@@ -34,6 +34,11 @@ from .trace import OpRecord, TraceLog
 # continuation buffers one domain may leave undrained; a further ATTEST or
 # ENUMERATE through the register ABI is denied OUT_OF_METADATA
 MAX_UNDRAINED = 8
+# capabilities one domain may hold, and channels one domain may have issued
+# to it, before a further GETCHAN is denied OUT_OF_METADATA
+CAP_SLOT_QUOTA = 256
+# selects the low register word of a drained 16-byte chunk
+_WORD_MASK = (1 << 64) - 1
 
 
 @dataclass
@@ -758,6 +763,13 @@ class Engine:
             target = dom
         else:
             target = self._resolve_td(dom, handle, allow_channel=True)
+        if len(dom.owned) >= CAP_SLOT_QUOTA:
+            raise deny(ErrorCode.OUT_OF_METADATA,
+                       f"domain {dom.id} holds {CAP_SLOT_QUOTA} capabilities")
+        if sum(kind is ChildKind.CHANNEL for kind, _ in target.children) >= \
+                CAP_SLOT_QUOTA:
+            raise deny(ErrorCode.OUT_OF_METADATA,
+                       f"domain {target.id} has {CAP_SLOT_QUOTA} channels")
         new_handle = dom.owned.insert(CapEntry(CapKind.CHANNEL, target.id))
         target.children.append((ChildKind.CHANNEL, self._mint_channel()))
         return {"handle": new_handle, "to": target.id}
@@ -810,6 +822,14 @@ class Engine:
                verifier_key: Optional[bytes] = None,
                nonce: Optional[bytes] = None,
                domain_key: Optional[bytes] = None):
+        return self._attest(caller, handle, verifier_key, nonce,
+                            domain_key)[0]
+
+    def _attest(self, caller: int, handle: Optional[int],
+                verifier_key: Optional[bytes] = None,
+                nonce: Optional[bytes] = None,
+                domain_key: Optional[bytes] = None):
+        """The report and its bytes, serialised and signed once."""
         out: dict = {}
 
         def run(dom):
@@ -817,7 +837,7 @@ class Engine:
                 subject = dom
             else:
                 subject = self._resolve_td(dom, handle, allow_channel=True)
-            out["report"] = attest_mod.build_report(
+            out["signed"] = attest_mod.build_signed_report(
                 self, subject.id, verifier_key=verifier_key, nonce=nonce,
                 domain_key=domain_key)
             return {"subject": subject.id}
@@ -825,7 +845,7 @@ class Engine:
         self._call(ApiCall.ATTEST, "attest", caller,
                    {"caller": caller,
                     "subject": "self" if handle is None else handle}, run)
-        return out["report"]
+        return out["signed"]
 
     # ------------------------------------------------------------------
     # revocation
@@ -1069,7 +1089,11 @@ class Engine:
             try:
                 if user and not caller.policies.user_calls:
                     raise deny(ErrorCode.POLICY_DENIED, "user calls not allowed")
-                results = self._dispatch(caller_id, core, call_id, args)
+                # checked here, so that a negative id cannot index the
+                # table from its end
+                if not 0 <= call_id < len(_ABI_HANDLERS):
+                    raise deny(ErrorCode.BAD_HANDLE, f"unknown call {call_id}")
+                results = _ABI_HANDLERS[call_id](self, caller_id, core, args)
             except MonitorError as exc:
                 if len(self.trace.records) == traced:
                     self.trace.record(OpRecord(
@@ -1079,65 +1103,19 @@ class Engine:
                 regs = self.domains[self.cores[core].current].core_regs(core)
                 regs[0] = int(exc.code)
                 return
-            # a switch transfers control; its results reach the caller on
-            # resume
-            if ApiCall(call_id) is not ApiCall.SWITCH:
+            # a switch transfers control and returns None; its results reach
+            # the caller on resume
+            if results is not None:
                 regs[0] = 0
-                for i, value in enumerate(results[:3]):
-                    regs[1 + i] = value
+                regs[1:1 + len(results)] = results
 
-    def _dispatch(self, caller: int, core: int, call_id: int,
-                  args: list[int]) -> list[int]:
-        try:
-            call = ApiCall(call_id)
-        except ValueError:
-            raise deny(ErrorCode.BAD_HANDLE, f"unknown call {call_id}")
-        if call is ApiCall.CREATE:
-            return [self.create(caller)]
-        if call is ApiCall.SET_GET:
-            return self._dispatch_set_get(caller, args)
-        if call is ApiCall.SEND:
-            self.send(caller, args[0], args[1], AttrFlags(args[2]))
-            return []
-        if call is ApiCall.SEAL:
-            self.seal(caller, args[0])
-            return []
-        if call is ApiCall.ATTEST or call is ApiCall.ENUMERATE:
-            if args[1] != 0:
-                return self._consume_buffer(caller, args[1])
-            held = sum(1 for owner, _, _ in self._buffers.values()
-                       if owner == caller)
-            if held >= MAX_UNDRAINED:
-                raise deny(ErrorCode.OUT_OF_METADATA,
-                           f"{held} outputs left undrained")
-            if call is ApiCall.ATTEST:
-                return self._dispatch_attest(caller, args[0])
-            return self._dispatch_enumerate(caller, args[0])
-        if call is ApiCall.SWITCH:
-            self.switch(caller, core, None if args[0] == 0 else args[0] - 1)
-            return []
-        if call is ApiCall.ALIAS:
-            rng = PhysRange(args[1], args[2])
-            handle = self.tree_alias(caller, args[0], rng, Rights(args[3]))
-            return [handle]
-        if call is ApiCall.CARVE:
-            rng = PhysRange(args[1], args[2])
-            handle = self.tree_carve(caller, args[0], rng, Rights(args[3]))
-            return [handle]
-        if call is ApiCall.REVOKE:
-            # resolved without raising, so that every rejection, a bad
-            # handle included, happens gated and traced inside the call
-            entry = self.domains[caller].owned.get(args[0])
-            if entry is not None and entry.kind is CapKind.REGION:
-                self.revoke_region(caller, args[0], args[1])
-            else:
-                self.revoke_domain(caller, args[0])
-            return []
-        if call is ApiCall.GETCHAN:
-            return [self.getchan(caller, None if args[0] == 0 else args[0] - 1)]
-        raise deny(ErrorCode.BAD_HANDLE, f"unhandled call {call_id}")
+    # -- one handler per call: (caller, core, argument registers) -> at most
+    # three result words, or None when control moved
 
-    def _dispatch_set_get(self, caller: int, args: list[int]) -> list[int]:
+    def _abi_create(self, caller: int, core: int, args: list[int]):
+        return [self.create(caller)]
+
+    def _abi_set_get(self, caller: int, core: int, args: list[int]):
         sub = args[0]
         if sub == 0:
             self.set_register(caller, args[1], args[2], args[3], args[4])
@@ -1145,29 +1123,76 @@ class Engine:
         if sub == 1:
             return [self.get_register(caller, args[1], args[2], args[3])]
         if sub == 2:
-            fname = _by_id(POLICY_FIELDS, args[2], "policy field")
+            fname = _by_id(POLICY_FIELD_IDS, args[2], "policy field")
             self.set_policy(caller, args[1], fname, args[3])
             return []
         if sub == 3:
-            fname = _by_id(POLICY_FIELDS, args[2], "policy field")
+            fname = _by_id(POLICY_FIELD_IDS, args[2], "policy field")
             return [self.get_policy(caller, args[1], fname)]
         if sub == 4:
-            vis = _by_id(Visibility, args[3], "visibility")
+            vis = _by_id(VISIBILITY_IDS, args[3], "visibility")
             self.set_interrupt_policy(caller, args[1], args[2], vis, args[4])
             return []
         raise deny(ErrorCode.BAD_HANDLE, f"set/get sub-op {sub}")
 
-    def _dispatch_attest(self, caller: int, subject: int) -> list[int]:
-        report = self.attest(caller, None if subject == 0 else subject - 1)
-        blob = report.to_bytes()
+    def _abi_send(self, caller: int, core: int, args: list[int]):
+        self.send(caller, args[0], args[1], AttrFlags(args[2]))
+        return []
+
+    def _abi_seal(self, caller: int, core: int, args: list[int]):
+        self.seal(caller, args[0])
+        return []
+
+    def _abi_attest(self, caller: int, core: int, args: list[int]):
+        if args[1] != 0:
+            return self._consume_buffer(caller, args[1])
+        self._check_undrained(caller)
+        _, blob = self._attest(caller, None if args[0] == 0 else args[0] - 1)
         return [len(blob), self._issue_buffer(caller, blob)]
 
-    def _dispatch_enumerate(self, caller: int, cursor: int) -> list[int]:
-        desc, nxt = self.enumerate(caller, cursor)
+    def _abi_enumerate(self, caller: int, core: int, args: list[int]):
+        if args[1] != 0:
+            return self._consume_buffer(caller, args[1])
+        self._check_undrained(caller)
+        desc, nxt = self.enumerate(caller, args[0])
         if desc is None:
             return [nxt, 0, 0]
         blob = desc.render().encode()
         return [nxt, self._issue_buffer(caller, blob), len(blob)]
+
+    def _abi_switch(self, caller: int, core: int, args: list[int]):
+        self.switch(caller, core, None if args[0] == 0 else args[0] - 1)
+        return None
+
+    def _abi_alias(self, caller: int, core: int, args: list[int]):
+        rng = PhysRange(args[1], args[2])
+        return [self.tree_alias(caller, args[0], rng, Rights(args[3]))]
+
+    def _abi_carve(self, caller: int, core: int, args: list[int]):
+        rng = PhysRange(args[1], args[2])
+        return [self.tree_carve(caller, args[0], rng, Rights(args[3]))]
+
+    def _abi_revoke(self, caller: int, core: int, args: list[int]):
+        # resolved without raising, so that every rejection, a bad handle
+        # included, happens gated and traced inside the call
+        entry = self.domains[caller].owned.get(args[0])
+        if entry is not None and entry.kind is CapKind.REGION:
+            self.revoke_region(caller, args[0], args[1])
+        else:
+            self.revoke_domain(caller, args[0])
+        return []
+
+    def _abi_getchan(self, caller: int, core: int, args: list[int]):
+        return [self.getchan(caller, None if args[0] == 0 else args[0] - 1)]
+
+    # -- continuation buffers
+
+    def _check_undrained(self, caller: int):
+        held = sum(1 for owner, _, _ in self._buffers.values()
+                   if owner == caller)
+        if held >= MAX_UNDRAINED:
+            raise deny(ErrorCode.OUT_OF_METADATA,
+                       f"{held} outputs left undrained")
 
     def _issue_buffer(self, caller: int, blob: bytes) -> int:
         token = self._next_token
@@ -1181,16 +1206,15 @@ class Engine:
         if entry is None or entry[0] != caller:
             raise deny(ErrorCode.BAD_CURSOR, f"token {token}")
         owner, blob, offset = entry
-        chunk = blob[offset:offset + 16]
-        offset += len(chunk)
-        if offset >= len(blob):
+        end = offset + 16
+        chunk = blob[offset:end]
+        if end >= len(blob):
             del self._buffers[token]
         else:
-            self._buffers[token] = (owner, blob, offset)
-        padded = chunk.ljust(16, b"\0")
-        return [len(chunk),
-                int.from_bytes(padded[:8], "little"),
-                int.from_bytes(padded[8:], "little")]
+            self._buffers[token] = (owner, blob, end)
+        # a short last chunk reads as if padded with zero bytes
+        words = int.from_bytes(chunk, "little")
+        return [len(chunk), words & _WORD_MASK, words >> 64]
 
     # ------------------------------------------------------------------
     # region derivations (engine-level wrappers)
@@ -1234,10 +1258,24 @@ class Engine:
                 "status": self.tree.nodes[new_id].status.value}
 
 
-def _by_id(table, ident: int, what: str):
-    """The entry of an ordered table (dict keys or enum members) at a
-    register-ABI id."""
-    entries = list(table)
-    if not 0 <= ident < len(entries):
+def _by_id(ids: tuple, ident: int, what: str):
+    """The entry of a register-ABI id table at an id."""
+    if not 0 <= ident < len(ids):
         raise deny(ErrorCode.BAD_HANDLE, f"{what} {ident}")
-    return entries[ident]
+    return ids[ident]
+
+
+# the register ABI's handlers, indexed by call id
+_ABI_HANDLERS = tuple({
+    ApiCall.CREATE: Engine._abi_create,
+    ApiCall.SET_GET: Engine._abi_set_get,
+    ApiCall.SEND: Engine._abi_send,
+    ApiCall.SEAL: Engine._abi_seal,
+    ApiCall.ATTEST: Engine._abi_attest,
+    ApiCall.ENUMERATE: Engine._abi_enumerate,
+    ApiCall.SWITCH: Engine._abi_switch,
+    ApiCall.ALIAS: Engine._abi_alias,
+    ApiCall.CARVE: Engine._abi_carve,
+    ApiCall.REVOKE: Engine._abi_revoke,
+    ApiCall.GETCHAN: Engine._abi_getchan,
+}[call] for call in ApiCall)

@@ -2,6 +2,8 @@
 registers 1..6, results in registers 0..3, large outputs drained through a
 continuation token."""
 
+from hypothesis import given, settings, strategies as st
+
 from capmon import AttestationReport, Rights
 from capmon.domains import (
     ALL_CALLS_MASK, ApiCall, CapKind, InterruptPolicy, PayloadCode, Visibility,
@@ -179,13 +181,44 @@ class TestAbiContinuation:
     def test_attestation_bytes_via_continuation(self):
         engine, td0 = small_engine()
         dom, handle = make_child(engine, td0)
-        status, total, token, _ = call(engine, 0, ApiCall.ATTEST,
-                                       handle + 1, 0)
-        assert status == 0 and total > 0 and token != 0
-        blob = drain(engine, 0, ApiCall.ATTEST, token, total)
-        report = AttestationReport.from_bytes(blob)
-        direct = engine.attest(td0, handle)
-        assert report.to_bytes() == direct.to_bytes()
+        # subject register: a handle plus one, or 0 for the caller itself
+        for subject, direct in ((handle + 1, engine.attest(td0, handle)),
+                                (0, engine.attest(td0))):
+            status, total, token, _ = call(engine, 0, ApiCall.ATTEST,
+                                           subject, 0)
+            assert status == 0 and total > 0 and token != 0
+            blob = drain(engine, 0, ApiCall.ATTEST, token, total)
+            assert blob == direct.to_bytes()
+            assert AttestationReport.from_bytes(blob).to_bytes() == blob
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.integers(0, 300), st.integers(0, 19).map(
+        lambda k: 16 * k)).flatmap(lambda n: st.binary(min_size=n,
+                                                       max_size=n)))
+    def test_drain_returns_every_byte(self, blob):
+        engine, td0 = small_engine()
+        token = engine._issue_buffer(td0, blob)
+        drains = []
+        engine.process_updates = lambda core, run=engine.process_updates: (
+            drains.append(core), run(core))
+        offsets = range(0, max(len(blob), 1), 16)
+        got = b""
+        for offset in offsets:
+            assert token in engine._buffers
+            status, n, lo, hi = call(engine, 0, ApiCall.ATTEST, 0, token)
+            chunk = blob[offset:offset + 16]
+            padded = chunk.ljust(16, b"\0")
+            assert (status, n, lo, hi) == (
+                0, len(chunk), int.from_bytes(padded[:8], "little"),
+                int.from_bytes(padded[8:], "little"))
+            got += (lo | hi << 64).to_bytes(16, "little")[:n]
+        assert got == blob
+        # every drain ran the core's pending updates, and the last one
+        # freed the token
+        assert drains == [0] * len(offsets)
+        assert token not in engine._buffers
+        assert call(engine, 0, ApiCall.ATTEST, 0, token)[0] == \
+            ErrorCode.BAD_CURSOR
 
     def test_enumerate_via_continuation(self):
         engine, td0 = small_engine()
@@ -254,6 +287,13 @@ class TestAbiRejections:
             (1, True, (ApiCall.GETCHAN, 0), ErrorCode.POLICY_DENIED,
              "abi call=0xa"),
             (0, False, (77,), ErrorCode.BAD_HANDLE, "abi call=0x4d"),
+            # ids past the table, and one that must not index it from
+            # its end
+            (0, False, (len(ApiCall),), ErrorCode.BAD_HANDLE,
+             "abi call=0xb"),
+            (0, False, (-1,), ErrorCode.BAD_HANDLE, "abi call=-1"),
+            (0, False, (2 ** 64 - 1,), ErrorCode.BAD_HANDLE,
+             "abi call=0xffffffffffffffff"),
             (0, False, (ApiCall.SET_GET, 5, handle), ErrorCode.BAD_HANDLE,
              "abi call=1"),
             (0, False, (ApiCall.SET_GET, 2, handle, 4, 1),

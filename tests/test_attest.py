@@ -1,17 +1,24 @@
 """Attestation: canonical form, signatures, boot measurement chain,
 visibility rules, fresh naming, and the two security predicates."""
 
+import functools
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capmon import (
     AttrFlags, MonitorError, PhysRange, Rights, Visibility,
     is_confidential, is_encapsulated, measure_boot, monitor_public_key,
     verify_report,
 )
-from capmon.attest import MONITOR_IDENTITY, AttestationReport, pcr_extend
-from capmon.domains import ApiCall, CapKind
+from capmon.attest import (
+    MAGIC, MONITOR_IDENTITY, VERSION, AttestationReport, interrupt_table,
+    pcr_extend,
+)
+from capmon.domains import (
+    NUM_VECTORS, REG_MASK, ApiCall, CapKind, InterruptPolicy, Policies,
+)
 from capmon.errors import ErrorCode
 from capmon.regions import PAGE
 
@@ -389,3 +396,101 @@ def self_channel_roundtrip(engine, td0, td1):
     h1 = engine.domains[td0].owned.find(CapKind.DOMAIN, td1)
     engine.send(td0, chan, h1)
     return engine.domains[td1].owned.find(CapKind.CHANNEL, td0)
+
+
+_POLICY = st.builds(InterruptPolicy, st.sampled_from(list(Visibility)),
+                    st.integers(0, REG_MASK))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POLICY, st.dictionaries(st.integers(0, NUM_VECTORS - 1), _POLICY,
+                                max_size=40))
+def test_interrupt_table_equals_a_lookup_per_vector(default, entries):
+    policies = Policies(interrupts=entries, interrupt_default=default)
+    codes = list(Visibility)
+    assert interrupt_table(policies) == [
+        (codes.index(policies.interrupt(v).visibility),
+         policies.interrupt(v).readable_regs) for v in range(NUM_VECTORS)]
+
+
+@functools.cache
+def signed_reports() -> tuple[bytes, ...]:
+    """Reports with every part of the format: remote fields, a digest,
+    region children, a nested domain, a channel and an undescribed domain
+    name."""
+    engine, td0, td1, td2, h1 = figure_engine()
+    remote = engine.attest(td0, h1, verifier_key=b"v" * 32, nonce=b"n" * 16,
+                           domain_key=b"d" * 32).to_bytes()
+    engine, td0 = small_engine()
+    a, ha = make_child(engine, td0)
+    engine.switch(td0, 0, ha)
+    b, hb = make_child(engine, a)
+    engine.switch(a, 0, hb)
+    make_child(engine, b)
+    engine.switch(b, 0, None)
+    engine.getchan(a, None)
+    engine.switch(a, 0, None)
+    return remote, engine.attest(td0, ha).to_bytes()
+
+
+@functools.cache
+def trust_anchor() -> tuple[bytes, bytes]:
+    """The monitor key and boot measurement the reports above verify with."""
+    engine, _ = small_engine()
+    return monitor_public_key(engine.seed), engine.measurement.pcr
+
+
+@st.composite
+def damaged_reports(draw):
+    blob = bytearray(draw(st.sampled_from(signed_reports())))
+    at = draw(st.integers(0, len(blob) - 1))
+    how = draw(st.sampled_from(("flip", "cut", "insert", "delete")))
+    if how == "flip":
+        blob[at] ^= draw(st.integers(1, 255))
+    elif how == "cut":
+        del blob[at:]
+    elif how == "insert":
+        blob[at:at] = draw(st.binary(min_size=1, max_size=8))
+    else:
+        del blob[at:at + draw(st.integers(1, 8))]
+    return bytes(blob)
+
+
+class TestParser:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.binary(max_size=64),
+                     st.binary(max_size=64).map(
+                         lambda tail: MAGIC + VERSION.to_bytes(2, "little")
+                         + tail),
+                     damaged_reports()))
+    def test_rejects_or_round_trips(self, blob):
+        try:
+            report = AttestationReport.from_bytes(blob)
+        except MonitorError as exc:
+            assert exc.code is ErrorCode.PARSE_ERROR
+            return
+        assert report.to_bytes() == blob
+        assert report.text()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_no_flipped_byte_verifies(self, data):
+        blob = bytearray(data.draw(st.sampled_from(signed_reports())))
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= \
+            data.draw(st.integers(1, 255))
+        self.assert_rejected(bytes(blob))
+
+    def test_no_flag_byte_has_a_second_encoding(self):
+        # a 0/1 byte read as "not zero" would let 1 -> 3 keep the signature
+        for blob in signed_reports():
+            for at in range(len(blob)):
+                flipped = bytearray(blob)
+                flipped[at] ^= 0x02
+                self.assert_rejected(bytes(flipped))
+
+    @staticmethod
+    def assert_rejected(blob: bytes):
+        with pytest.raises(MonitorError) as err:
+            verify_report(AttestationReport.from_bytes(blob), *trust_anchor())
+        assert err.value.code in (ErrorCode.PARSE_ERROR,
+                                  ErrorCode.BAD_SIGNATURE)

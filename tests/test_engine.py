@@ -6,8 +6,10 @@ import pytest
 
 from capmon import AttrFlags, PhysRange, Rights, Visibility
 from capmon.domains import (
-    ALL_CALLS_MASK, ApiCall, CapKind, DomainState, InterruptPolicy,
+    ALL_CALLS_MASK, ApiCall, CapKind, ChildKind, DomainState,
+    InterruptPolicy,
 )
+from capmon.engine import CAP_SLOT_QUOTA
 from capmon.errors import ErrorCode, MonitorError
 from capmon.regions import PAGE
 from capmon.state import dump_state
@@ -320,7 +322,6 @@ class TestChannels:
         assert engine.domains[td0].owned.get(chan).ref == td0
 
     def test_channel_appears_as_cdt_child_of_referent(self):
-        from capmon.domains import ChildKind
         engine, td0 = small_engine()
         dom, handle = make_child(engine, td0)
         before = len(engine.domains[dom].children)
@@ -340,6 +341,41 @@ class TestChannels:
         report = engine.attest(domA, held)
         assert report.subject.sealed
         assert report.name_of_domain[domB] == "td0"  # report-local name
+
+    def test_self_getchan_stops_at_the_slot_quota(self):
+        engine, td0 = small_engine()
+        before = dump_state(engine)
+        denied = []
+        for _ in range(5000):
+            try:
+                engine.getchan(td0, None)
+            except MonitorError as exc:
+                assert exc.code is ErrorCode.OUT_OF_METADATA
+                # a rejected call changes nothing, so the dump stays flat
+                assert dump_state(engine) == before
+                denied.append(len(repr(before)))
+            else:
+                before = dump_state(engine)
+        assert len(engine.domains[td0].owned) == CAP_SLOT_QUOTA
+        assert len(engine.domains[td0].owned.slots) <= CAP_SLOT_QUOTA
+        assert len(denied) > 4000 and len(set(denied)) == 1
+
+    def test_channels_sent_away_stop_at_the_quota(self):
+        # sending each new channel away frees the caller's slot, so only the
+        # target's count of issued channels stops the loop
+        engine, td0 = small_engine()
+        dom, handle = make_child(engine, td0, seal=False)
+        for _ in range(CAP_SLOT_QUOTA + 50):
+            try:
+                chan = engine.getchan(td0, None)
+            except MonitorError as exc:
+                assert exc.code is ErrorCode.OUT_OF_METADATA
+                break
+            engine.send(td0, chan, handle)
+        issued = [kind for kind, _ in engine.domains[td0].children
+                  if kind is ChildKind.CHANNEL]
+        assert len(issued) == CAP_SLOT_QUOTA
+        assert len(engine.domains[dom].owned) == CAP_SLOT_QUOTA
 
 
 class TestEnumerate:
