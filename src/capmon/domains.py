@@ -183,17 +183,11 @@ class CapTable:
         return sum(1 for e in self.slots if e is not None)
 
 
-class ChildKind(enum.Enum):
-    TD = "td"
-    CHANNEL = "channel"
-
-
 @dataclass
 class DomainNode:
     id: int
     state: DomainState = DomainState.UNSEALED
     parent: Optional[int] = None
-    children: list[tuple[ChildKind, int]] = field(default_factory=list)
     policies: Policies = field(default_factory=Policies)
     regs: dict[int, list[int]] = field(default_factory=dict)
     owned: CapTable = field(default_factory=CapTable)
@@ -277,7 +271,8 @@ class Update:
     kind: UpdateKind
     domain: Optional[int] = None
     vector: Optional[int] = None
-    # precomputed view cache for ACCESS_CHANGED so draining needs no engine lock
+    # the view for ACCESS_CHANGED, computed when the change is published; the
+    # drain, under the engine lock like every drain, installs it as it is
     view: Optional[list[tuple[int, int, int]]] = None
     # precomputed unwind for DOMAIN_REVOKED
     unwind: Optional[dict] = None

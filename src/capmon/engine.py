@@ -17,9 +17,9 @@ from . import attest as attest_mod
 from .domains import (
     ALL_CALLS_MASK, POLICY_FIELD_IDS, POLICY_FIELDS, REG_MASK, NUM_REGS,
     NUM_VECTORS, VISIBILITY_IDS, ApiCall, CapEntry, CapKind, ChainEntry,
-    ChildKind, CoreState, DomainNode, DomainState, DomainTable,
-    InterruptPolicy, IrqFrame, PayloadCode, Policies, RevokedDomain, Update,
-    UpdateKind, Visibility, undeliverable_vectors, zero_registers,
+    CoreState, DomainNode, DomainState, DomainTable, InterruptPolicy,
+    IrqFrame, PayloadCode, Policies, RevokedDomain, Update, UpdateKind,
+    Visibility, undeliverable_vectors, zero_registers,
 )
 from .errors import ErrorCode, MonitorError, deny
 from .machine import (
@@ -34,8 +34,8 @@ from .trace import OpRecord, TraceLog
 # continuation buffers one domain may leave undrained; a further ATTEST or
 # ENUMERATE through the register ABI is denied OUT_OF_METADATA
 MAX_UNDRAINED = 8
-# capabilities one domain may hold, and channels one domain may have issued
-# to it, before a further GETCHAN is denied OUT_OF_METADATA
+# capabilities one domain's table may hold; a call that would add one more
+# is denied OUT_OF_METADATA (see Engine._check_room)
 CAP_SLOT_QUOTA = 256
 # selects the low register word of a drained 16-byte chunk
 _WORD_MASK = (1 << 64) - 1
@@ -75,7 +75,6 @@ class Engine:
         self.measurement = measurement
         self.tree = RegionTree()
         self.domains = DomainTable()
-        self._next_channel = 0
         self.cores = [CoreState(i) for i in range(platform.ncores)]
         self.trace = TraceLog()
         self.root_region: Optional[int] = None
@@ -172,7 +171,6 @@ class Engine:
             self.tree.nodes[alias_id].owner = dev.id
             dev.owned.insert(CapEntry(CapKind.REGION, alias_id))
             td0.owned.insert(CapEntry(CapKind.CHANNEL, dev.id))
-            dev.children.append((ChildKind.CHANNEL, self._mint_channel()))
             self.trace.record(OpRecord(0, -1, "devboot", {
                 "dev": dev.id, "name": dev_cfg.name, "vector": dev_cfg.vector,
                 "mmio_carve": carve_id, "mmio_start": dev_cfg.mmio.start,
@@ -184,10 +182,6 @@ class Engine:
             core.current = td0.id
         self._refresh_views({c.id for c in self.cores})
         return td0.id
-
-    def _mint_channel(self) -> int:
-        self._next_channel += 1
-        return self._next_channel
 
     def _register_hash(self, dom: DomainNode) -> bytes:
         h = hashlib.sha256()
@@ -239,6 +233,14 @@ class Engine:
         if child.state is not DomainState.UNSEALED:
             raise deny(ErrorCode.SEALED, "configuration frozen after seal")
         return child
+
+    def _check_room(self, dom: DomainNode):
+        """The one bound on a capability table: a call that would add a
+        capability to a table already holding CAP_SLOT_QUOTA is denied
+        before it changes anything."""
+        if len(dom.owned) >= CAP_SLOT_QUOTA:
+            raise deny(ErrorCode.OUT_OF_METADATA,
+                       f"domain {dom.id} holds {CAP_SLOT_QUOTA} capabilities")
 
     def _running_core(self, dom_id: int) -> Optional[int]:
         for core in self.cores:
@@ -339,8 +341,8 @@ class Engine:
             raise deny(ErrorCode.NOT_RUNNING, "caller must be sealed and running")
         if len(self.domains) >= self.max_domains:
             raise deny(ErrorCode.OUT_OF_METADATA, "domain pool exhausted")
+        self._check_room(dom)
         child = self.domains.new(parent=dom.id)
-        dom.children.append((ChildKind.TD, child.id))
         handle = dom.owned.insert(CapEntry(CapKind.DOMAIN, child.id))
         return {"dom": child.id, "handle": handle}
 
@@ -474,6 +476,8 @@ class Engine:
             if dest.state is not DomainState.UNSEALED:
                 raise deny(ErrorCode.ATTRIBUTES_ON_SEALED,
                            "attributes need an unsealed receiver")
+        if dest is not dom:
+            self._check_room(dest)
         results: dict = {}
         if entry.kind is CapKind.REGION:
             node = self.tree.get(entry.ref)
@@ -763,15 +767,8 @@ class Engine:
             target = dom
         else:
             target = self._resolve_td(dom, handle, allow_channel=True)
-        if len(dom.owned) >= CAP_SLOT_QUOTA:
-            raise deny(ErrorCode.OUT_OF_METADATA,
-                       f"domain {dom.id} holds {CAP_SLOT_QUOTA} capabilities")
-        if sum(kind is ChildKind.CHANNEL for kind, _ in target.children) >= \
-                CAP_SLOT_QUOTA:
-            raise deny(ErrorCode.OUT_OF_METADATA,
-                       f"domain {target.id} has {CAP_SLOT_QUOTA} channels")
+        self._check_room(dom)
         new_handle = dom.owned.insert(CapEntry(CapKind.CHANNEL, target.id))
-        target.children.append((ChildKind.CHANNEL, self._mint_channel()))
         return {"handle": new_handle, "to": target.id}
 
     def enumerate(self, caller: int, cursor: int):
@@ -889,6 +886,8 @@ class Engine:
                  seed_domains: set[int]) -> tuple[list[int], set[int]]:
         """Fixpoint of cascading revocation: subtrees, owned regions, vital.
 
+        A domain's children are the domains its DOMAIN capabilities name:
+        such a capability cannot be sent, so it stays in its creator's table.
         Regions come back children first: each is added by a bottom-up
         subtree walk, and a walk that reaches a region added earlier has
         already added that region's whole subtree.
@@ -916,14 +915,13 @@ class Engine:
                 if did in doms:
                     continue
                 doms.add(did)
-                node = self.domains[did]
-                for kind, child_id in node.children:
-                    if kind is ChildKind.TD and child_id not in doms:
-                        dom_work.append(child_id)
-                for _, entry in node.owned.entries():
-                    if entry.kind is CapKind.REGION and \
-                            entry.ref not in regions:
-                        region_work.append(entry.ref)
+                for _, entry in self.domains[did].owned.entries():
+                    if entry.kind is CapKind.REGION:
+                        if entry.ref not in regions:
+                            region_work.append(entry.ref)
+                    elif entry.kind is CapKind.DOMAIN and \
+                            entry.ref not in doms:
+                        dom_work.append(entry.ref)
         return list(regions), doms
 
     def _execute_destruction(self, ordered: list[int], dom_ids: set[int],
@@ -965,16 +963,13 @@ class Engine:
                     self.platform.zero_range(node.initial_range)
             # 3. nodes leave the tree; carve parents regain their sub-ranges
             self.tree.destroy(ordered)
-            # 4. domains become terminally revoked and leave their live
-            # parents' children; undrained outputs are dropped
+            # 4. domains become terminally revoked (step 1 removed their
+            # DOMAIN capabilities); undrained outputs are dropped
             for did in dom_ids:
                 node = self.domains[did]
                 node.state = DomainState.REVOKED
                 node.owned = type(node.owned)()
                 node.regs.clear()
-                if node.parent is not None and node.parent not in dom_ids:
-                    self.domains[node.parent].children.remove(
-                        (ChildKind.TD, did))
             for token in [t for t, (owner, _, _) in self._buffers.items()
                           if owner in dom_ids]:
                 del self._buffers[token]
@@ -1243,6 +1238,7 @@ class Engine:
         entry = self._resolve(dom, handle)
         if entry.kind is not CapKind.REGION:
             raise deny(ErrorCode.BAD_HANDLE, "expected a region capability")
+        self._check_room(dom)
         if carve:
             new_id = self.tree.carve(dom.id, entry.ref, rng, rights)
         else:

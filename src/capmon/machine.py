@@ -442,9 +442,12 @@ class ConcurrentPlatform(Platform):
 
     def barrier_update(self, initiator: Optional[int], affected: set[int],
                        publish: Callable[[], None], tag: str):
+        if not self._threads:
+            # no worker would drain another core's queue: run the protocol
+            # inline, as the single-context platform does
+            return super().barrier_update(initiator, affected, publish, tag)
         initiator = getattr(self._thread_core, "core", None)
-        others = sorted(c for c in affected
-                        if c != initiator and self._threads)
+        others = sorted(c for c in affected if c != initiator)
         live = [c for c in others if not self._stop]
         barrier1 = threading.Barrier(len(live) + 1)
         barrier2 = threading.Barrier(len(live) + 1)

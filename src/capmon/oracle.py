@@ -52,7 +52,6 @@ class OracleDomain:
     parent: Optional[int]
     children: list[int] = field(default_factory=list)
     sealed: bool = False
-    revoked: bool = False
     interrupts: dict[int, str] = field(default_factory=dict)
     deliver_all: bool = False
 
@@ -192,10 +191,9 @@ class Oracle:
                         continue
                     caps.add(sub)
                     cap = self.caps[sub]
-                    if cap.vital and cap.owner not in doms:
-                        owner = self.domains[cap.owner]
-                        if not owner.revoked and owner.parent is not None:
-                            dom_work.append(cap.owner)
+                    if cap.vital and cap.owner not in doms and \
+                            self.domains[cap.owner].parent is not None:
+                        dom_work.append(cap.owner)
             while dom_work:
                 did = dom_work.pop()
                 if did in doms:
@@ -235,8 +233,11 @@ class Oracle:
             del self.caps[cid]
             if cap.parent in self.caps:
                 self.caps[cap.parent].children.remove(cid)
+        # revoked domains leave the model and their surviving parent's list
         for did in doms:
-            self.domains[did].revoked = True
+            parent = self.domains.pop(did).parent
+            if parent not in doms:
+                self.domains[parent].children.remove(did)
 
     # -- the per-page truth -------------------------------------------------
 
@@ -249,8 +250,6 @@ class Oracle:
                 cover[page] = cover.get(page, 0) + 1
         out: dict[int, dict[int, tuple[int, bool]]] = {}
         for dom in self.domains.values():
-            if dom.revoked:
-                continue
             pages: dict[int, tuple[int, bool]] = {}
             for cap in by_owner.get(dom.id, ()):
                 for page in cap.pages:

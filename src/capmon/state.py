@@ -17,8 +17,8 @@ import operator
 
 from .attest import BootMeasurement
 from .domains import (
-    POLICY_FIELDS, CapEntry, CapKind, ChainEntry, ChildKind, DomainNode,
-    DomainState, InterruptPolicy, IrqFrame, Visibility,
+    POLICY_FIELDS, CapEntry, CapKind, ChainEntry, DomainNode, DomainState,
+    InterruptPolicy, IrqFrame, Visibility,
 )
 from .engine import Engine
 from .machine import DeviceConfig, MachineConfig, Platform
@@ -28,7 +28,7 @@ from .regions import (
 )
 
 # a dump of another version has other keys, so load_state refuses it
-DUMP_VERSION = 5
+DUMP_VERSION = 6
 
 # enum fields are read as `_value_`: the same value as `.value`, without the
 # cost of that property on every field of every dump
@@ -58,7 +58,6 @@ def dump_state(engine: Engine) -> dict:
         "root_region": engine.root_region,
         "next_domain": engine.domains.next_id,
         "next_region": engine.tree._next_id,
-        "next_channel": engine._next_channel,
         "next_token": engine._next_token,
         "buffers": [[token, owner, blob.hex(), offset] for token,
                     (owner, blob, offset) in sorted(engine._buffers.items())],
@@ -101,7 +100,6 @@ def _dump_domain(dom) -> dict:
         "id": dom.id,
         "state": dom.state._value_,
         "parent": dom.parent,
-        "children": [[kind._value_, ref] for kind, ref in dom.children],
         "policies": {
             **dict(zip(POLICY_FIELDS, _policy_values(policies))),
             "interrupts": [[v, p.visibility._value_, p.readable_regs]
@@ -158,7 +156,6 @@ def load_state(dump: dict) -> Engine:
     engine.root_region = dump["root_region"]
     engine.domains.next_id = dump["next_domain"]
     engine.tree._next_id = dump["next_region"]
-    engine._next_channel = dump["next_channel"]
     engine._next_token = dump["next_token"]
     engine._buffers = {token: (owner, bytes.fromhex(blob), offset)
                        for token, owner, blob, offset in dump["buffers"]}
@@ -187,8 +184,6 @@ def load_state(dump: dict) -> Engine:
         dom = DomainNode(id=rec["id"])
         dom.state = DomainState(rec["state"])
         dom.parent = rec["parent"]
-        dom.children = [(ChildKind(kind), ref)
-                        for kind, ref in rec["children"]]
         for name in POLICY_FIELDS:
             setattr(dom.policies, name, rec["policies"][name])
         dom.policies.interrupts = {

@@ -4,13 +4,15 @@ windows and linearizability against a deterministic replay."""
 
 import sys
 
+import pytest
+
 from capmon import DeviceConfig, Oracle, PhysRange, Rights, boot
 from capmon.domains import ALL_CALLS_MASK, ApiCall, CapKind, CapTable
 from capmon.regions import PAGE
 from capmon.scenario import ScenarioRunner, parse_script
 from capmon.state import dump_state
 
-from support import replay_trace, small_config
+from support import carve_to, make_child, replay_trace, small_config
 from test_abi import call, drain
 
 A = [PAGE * (1 + k) for k in range(16)]
@@ -136,6 +138,29 @@ class TestConcurrentBasics:
             "expect state a revoked\n")) == 0, runner.failures
         assert {op for op, _ in held} == {"find", "get"}
         assert all(owned for _, owned in held), held
+
+
+class TestConcurrentWithoutWorkers:
+    @pytest.mark.parametrize("started", (False, True))
+    def test_updates_drain_as_in_step_mode(self, started):
+        # before start_cores and after join no worker drains another core's
+        # queue, so the barrier round must drain it as step mode does
+        dumps = []
+        for concurrent in (False, True):
+            engine, td0, _ = boot(small_config(pages=32, cores=2),
+                                  concurrent=concurrent)
+            if concurrent and started:
+                engine.platform.start_cores()
+                engine.platform.join()
+            dom, handle = make_child(engine, td0)
+            engine.switch(td0, 1, handle)
+            carve_to(engine, td0, handle, PhysRange(A[0], A[1]))
+            engine.revoke_domain(td0, handle)
+            assert engine.current_domain(1) == td0
+            assert not engine.domains.held
+            assert not engine.platform.cores[1].queue
+            dumps.append(dump_state(engine))
+        assert dumps[0] == dumps[1]
 
 
 class TestConcurrentAbi:

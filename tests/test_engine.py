@@ -6,7 +6,7 @@ import pytest
 
 from capmon import AttrFlags, PhysRange, Rights, Visibility
 from capmon.domains import (
-    ALL_CALLS_MASK, ApiCall, CapKind, ChildKind, DomainState,
+    ALL_CALLS_MASK, ApiCall, CapEntry, CapKind, DomainState,
     InterruptPolicy,
 )
 from capmon.engine import CAP_SLOT_QUOTA
@@ -44,7 +44,8 @@ class TestCreate:
         c1 = engine.domains[td0].owned.get(h1).ref
         c2 = engine.domains[td0].owned.get(h2).ref
         assert c2 > c1
-        kids = [ref for kind, ref in engine.domains[td0].children]
+        kids = [e.ref for _, e in engine.domains[td0].owned.entries()
+                if e.kind is CapKind.DOMAIN]
         assert kids == [c1, c2]
 
     def test_create_policy_gate(self):
@@ -321,14 +322,18 @@ class TestChannels:
         chan = engine.getchan(td0, None)
         assert engine.domains[td0].owned.get(chan).ref == td0
 
-    def test_channel_appears_as_cdt_child_of_referent(self):
+    def test_channel_is_recorded_only_in_the_holders_table(self):
+        # the capability is the whole record: the referent keeps no count
         engine, td0 = small_engine()
         dom, handle = make_child(engine, td0)
-        before = len(engine.domains[dom].children)
-        engine.getchan(td0, handle)
-        after = [k for k, _ in engine.domains[dom].children]
-        assert len(after) == before + 1
-        assert after[-1] is ChildKind.CHANNEL
+        before = dump_state(engine)
+        chan = engine.getchan(td0, handle)
+        after = dump_state(engine)
+        assert engine.domains[td0].owned.get(chan) == \
+            CapEntry(CapKind.CHANNEL, dom)
+        record = {rec["id"]: rec for rec in before["domains"]}
+        assert {rec["id"]: rec for rec in after["domains"]}[dom] == \
+            record[dom]
 
     def test_siblings_attest_each_other_through_channels(self):
         # a channel lets non parent-child domains attest one another
@@ -361,21 +366,111 @@ class TestChannels:
         assert len(denied) > 4000 and len(set(denied)) == 1
 
     def test_channels_sent_away_stop_at_the_quota(self):
-        # sending each new channel away frees the caller's slot, so only the
-        # target's count of issued channels stops the loop
+        # sending each new channel away frees the caller's slot, so the
+        # receiver's full table stops the loop
         engine, td0 = small_engine()
         dom, handle = make_child(engine, td0, seal=False)
         for _ in range(CAP_SLOT_QUOTA + 50):
+            chan = engine.getchan(td0, None)
+            before = dump_state(engine)
             try:
-                chan = engine.getchan(td0, None)
+                engine.send(td0, chan, handle)
             except MonitorError as exc:
                 assert exc.code is ErrorCode.OUT_OF_METADATA
+                assert dump_state(engine) == before
                 break
-            engine.send(td0, chan, handle)
-        issued = [kind for kind, _ in engine.domains[td0].children
-                  if kind is ChildKind.CHANNEL]
-        assert len(issued) == CAP_SLOT_QUOTA
+        else:
+            raise AssertionError("the receiver's table never filled")
         assert len(engine.domains[dom].owned) == CAP_SLOT_QUOTA
+
+
+def fill_table(engine, dom_id: int):
+    """Self-channels until the domain's table holds CAP_SLOT_QUOTA."""
+    while len(engine.domains[dom_id].owned) < CAP_SLOT_QUOTA:
+        engine.getchan(dom_id, None)
+
+
+class TestCapabilityBound:
+    """One bound for every call that adds a capability to a table: past
+    CAP_SLOT_QUOTA it is denied OUT_OF_METADATA and changes nothing."""
+
+    @staticmethod
+    def denied(engine, fn, *args):
+        before = dump_state(engine)
+        expect_code(ErrorCode.OUT_OF_METADATA, fn, *args)
+        assert dump_state(engine) == before
+
+    def test_full_caller_cannot_create_alias_carve_or_getchan(self):
+        engine, td0 = small_engine()
+        root = engine.domains[td0].owned.find(CapKind.REGION, 0)
+        fill_table(engine, td0)
+        self.denied(engine, engine.create, td0)
+        self.denied(engine, engine.tree_alias, td0, root,
+                    PhysRange(A[0], A[1]), Rights.RW)
+        self.denied(engine, engine.tree_carve, td0, root,
+                    PhysRange(A[0], A[1]), Rights.RW)
+        self.denied(engine, engine.getchan, td0, None)
+
+    def test_send_into_a_full_receiver_is_denied(self):
+        engine, td0 = small_engine()
+        dom, handle = make_child(engine, td0, seal=False)
+        root = engine.domains[td0].owned.find(CapKind.REGION, 0)
+        region = engine.tree_carve(td0, root, PhysRange(A[0], A[1]),
+                                   Rights.RW)
+        chan = engine.getchan(td0, None)
+        fill_table(engine, dom)
+        self.denied(engine, engine.send, td0, region, handle)
+        self.denied(engine, engine.send, td0, chan, handle)
+
+    def test_a_full_domain_may_send_to_itself(self):
+        # the capability leaves the table it enters, so nothing grows
+        engine, td0 = small_engine()
+        root = engine.domains[td0].owned.find(CapKind.REGION, 0)
+        region = engine.tree_carve(td0, root, PhysRange(A[0], A[1]),
+                                   Rights.RW)
+        region_id = engine.domains[td0].owned.get(region).ref
+        to_self = engine.getchan(td0, None)
+        fill_table(engine, td0)
+        engine.send(td0, region, to_self)
+        assert len(engine.domains[td0].owned) == CAP_SLOT_QUOTA
+        assert engine.domains[td0].owned.find(CapKind.REGION, region_id) \
+            is not None
+
+    def test_aliasing_one_page_stops_at_the_quota(self):
+        engine, td0 = small_engine()
+        root = engine.domains[td0].owned.find(CapKind.REGION, 0)
+        nodes = len(engine.tree.nodes)
+        before = dump_state(engine)
+        denied = 0
+        for _ in range(3000):
+            try:
+                engine.tree_alias(td0, root, PhysRange(A[0], A[1]),
+                                  Rights.RW)
+            except MonitorError as exc:
+                assert exc.code is ErrorCode.OUT_OF_METADATA
+                assert dump_state(engine) == before
+                denied += 1
+            else:
+                before = dump_state(engine)
+        assert len(engine.domains[td0].owned) == CAP_SLOT_QUOTA
+        assert len(engine.tree.nodes) == nodes + CAP_SLOT_QUOTA - 1
+        assert denied == 3000 - (CAP_SLOT_QUOTA - 1)
+
+    def test_td0_issues_channels_again_after_the_sandbox_is_revoked(self):
+        # channels issued through a sandbox's channel to td0 are the
+        # sandbox's capabilities; revoking it leaves td0 nothing to count
+        engine, td0 = small_engine()
+        box, box_handle = make_child(engine, td0, seal=False)
+        engine.send(td0, engine.getchan(td0, None), box_handle)
+        to_td0 = engine.domains[box].owned.find(CapKind.CHANNEL, td0)
+        for _ in range(CAP_SLOT_QUOTA - 1):
+            engine.getchan(box, to_td0)
+        self.denied(engine, engine.getchan, box, to_td0)
+        engine.revoke_domain(td0, box_handle)
+        assert len(engine.domains[td0].owned) == 1
+        chan = engine.getchan(td0, None)
+        assert engine.domains[td0].owned.get(chan) == \
+            CapEntry(CapKind.CHANNEL, td0)
 
 
 class TestEnumerate:

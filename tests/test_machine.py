@@ -341,7 +341,7 @@ class TestDumpReload:
         routed.route_interrupt(0, 9)
         assert routed.cores[0].irq is not None
 
-        # an undrained ATTEST buffer, a minted channel and an armed quantum,
+        # an undrained ATTEST buffer, an issued channel and an armed quantum,
         # after a vector delivered in place (only the trace records that)
         pending, td0 = small_engine()
         _, child = make_child(pending, td0)
@@ -360,8 +360,8 @@ class TestDumpReload:
             reloaded = state.load_state(json.loads(blob))
             assert json.dumps(state.dump_state(reloaded), sort_keys=True) \
                 == blob
-            for attr in ("_next_channel", "_next_token", "_buffers",
-                         "quantum", "_quantum_deadlines"):
+            for attr in ("_next_token", "_buffers", "quantum",
+                         "_quantum_deadlines"):
                 assert getattr(reloaded, attr) == getattr(engine, attr), attr
             reloads.append(reloaded)
         cs = reloads[0].cores[0]

@@ -34,6 +34,16 @@ class TestFuzzEquivalence:
         driver.run(500)
         assert not driver.oracle.diff(driver.engine)
 
+    def test_oracle_keeps_only_live_domains(self):
+        driver = FuzzDriver(seed=3)
+        driver.run(1000)
+        engine, oracle = driver.engine, driver.oracle
+        assert engine.domains.next_id > len(engine.domains), \
+            "the run revokes some domain"
+        assert sorted(oracle.domains) == sorted(engine.domains)
+        for dom in oracle.domains.values():
+            assert set(dom.children) <= set(oracle.domains)
+
     def test_empty_log_after_boot(self):
         engine, td0 = small_engine(pages=8)
         oracle = Oracle().replay(engine.trace.records)
