@@ -150,8 +150,12 @@ class CapTable:
 
     def __init__(self):
         self.slots: list[Optional[CapEntry]] = []
+        # the engine's memo of the owning domain's view (Engine._view_memo);
+        # a cache, never part of the state, dropped by every insert and remove
+        self.view_memo = None
 
     def insert(self, entry: CapEntry) -> int:
+        self.view_memo = None
         for i, slot in enumerate(self.slots):
             if slot is None:
                 self.slots[i] = entry
@@ -167,6 +171,7 @@ class CapTable:
     def remove(self, index: int) -> CapEntry:
         entry = self.slots[index]
         assert entry is not None
+        self.view_memo = None
         self.slots[index] = None
         return entry
 

@@ -27,7 +27,7 @@ from .machine import (
 )
 from .regions import (
     PAGE, AttrFlags, PhysRange, RegionAttributes, RegionStatus, RegionTree,
-    Rights,
+    Rights, ViewSegment,
 )
 from .trace import OpRecord, TraceLog
 
@@ -68,6 +68,50 @@ class CapDescription:
         return f"channel {self.state}"
 
 
+class ViewMemo:
+    """One domain's view, built once from the effective views of the regions
+    its table holds (see Engine._view_memo); a cache, never part of the
+    state."""
+
+    __slots__ = ("deps", "view", "pages")
+
+    def __init__(self, deps: list[tuple[int, list[ViewSegment]]]):
+        # (region id, the effective_view list the memo was built from)
+        self.deps = deps
+        # the disjoint view, filled by view_cache_for
+        self.view: Optional[list[tuple[int, int, int]]] = None
+        # page -> (rights, exclusive), filled by page_access_map
+        self.pages: Optional[dict[int, tuple[int, bool]]] = None
+
+    def valid(self, nodes: dict) -> bool:
+        """Whether each region still holds the view the memo was built from:
+        any write to a node drops its view, and region ids are never
+        reused."""
+        for region, view in self.deps:
+            node = nodes.get(region)
+            if node is None or node._view is not view:
+                return False
+        return True
+
+    def build_view(self) -> list[tuple[int, int, int]]:
+        return disjoint_view([
+            (seg.range.start, seg.range.end, int(seg.rights))
+            for _, view in self.deps for seg in view])
+
+    def page_map(self) -> dict[int, tuple[int, bool]]:
+        pages: dict[int, tuple[int, bool]] = {}
+        for _, view in self.deps:
+            for seg in view:
+                rights = int(seg.rights)
+                excl = seg.status is RegionStatus.EXCLUSIVE
+                for page in range(seg.range.start // PAGE,
+                                  seg.range.end // PAGE):
+                    old = pages.get(page)
+                    pages[page] = (rights, excl) if old is None else \
+                        (old[0] | rights, old[1] or excl)
+        return pages
+
+
 class Engine:
     def __init__(self, platform, seed: int = 0, measurement=None):
         self.platform = platform
@@ -81,8 +125,9 @@ class Engine:
         self.max_domains = platform.config.metadata_pool
         self.quantum: Optional[int] = None
         self._quantum_deadlines: dict[int, tuple[int, int]] = {}
-        # continuation token -> (issuing domain, output bytes, bytes drained)
-        self._buffers: dict[int, tuple[int, bytes, int]] = {}
+        # continuation token -> (issuing domain, issuing call, output bytes,
+        # bytes drained)
+        self._buffers: dict[int, tuple[int, ApiCall, bytes, int]] = {}
         self._next_token = 1
 
     # ------------------------------------------------------------------
@@ -259,19 +304,28 @@ class Engine:
     # views
     # ------------------------------------------------------------------
 
-    def _segments(self, dom: DomainNode):
-        """(region id, segment) over the effective views of dom's regions."""
-        for _, entry in dom.owned.entries():
-            if entry.kind is CapKind.REGION:
-                for seg in self.tree.effective_view(entry.ref):
-                    yield entry.ref, seg
+    def _view_memo(self, dom: DomainNode) -> ViewMemo:
+        """dom's view memo, rebuilt only when stale: its table drops it on
+        every insert and remove, and `ViewMemo.valid` sees a change to any
+        of its regions.  Callers hold the engine lock."""
+        memo = dom.owned.view_memo
+        if memo is None or not memo.valid(self.tree.nodes):
+            memo = dom.owned.view_memo = ViewMemo([
+                (entry.ref, self.tree.effective_view(entry.ref))
+                for _, entry in dom.owned.entries()
+                if entry.kind is CapKind.REGION])
+        return memo
 
     def view_cache_for(self, dom_id: int) -> list[tuple[int, int, int]]:
+        """The view the interposer checks a domain's accesses against; the
+        list is the domain's memo, so callers must not mutate it."""
         dom = self.domains.get(dom_id)
         if dom is None:
             return []
-        return disjoint_view([(seg.range.start, seg.range.end, int(seg.rights))
-                              for _, seg in self._segments(dom)])
+        memo = self._view_memo(dom)
+        if memo.view is None:
+            memo.view = memo.build_view()
+        return memo.view
 
     def _refresh_views(self, cores: set[int]):
         for core in cores:
@@ -295,20 +349,15 @@ class Engine:
             return view_allows(self.view_cache_for(dom_id), addr, kind)
 
     def page_access_map(self) -> dict[int, dict[int, tuple[int, bool]]]:
-        """Per-domain, per-page access as the engine sees it (for the oracle diff)."""
+        """Per-domain, per-page access as the engine sees it (for the oracle
+        diff); each domain's pages are a copy of its memo."""
         out: dict[int, dict[int, tuple[int, bool]]] = {}
         with self.platform.engine_lock:
             for dom in self.domains.values():
-                pages: dict[int, tuple[int, bool]] = {}
-                for _, seg in self._segments(dom):
-                    rights = int(seg.rights)
-                    excl = seg.status is RegionStatus.EXCLUSIVE
-                    for page in range(seg.range.start // PAGE,
-                                      seg.range.end // PAGE):
-                        old = pages.get(page)
-                        pages[page] = (rights, excl) if old is None else \
-                            (old[0] | rights, old[1] or excl)
-                out[dom.id] = pages
+                memo = self._view_memo(dom)
+                if memo.pages is None:
+                    memo.pages = memo.page_map()
+                out[dom.id] = dict(memo.pages)
         return out
 
     # ------------------------------------------------------------------
@@ -513,8 +562,9 @@ class Engine:
 
     def _check_unmapped(self, rng: PhysRange, exclude: set[int]):
         for other in self.domains.values():
-            for region, seg in self._segments(other):
-                if region not in exclude and seg.range.overlaps(rng):
+            for region, view in self._view_memo(other).deps:
+                if region not in exclude and \
+                        any(seg.range.overlaps(rng) for seg in view):
                     raise deny(ErrorCode.STILL_ACCESSIBLE,
                                f"{rng} reachable via region {region}")
 
@@ -970,7 +1020,7 @@ class Engine:
                 node.state = DomainState.REVOKED
                 node.owned = type(node.owned)()
                 node.regs.clear()
-            for token in [t for t, (owner, _, _) in self._buffers.items()
+            for token in [t for t, (owner, *_) in self._buffers.items()
                           if owner in dom_ids]:
                 del self._buffers[token]
             if root_heir is not None:
@@ -1140,20 +1190,21 @@ class Engine:
 
     def _abi_attest(self, caller: int, core: int, args: list[int]):
         if args[1] != 0:
-            return self._consume_buffer(caller, args[1])
+            return self._consume_buffer(caller, ApiCall.ATTEST, args[1])
         self._check_undrained(caller)
         _, blob = self._attest(caller, None if args[0] == 0 else args[0] - 1)
-        return [len(blob), self._issue_buffer(caller, blob)]
+        return [len(blob), self._issue_buffer(caller, ApiCall.ATTEST, blob)]
 
     def _abi_enumerate(self, caller: int, core: int, args: list[int]):
         if args[1] != 0:
-            return self._consume_buffer(caller, args[1])
+            return self._consume_buffer(caller, ApiCall.ENUMERATE, args[1])
         self._check_undrained(caller)
         desc, nxt = self.enumerate(caller, args[0])
         if desc is None:
             return [nxt, 0, 0]
         blob = desc.render().encode()
-        return [nxt, self._issue_buffer(caller, blob), len(blob)]
+        return [nxt, self._issue_buffer(caller, ApiCall.ENUMERATE, blob),
+                len(blob)]
 
     def _abi_switch(self, caller: int, core: int, args: list[int]):
         self.switch(caller, core, None if args[0] == 0 else args[0] - 1)
@@ -1183,30 +1234,32 @@ class Engine:
     # -- continuation buffers
 
     def _check_undrained(self, caller: int):
-        held = sum(1 for owner, _, _ in self._buffers.values()
+        held = sum(1 for owner, *_ in self._buffers.values()
                    if owner == caller)
         if held >= MAX_UNDRAINED:
             raise deny(ErrorCode.OUT_OF_METADATA,
                        f"{held} outputs left undrained")
 
-    def _issue_buffer(self, caller: int, blob: bytes) -> int:
+    def _issue_buffer(self, caller: int, call: ApiCall, blob: bytes) -> int:
         token = self._next_token
         self._next_token += 1
-        self._buffers[token] = (caller, blob, 0)
+        self._buffers[token] = (caller, call, blob, 0)
         return token
 
-    def _consume_buffer(self, caller: int, token: int) -> list[int]:
-        # a token drains only for the domain whose call produced the output
+    def _consume_buffer(self, caller: int, call: ApiCall,
+                        token: int) -> list[int]:
+        # a token drains only for the domain whose call produced the output,
+        # and only through that call's id
         entry = self._buffers.get(token)
-        if entry is None or entry[0] != caller:
+        if entry is None or entry[0] != caller or entry[1] != call:
             raise deny(ErrorCode.BAD_CURSOR, f"token {token}")
-        owner, blob, offset = entry
+        owner, call, blob, offset = entry
         end = offset + 16
         chunk = blob[offset:end]
         if end >= len(blob):
             del self._buffers[token]
         else:
-            self._buffers[token] = (owner, blob, end)
+            self._buffers[token] = (owner, call, blob, end)
         # a short last chunk reads as if padded with zero bytes
         words = int.from_bytes(chunk, "little")
         return [len(chunk), words & _WORD_MASK, words >> 64]

@@ -17,8 +17,8 @@ import operator
 
 from .attest import BootMeasurement
 from .domains import (
-    POLICY_FIELDS, CapEntry, CapKind, ChainEntry, DomainNode, DomainState,
-    InterruptPolicy, IrqFrame, Visibility,
+    POLICY_FIELDS, ApiCall, CapEntry, CapKind, ChainEntry, DomainNode,
+    DomainState, InterruptPolicy, IrqFrame, Visibility,
 )
 from .engine import Engine
 from .machine import DeviceConfig, MachineConfig, Platform
@@ -28,7 +28,7 @@ from .regions import (
 )
 
 # a dump of another version has other keys, so load_state refuses it
-DUMP_VERSION = 6
+DUMP_VERSION = 7
 
 # enum fields are read as `_value_`: the same value as `.value`, without the
 # cost of that property on every field of every dump
@@ -59,8 +59,9 @@ def dump_state(engine: Engine) -> dict:
         "next_domain": engine.domains.next_id,
         "next_region": engine.tree._next_id,
         "next_token": engine._next_token,
-        "buffers": [[token, owner, blob.hex(), offset] for token,
-                    (owner, blob, offset) in sorted(engine._buffers.items())],
+        "buffers": [[token, owner, int(call), blob.hex(), offset]
+                    for token, (owner, call, blob, offset)
+                    in sorted(engine._buffers.items())],
         "quantum": engine.quantum,
         "quantum_deadlines": [[core, deadline, dom] for core, (deadline, dom)
                               in sorted(engine._quantum_deadlines.items())],
@@ -157,8 +158,9 @@ def load_state(dump: dict) -> Engine:
     engine.domains.next_id = dump["next_domain"]
     engine.tree._next_id = dump["next_region"]
     engine._next_token = dump["next_token"]
-    engine._buffers = {token: (owner, bytes.fromhex(blob), offset)
-                       for token, owner, blob, offset in dump["buffers"]}
+    engine._buffers = {
+        token: (owner, ApiCall(call), bytes.fromhex(blob), offset)
+        for token, owner, call, blob, offset in dump["buffers"]}
     engine.quantum = dump["quantum"]
     engine._quantum_deadlines = {core: (deadline, dom) for core, deadline, dom
                                  in dump["quantum_deadlines"]}

@@ -19,6 +19,7 @@ from capmon import (
     boot,
 )
 from capmon.domains import ALL_CALLS_MASK, CapKind, DomainState
+from capmon.engine import ViewMemo
 from capmon.regions import PAGE
 from capmon.state import dump_state
 
@@ -297,6 +298,7 @@ class FuzzDriver:
             assert not problems, \
                 f"oracle diff after {op} (step {self.steps}): {problems[:4]}"
             check_core_paths(self.engine)
+            check_views(self.engine)
             self.engine.tree.check_invariants()
 
     def run(self, n: int):
@@ -321,6 +323,48 @@ def check_core_paths(engine: Engine):
         for dom in path:
             assert engine.domains[dom].live, \
                 f"core {cs.id}: revoked domain {dom} on the path"
+
+
+def fresh_memo(engine: Engine, dom, swept: Optional[dict] = None) -> ViewMemo:
+    """dom's view memo built from scratch: each region is swept from the
+    tree, bypassing both the region memos and the domain's.  `swept` keeps
+    the sweeps for reuse within one check."""
+    swept = {} if swept is None else swept
+    deps = []
+    for _, entry in dom.owned.entries():
+        if entry.kind is CapKind.REGION:
+            if entry.ref not in swept:
+                swept[entry.ref] = engine.tree._sweep(
+                    engine.tree.nodes[entry.ref])
+            deps.append((entry.ref, swept[entry.ref]))
+    return ViewMemo(deps)
+
+
+def check_views(engine: Engine, cores: bool = True):
+    """Each domain memo that still reads as valid holds what a build from
+    scratch gives, and each core checks accesses against its current
+    domain's view as built from scratch (skipped when `cores` is false: an
+    engine reloaded from a dump has no core view installed)."""
+    swept: dict = {}
+    fresh = {dom.id: fresh_memo(engine, dom, swept)
+             for dom in engine.domains.values()}
+    for dom in engine.domains.values():
+        memo = dom.owned.view_memo
+        if memo is None or not memo.valid(engine.tree.nodes):
+            continue
+        assert memo.deps == fresh[dom.id].deps, \
+            f"domain {dom.id}: stale regions"
+        assert memo.view is None or \
+            memo.view == fresh[dom.id].build_view(), \
+            f"domain {dom.id}: stale view memo"
+        assert memo.pages is None or \
+            memo.pages == fresh[dom.id].page_map(), \
+            f"domain {dom.id}: stale page memo"
+    for cs in engine.cores if cores else ():
+        memo = fresh.get(cs.current)
+        view = [] if memo is None else memo.build_view()
+        assert engine.platform.cores[cs.id].local_view == view, \
+            f"core {cs.id}: stale view of domain {cs.current}"
 
 
 # ---------------------------------------------------------------------------

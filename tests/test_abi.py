@@ -197,7 +197,7 @@ class TestAbiContinuation:
                                                        max_size=n)))
     def test_drain_returns_every_byte(self, blob):
         engine, td0 = small_engine()
-        token = engine._issue_buffer(td0, blob)
+        token = engine._issue_buffer(td0, ApiCall.ATTEST, blob)
         drains = []
         engine.process_updates = lambda core, run=engine.process_updates: (
             drains.append(core), run(core))
@@ -243,6 +243,31 @@ class TestAbiContinuation:
         blob = drain(engine, 0, ApiCall.ENUMERATE, token, total)
         assert blob.decode().startswith("region exclusive")
 
+    def test_token_drains_only_through_its_call(self):
+        engine, td0 = small_engine()
+        status, total, token, _ = call(engine, 0, ApiCall.ATTEST, 0, 0)
+        assert status == 0
+        status, _, chan_token, chan_total = call(engine, 0,
+                                                 ApiCall.ENUMERATE, 0, 0)
+        assert status == 0
+        for call_id, other in ((ApiCall.ENUMERATE, token),
+                               (ApiCall.ATTEST, chan_token)):
+            load(engine, 0, call_id, 0, other)
+            expected = dump_state(engine)
+            record = next(d for d in expected["domains"] if d["id"] == td0)
+            record["regs"]["0"][0] = int(ErrorCode.BAD_CURSOR)
+            traced = len(engine.trace.records)
+            engine.monitor_call(0)
+            assert dump_state(engine) == expected
+            assert [r.to_line() for r in engine.trace.records[traced:]] == \
+                [f"0 0 abi caller={td0} call={int(call_id)} "
+                 f"-> err=BAD_CURSOR"]
+        # both outputs still drain whole through the call that issued them
+        blob = drain(engine, 0, ApiCall.ATTEST, token, total)
+        assert AttestationReport.from_bytes(blob).to_bytes() == blob
+        assert drain(engine, 0, ApiCall.ENUMERATE, chan_token, chan_total) \
+            .decode().startswith("region exclusive")
+
     def test_revoke_drops_undrained_buffers(self):
         engine, td0 = small_engine()
         dom, handle = make_child(engine, td0)
@@ -252,7 +277,7 @@ class TestAbiContinuation:
         status, *_ = call(engine, 0, ApiCall.ENUMERATE, 0, 0)
         assert status == 0
         engine.revoke_domain(td0, handle)
-        assert [owner for _, owner, _, _ in dump_state(engine)["buffers"]] \
+        assert [owner for _, owner, *_ in dump_state(engine)["buffers"]] \
             == [td0]
 
     def test_undrained_outputs_are_capped(self):

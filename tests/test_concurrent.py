@@ -71,7 +71,8 @@ class TestConcurrentBasics:
 
     def test_views_are_read_under_the_engine_lock(self):
         # a view memo filled outside the lock could race a mutator and keep
-        # a stale view for good, so every read of a view must hold the lock
+        # a stale view for good, so every read of a domain's view memo, which
+        # fills it and the region memos under it, must hold the lock
         config = small_config(pages=32, cores=2, devices=[
             DeviceConfig("net0", PhysRange(0x20000, 0x21000), 0x21)])
         runner = ScenarioRunner(config, concurrent=True)
@@ -79,13 +80,13 @@ class TestConcurrentBasics:
         platform = engine.platform
         dev = next(d.id for d in engine.domains.values() if d.is_device)
         held = []
-        effective_view = engine.tree.effective_view
+        view_memo = engine._view_memo
 
-        def locked_view(region_id):
+        def locked_memo(dom):
             held.append(platform.engine_lock._lock._is_owned())
-            return effective_view(region_id)
+            return view_memo(dom)
 
-        engine.tree.effective_view = locked_view
+        engine._view_memo = locked_memo
         for addr in range(A[0], A[8], PAGE):
             platform.submit(1, lambda a=addr: platform.dma_access(dev, a, "W"))
             platform.submit(1, engine.page_access_map)

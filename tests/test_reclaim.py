@@ -123,7 +123,7 @@ class TestReclaim:
         gone, handle = make_child(engine, td0)
         engine.revoke_domain(td0, handle)
         dump = state.dump_state(engine)
-        assert dump["version"] == 6
+        assert dump["version"] == 7
         assert [rec["id"] for rec in dump["domains"]] == [td0, keep]
         reloaded = state.load_state(json.loads(json.dumps(dump)))
         assert state.dump_state(reloaded) == dump
@@ -131,7 +131,7 @@ class TestReclaim:
         expect_code(ErrorCode.UNKNOWN_DOMAIN, reloaded.domain,
                     dump["next_domain"])
         with pytest.raises(ValueError):
-            state.load_state(dict(dump, version=5))
+            state.load_state(dict(dump, version=6))
 
     def test_step_mode_frees_the_current_domain_after_its_unwind(self):
         engine, td0 = small_engine()
