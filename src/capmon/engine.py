@@ -140,8 +140,9 @@ class Engine:
 
         Inside the traced region the caller must be a live domain whose
         policy allows `call`; `body` then runs with the caller's node.  The
-        trace names `core`, or else the core the caller runs on (-1 if
-        none), read only once the lock is held.
+        trace's arguments are the caller, then `args`.  It names `core`, or
+        else the core the caller runs on (-1 if none), read only once the
+        lock is held.
         """
         def gated():
             dom = self.domain(caller)
@@ -154,7 +155,7 @@ class Engine:
         with self.platform.engine_lock:
             if core is None:
                 core = self._core_of(caller)
-            return self._record(op, core, args, gated)
+            return self._record(op, core, {"caller": caller, **args}, gated)
 
     def _record(self, op: str, core: int, args: dict, fn):
         try:
@@ -279,6 +280,13 @@ class Engine:
             raise deny(ErrorCode.SEALED, "configuration frozen after seal")
         return child
 
+    def _check_register(self, core: int, index: int):
+        """A register address names a core of the machine and a register."""
+        if not 0 <= core < self.platform.ncores:
+            raise deny(ErrorCode.CORE_NOT_ALLOWED, f"core {core}")
+        if not 0 <= index < NUM_REGS:
+            raise deny(ErrorCode.BAD_HANDLE, f"register index {index}")
+
     def _check_room(self, dom: DomainNode):
         """The one bound on a capability table: a call that would add a
         capability to a table already holding CAP_SLOT_QUOTA is denied
@@ -287,15 +295,12 @@ class Engine:
             raise deny(ErrorCode.OUT_OF_METADATA,
                        f"domain {dom.id} holds {CAP_SLOT_QUOTA} capabilities")
 
-    def _running_core(self, dom_id: int) -> Optional[int]:
+    def _core_of(self, dom_id: int) -> int:
+        """The lowest core running dom_id, or -1 if none."""
         for core in self.cores:
             if core.current == dom_id:
                 return core.id
-        return None
-
-    def _core_of(self, caller: int) -> int:
-        core = self._running_core(caller)
-        return -1 if core is None else core
+        return -1
 
     def _cores_running(self, dom_ids: set[int]) -> set[int]:
         return {c.id for c in self.cores if c.current in dom_ids}
@@ -381,154 +386,131 @@ class Engine:
     # ------------------------------------------------------------------
 
     def create(self, caller: int) -> int:
-        return self._call(ApiCall.CREATE, "create", caller, {"caller": caller},
-                          self._create)["handle"]
+        def body(dom):
+            if dom.state is not DomainState.SEALED or self._core_of(dom.id) < 0:
+                raise deny(ErrorCode.NOT_RUNNING,
+                           "caller must be sealed and running")
+            if len(self.domains) >= self.max_domains:
+                raise deny(ErrorCode.OUT_OF_METADATA, "domain pool exhausted")
+            self._check_room(dom)
+            child = self.domains.new(parent=dom.id)
+            handle = dom.owned.insert(CapEntry(CapKind.DOMAIN, child.id))
+            return {"dom": child.id, "handle": handle}
 
-    def _create(self, dom: DomainNode) -> dict:
-        if dom.state is not DomainState.SEALED or \
-                self._running_core(dom.id) is None:
-            raise deny(ErrorCode.NOT_RUNNING, "caller must be sealed and running")
-        if len(self.domains) >= self.max_domains:
-            raise deny(ErrorCode.OUT_OF_METADATA, "domain pool exhausted")
-        self._check_room(dom)
-        child = self.domains.new(parent=dom.id)
-        handle = dom.owned.insert(CapEntry(CapKind.DOMAIN, child.id))
-        return {"dom": child.id, "handle": handle}
+        return self._call(ApiCall.CREATE, "create", caller, {}, body)["handle"]
 
     def set_register(self, caller: int, handle: int, core: int,
                      index: int, value: int):
-        self._call(ApiCall.SET_GET, "set_reg", caller,
-                   {"caller": caller, "handle": handle, "core": core,
-                    "index": index, "value": value},
-                   lambda dom: self._set_register(dom, handle, core, index,
-                                                  value))
+        def body(dom):
+            child = self._unsealed_child(dom, handle)
+            self._check_register(core, index)
+            child.core_regs(core)[index] = value & _WORD_MASK
+            return {"dom": child.id}
 
-    def _set_register(self, dom: DomainNode, handle: int, core: int,
-                      index: int, value: int) -> dict:
-        child = self._unsealed_child(dom, handle)
-        if not 0 <= core < self.platform.ncores:
-            raise deny(ErrorCode.CORE_NOT_ALLOWED, f"core {core}")
-        if not 0 <= index < NUM_REGS:
-            raise deny(ErrorCode.BAD_HANDLE, f"register index {index}")
-        child.core_regs(core)[index] = value & ((1 << 64) - 1)
-        return {"dom": child.id}
+        self._call(ApiCall.SET_GET, "set_reg", caller,
+                   {"handle": handle, "core": core, "index": index,
+                    "value": value}, body)
 
     def get_register(self, caller: int, handle: int, core: int,
                      index: int) -> int:
-        return self._call(
-            ApiCall.SET_GET, "get_reg", caller,
-            {"caller": caller, "handle": handle, "core": core, "index": index},
-            lambda dom: self._get_register(dom, handle, core, index))["value"]
+        def body(dom):
+            child = self._resolve_td(dom, handle)
+            self._check_register(core, index)
+            if child.state is DomainState.UNSEALED:
+                # a read creates no register file: a missing one reads as 0
+                regs = child.regs.get(core)
+                return {"value": 0 if regs is None else regs[index]}
+            # post-seal reads only for the active handler/observer, gated by
+            # the child's readable-registers bitmap for the routed vector
+            irq = self.cores[core].irq
+            if irq is None or self.cores[core].current != dom.id or \
+                    not irq.resume or irq.resume[0].domain != child.id:
+                raise deny(ErrorCode.REGISTER_HIDDEN,
+                           "no routed interrupt grants access")
+            policy = child.policies.interrupt(irq.vector)
+            if not policy.readable_regs & (1 << index):
+                raise deny(ErrorCode.REGISTER_HIDDEN,
+                           f"register {index} hidden for vector {irq.vector}")
+            return {"value": irq.resume[0].saved_regs[index]}
 
-    def _get_register(self, dom: DomainNode, handle: int, core: int,
-                      index: int) -> dict:
-        child = self._resolve_td(dom, handle, allow_channel=False)
-        if not 0 <= index < NUM_REGS:
-            raise deny(ErrorCode.BAD_HANDLE, f"register index {index}")
-        if child.state is DomainState.UNSEALED:
-            return {"value": child.core_regs(core)[index]}
-        # post-seal reads only for the active handler/observer, gated by the
-        # child's readable-registers bitmap for the routed vector
-        cs = self.cores[core] if 0 <= core < len(self.cores) else None
-        if cs is None or cs.irq is None or cs.current != dom.id or \
-                not cs.irq.resume or cs.irq.resume[0].domain != child.id:
-            raise deny(ErrorCode.REGISTER_HIDDEN, "no routed interrupt grants access")
-        policy = child.policies.interrupt(cs.irq.vector)
-        if not policy.readable_regs & (1 << index):
-            raise deny(ErrorCode.REGISTER_HIDDEN,
-                       f"register {index} not readable for vector {cs.irq.vector}")
-        return {"value": cs.irq.resume[0].saved_regs[index]}
+        return self._call(ApiCall.SET_GET, "get_reg", caller,
+                          {"handle": handle, "core": core, "index": index},
+                          body)["value"]
 
     def set_policy(self, caller: int, handle: int, fname: str, value: int):
-        self._call(ApiCall.SET_GET, "set_policy", caller,
-                   {"caller": caller, "handle": handle, "field": fname,
-                    "value": value},
-                   lambda dom: self._set_policy(dom, handle, fname, value))
+        def body(dom):
+            child = self._unsealed_child(dom, handle)
+            kind = POLICY_FIELDS.get(fname)
+            if kind is None:
+                raise deny(ErrorCode.BAD_HANDLE, f"policy field {fname}")
+            # a child holds a subset of its parent's bits; td0 holds every
+            # call bit and no more, so mon_api also stays within ALL_CALLS_MASK
+            bits = kind(value)
+            if bits & ~getattr(dom.policies, fname):
+                raise deny(ErrorCode.POLICY_ESCALATION,
+                           f"{fname} beyond parent")
+            setattr(child.policies, fname, bits)
+            return {"dom": child.id}
 
-    def _set_policy(self, dom: DomainNode, handle: int, fname: str,
-                    value: int) -> dict:
-        child = self._unsealed_child(dom, handle)
-        kind = POLICY_FIELDS.get(fname)
-        if kind is None:
-            raise deny(ErrorCode.BAD_HANDLE, f"policy field {fname}")
-        # a child holds a subset of its parent's bits; td0 holds every call
-        # bit and no more, so mon_api also stays within ALL_CALLS_MASK
-        value = kind(value)
-        if value & ~getattr(dom.policies, fname):
-            raise deny(ErrorCode.POLICY_ESCALATION, f"{fname} beyond parent")
-        setattr(child.policies, fname, value)
-        return {"dom": child.id}
+        self._call(ApiCall.SET_GET, "set_policy", caller,
+                   {"handle": handle, "field": fname, "value": value}, body)
 
     def get_policy(self, caller: int, handle: int, fname: str) -> int:
-        return self._call(
-            ApiCall.SET_GET, "get_policy", caller,
-            {"caller": caller, "handle": handle, "field": fname},
-            lambda dom: self._get_policy(dom, handle, fname))["value"]
+        def body(dom):
+            child = self._resolve_td(dom, handle)
+            if fname not in POLICY_FIELDS:
+                raise deny(ErrorCode.BAD_HANDLE, f"policy field {fname}")
+            return {"value": int(getattr(child.policies, fname))}
 
-    def _get_policy(self, dom: DomainNode, handle: int, fname: str) -> dict:
-        child = self._resolve_td(dom, handle)
-        if fname not in POLICY_FIELDS:
-            raise deny(ErrorCode.BAD_HANDLE, f"policy field {fname}")
-        return {"value": int(getattr(child.policies, fname))}
+        return self._call(ApiCall.SET_GET, "get_policy", caller,
+                          {"handle": handle, "field": fname}, body)["value"]
 
     def set_interrupt_policy(self, caller: int, handle: int, vector: int,
                              visibility: Visibility, readable_regs: int = 0):
-        self._call(ApiCall.SET_GET, "set_intr", caller,
-                   {"caller": caller, "handle": handle, "vector": vector,
-                    "vis": visibility.value, "regs": readable_regs},
-                   lambda dom: self._set_interrupt_policy(
-                       dom, handle, vector, visibility, readable_regs))
-
-    def _set_interrupt_policy(self, dom: DomainNode, handle: int, vector: int,
-                              visibility: Visibility,
-                              readable_regs: int) -> dict:
-        child = self._unsealed_child(dom, handle)
-        if not 0 <= vector < NUM_VECTORS:
-            raise deny(ErrorCode.BAD_HANDLE, f"vector {vector}")
-        if readable_regs & ~REG_MASK:
-            raise deny(ErrorCode.POLICY_ESCALATION, "readable regs beyond file")
-        if visibility is Visibility.DELIVER and dom.parent is not None and \
-                dom.policies.interrupt(vector).visibility is not Visibility.DELIVER:
+        def body(dom):
+            child = self._unsealed_child(dom, handle)
+            if not 0 <= vector < NUM_VECTORS:
+                raise deny(ErrorCode.BAD_HANDLE, f"vector {vector}")
+            if readable_regs & ~REG_MASK:
+                raise deny(ErrorCode.POLICY_ESCALATION,
+                           "readable regs beyond file")
             # a child may deliver a vector only if its parent ultimately can
-            raise deny(ErrorCode.POLICY_ESCALATION,
-                       f"vector {vector} not deliverable by parent")
-        child.policies.interrupts[vector] = InterruptPolicy(
-            visibility, readable_regs)
-        return {"dom": child.id}
+            own = dom.policies.interrupt(vector).visibility
+            if visibility is Visibility.DELIVER and dom.parent is not None \
+                    and own is not Visibility.DELIVER:
+                raise deny(ErrorCode.POLICY_ESCALATION,
+                           f"vector {vector} not deliverable by parent")
+            child.policies.interrupts[vector] = InterruptPolicy(
+                visibility, readable_regs)
+            return {"dom": child.id}
+
+        self._call(ApiCall.SET_GET, "set_intr", caller,
+                   {"handle": handle, "vector": vector,
+                    "vis": visibility.value, "regs": readable_regs}, body)
 
     def send(self, caller: int, handle: int, dest_handle: int,
              attrs: AttrFlags = AttrFlags.NONE):
-        self._call(ApiCall.SEND, "send", caller,
-                   {"caller": caller, "handle": handle, "dest": dest_handle,
-                    "attrs": int(attrs)},
-                   lambda dom: self._send(dom, handle, dest_handle, attrs))
-
-    def _send(self, dom: DomainNode, handle: int, dest_handle: int,
-              attrs: AttrFlags) -> dict:
-        entry = self._resolve(dom, handle)
-        if entry.kind is CapKind.DOMAIN:
-            raise deny(ErrorCode.UNTRANSFERABLE_TD,
-                       "td capabilities cannot be transferred")
-        dest_entry = self._resolve(dom, dest_handle)
-        if dest_entry.kind is CapKind.REGION:
-            raise deny(ErrorCode.BAD_HANDLE, "destination must be a domain")
-        dest = self.domain(dest_entry.ref)
-        if not dest.live:
-            raise deny(ErrorCode.DOMAIN_REVOKED, f"domain {dest.id}")
-        if dest.state is DomainState.SEALED and \
-                not dest.policies.receive:
-            raise deny(ErrorCode.RECEIVE_DENIED, f"domain {dest.id} !RECEIVE")
-        if attrs:
+        def body(dom):
+            entry = self._resolve(dom, handle)
+            if entry.kind is CapKind.DOMAIN:
+                raise deny(ErrorCode.UNTRANSFERABLE_TD,
+                           "td capabilities cannot be transferred")
+            dest = self._resolve_td(dom, dest_handle, allow_channel=True)
+            if dest.state is DomainState.SEALED and not dest.policies.receive:
+                raise deny(ErrorCode.RECEIVE_DENIED, f"domain {dest.id} !RECEIVE")
+            if attrs:
+                if entry.kind is CapKind.CHANNEL:
+                    raise deny(ErrorCode.ATTRIBUTES_ON_CHANNEL,
+                               "attributes apply to regions")
+                if dest.state is not DomainState.UNSEALED:
+                    raise deny(ErrorCode.ATTRIBUTES_ON_SEALED,
+                               "attributes need an unsealed receiver")
+            if dest is not dom:
+                self._check_room(dest)
             if entry.kind is CapKind.CHANNEL:
-                raise deny(ErrorCode.ATTRIBUTES_ON_CHANNEL,
-                           "attributes apply to regions")
-            if dest.state is not DomainState.UNSEALED:
-                raise deny(ErrorCode.ATTRIBUTES_ON_SEALED,
-                           "attributes need an unsealed receiver")
-        if dest is not dom:
-            self._check_room(dest)
-        results: dict = {}
-        if entry.kind is CapKind.REGION:
+                dom.owned.remove(handle)
+                dest.owned.insert(CapEntry(CapKind.CHANNEL, entry.ref))
+                return {"chan_to": entry.ref, "to": dest.id}
             node = self.tree.get(entry.ref)
             digest = None
             if attrs & AttrFlags.HASH:
@@ -538,7 +520,6 @@ class Engine:
                 self._check_unmapped(node.initial_range, exclude={node.id})
                 digest = hashlib.sha256(
                     self.platform.read_bytes(node.initial_range)).digest()
-                results["digest"] = digest.hex()
 
             def publish():
                 dom.owned.remove(handle)
@@ -553,12 +534,12 @@ class Engine:
             affected = self._cores_running({dom.id, dest.id})
             self.platform.barrier_update(self._core_of(dom.id), affected,
                                          publish, f"send:{node.id}")
-            results.update({"region": node.id, "to": dest.id})
-        else:
-            dom.owned.remove(handle)
-            dest.owned.insert(CapEntry(CapKind.CHANNEL, entry.ref))
-            results.update({"chan_to": entry.ref, "to": dest.id})
-        return results
+            hashed = {} if digest is None else {"digest": digest.hex()}
+            return {**hashed, "region": node.id, "to": dest.id}
+
+        self._call(ApiCall.SEND, "send", caller,
+                   {"handle": handle, "dest": dest_handle, "attrs": int(attrs)},
+                   body)
 
     def _check_unmapped(self, rng: PhysRange, exclude: set[int]):
         for other in self.domains.values():
@@ -577,65 +558,59 @@ class Engine:
             return hashlib.sha256(self.platform.read_bytes(rng)).digest()
 
     def seal(self, caller: int, handle: int):
-        self._call(ApiCall.SEAL, "seal", caller,
-                   {"caller": caller, "handle": handle},
-                   lambda dom: self._seal(dom, handle))
+        def body(dom):
+            child = self._resolve_td(dom, handle)
+            if child.state is not DomainState.UNSEALED:
+                raise deny(ErrorCode.ALREADY_SEALED, f"domain {child.id}")
+            undeliverable = undeliverable_vectors(
+                self._policies_rootward(child))
+            if undeliverable:
+                raise deny(ErrorCode.UNDELIVERABLE_VECTOR,
+                           f"vector {min(undeliverable)}")
+            child.register_hash = self._register_hash(child)
+            child.state = DomainState.SEALED
+            return {"dom": child.id,
+                    "register_hash": child.register_hash.hex()}
 
-    def _seal(self, dom: DomainNode, handle: int) -> dict:
-        child = self._resolve_td(dom, handle)
-        if child.state is not DomainState.UNSEALED:
-            raise deny(ErrorCode.ALREADY_SEALED, f"domain {child.id}")
-        undeliverable = undeliverable_vectors(self._policies_rootward(child))
-        if undeliverable:
-            raise deny(ErrorCode.UNDELIVERABLE_VECTOR,
-                       f"vector {min(undeliverable)}")
-        child.register_hash = self._register_hash(child)
-        child.state = DomainState.SEALED
-        return {"dom": child.id, "register_hash": child.register_hash.hex()}
+        self._call(ApiCall.SEAL, "seal", caller, {"handle": handle}, body)
 
     # ------------------------------------------------------------------
     # switch, interrupts
     # ------------------------------------------------------------------
 
     def switch(self, caller: int, core: int, handle: Optional[int] = None):
-        self._call(ApiCall.SWITCH, "switch", caller,
-                   {"caller": caller, "core": core,
-                    "target": "ret" if handle is None else handle},
-                   lambda dom: self._switch(dom, core, handle), core=core)
-
-    def _switch(self, dom: DomainNode, core: int,
-                handle: Optional[int]) -> dict:
-        if not 0 <= core < len(self.cores):
-            raise deny(ErrorCode.CORE_NOT_ALLOWED, f"core {core}")
-        cs = self.cores[core]
-        if cs.current != dom.id:
-            raise deny(ErrorCode.NOT_RUNNING,
-                       f"domain {dom.id} is not current on core {core}")
-
-        if cs.irq is not None:
-            # active routed interrupt: the only way down is resuming the chain
+        def body(dom):
+            if not 0 <= core < len(self.cores):
+                raise deny(ErrorCode.CORE_NOT_ALLOWED, f"core {core}")
+            cs = self.cores[core]
+            if cs.current != dom.id:
+                raise deny(ErrorCode.NOT_RUNNING,
+                           f"domain {dom.id} is not current on core {core}")
+            if cs.irq is not None:
+                # active routed interrupt: the only way down is resuming the
+                # chain
+                if handle is None or self._resolve_td(dom, handle).id != \
+                        cs.irq.resume[0].domain:
+                    raise deny(ErrorCode.IRQ_RESUME_REQUIRED,
+                               "must resume the preempted chain")
+                return self._resume_step(cs, dom.id, core)
             if handle is None:
-                raise deny(ErrorCode.IRQ_RESUME_REQUIRED,
-                           "must resume the preempted chain")
+                return self._switch_return(cs, dom, core)
             target = self._resolve_td(dom, handle)
-            if target.id != cs.irq.resume[0].domain:
-                raise deny(ErrorCode.IRQ_RESUME_REQUIRED,
-                           "must resume the preempted chain")
-            return self._resume_step(cs, dom.id, core)
+            if target.state is DomainState.UNSEALED:
+                raise deny(ErrorCode.NOT_SEALED, f"domain {target.id}")
+            if not target.policies.cores & (1 << core):
+                raise deny(ErrorCode.CORE_NOT_ALLOWED,
+                           f"domain {target.id} not allowed on core {core}")
+            cs.chain.append(ChainEntry(dom.id, list(dom.core_regs(core))))
+            cs.current = target.id
+            self._arm_quantum(core, target.id)
+            self._refresh_views({core})
+            return {"to": target.id}
 
-        if handle is None:
-            return self._switch_return(cs, dom, core)
-        target = self._resolve_td(dom, handle)
-        if target.state is DomainState.UNSEALED:
-            raise deny(ErrorCode.NOT_SEALED, f"domain {target.id}")
-        if not target.policies.cores & (1 << core):
-            raise deny(ErrorCode.CORE_NOT_ALLOWED,
-                       f"domain {target.id} not allowed on core {core}")
-        cs.chain.append(ChainEntry(dom.id, list(dom.core_regs(core))))
-        cs.current = target.id
-        self._arm_quantum(core, target.id)
-        self._refresh_views({core})
-        return {"to": target.id}
+        self._call(ApiCall.SWITCH, "switch", caller,
+                   {"core": core, "target": "ret" if handle is None else handle},
+                   body, core=core)
 
     def _switch_return(self, cs: CoreState, dom: DomainNode, core: int) -> dict:
         if cs.chain:
@@ -685,61 +660,62 @@ class Engine:
 
     def route_interrupt(self, core: int, vector: int) -> int:
         with self.platform.engine_lock:
-            return self._record("irq", core, {"vector": vector},
-                                lambda: self._route_interrupt(core, vector)
-                                )["handler"]
+            return self._irq(core, vector)["handler"]
 
-    def _route_interrupt(self, core: int, vector: int) -> dict:
-        if not 0 <= vector < NUM_VECTORS:
-            raise deny(ErrorCode.BAD_HANDLE, f"vector {vector}")
-        cs = self.cores[core]
-        current = cs.current
-        handler = self._handler_of(current, vector)
-        if handler == current:
-            # delivered in place, no preemption
-            return {"handler": current, "delivered": "inplace"}
-        if cs.irq is not None:
-            # nested routing is deferred until the active chain resumes
-            cs.deferred_vectors.append(vector)
-            return {"handler": -1, "deferred": 1}
-        assert handler is not None, \
-            "td0 delivers every vector, so a handler always exists"
-        below = []      # the path from under the handler down to current
-        walker = current
-        while walker != handler:
-            below.append(walker)
-            walker = self.domains[walker].parent
-        below.reverse()
+    def _irq(self, core: int, vector: int, **flags) -> dict:
+        """Route a vector on a core and trace it as `irq`; `flags` name how
+        it came (deferred, device or quantum)."""
+        def body():
+            if not 0 <= vector < NUM_VECTORS:
+                raise deny(ErrorCode.BAD_HANDLE, f"vector {vector}")
+            cs = self.cores[core]
+            current = cs.current
+            handler = self._handler_of(current, vector)
+            if handler == current:
+                # delivered in place, no preemption
+                return {"handler": current, "delivered": "inplace"}
+            if cs.irq is not None:
+                # nested routing is deferred until the active chain resumes
+                cs.deferred_vectors.append(vector)
+                return {"handler": -1, "deferred": 1}
+            assert handler is not None, \
+                "td0 delivers every vector, so a handler always exists"
+            below = []      # the path from under the handler down to current
+            walker = current
+            while walker != handler:
+                below.append(walker)
+                walker = self.domains[walker].parent
+            below.reverse()
 
-        chain_map = {e.domain: e for e in cs.chain}
-        resume = []
-        for dom_id in below:
-            # current is never on its own core's chain
-            entry = chain_map.get(dom_id) or ChainEntry(
-                dom_id, list(self.domains[dom_id].core_regs(core)))
-            policy = self.domains[dom_id].policies.interrupt(vector)
-            entry.pending_observation = policy.visibility is Visibility.REPORT
-            resume.append(entry)
-        # the chain is the core's path above current: keep what is above
-        # the handler
-        handler_entry = chain_map.get(handler)
-        dropped = set(below) | {handler}
-        cs.chain = [e for e in cs.chain if e.domain not in dropped]
-        if handler_entry is not None:
-            self.domains[handler].regs[core] = list(handler_entry.saved_regs)
-        cs.current = handler
-        cs.irq = IrqFrame(vector, resume)
-        self._deliver_payload(cs, core, PayloadCode.INTERRUPT, vector)
-        self._clear_quantum(core)
-        self._refresh_views({core})
-        return {"handler": handler}
+            chain_map = {e.domain: e for e in cs.chain}
+            resume = []
+            for dom_id in below:
+                # current is never on its own core's chain
+                entry = chain_map.get(dom_id) or ChainEntry(
+                    dom_id, list(self.domains[dom_id].core_regs(core)))
+                policy = self.domains[dom_id].policies.interrupt(vector)
+                entry.pending_observation = policy.visibility is Visibility.REPORT
+                resume.append(entry)
+            # the chain is the core's path above current: keep what is above
+            # the handler
+            handler_entry = chain_map.get(handler)
+            dropped = set(below) | {handler}
+            cs.chain = [e for e in cs.chain if e.domain not in dropped]
+            if handler_entry is not None:
+                self.domains[handler].regs[core] = list(handler_entry.saved_regs)
+            cs.current = handler
+            cs.irq = IrqFrame(vector, resume)
+            self._deliver_payload(cs, core, PayloadCode.INTERRUPT, vector)
+            self._clear_quantum(core)
+            self._refresh_views({core})
+            return {"handler": handler}
+
+        return self._record("irq", core, {"vector": vector, **flags}, body)
 
     def _route_deferred(self, core: int):
         cs = self.cores[core]
         while cs.deferred_vectors and cs.irq is None:
-            vector = cs.deferred_vectors.pop(0)
-            self._record("irq", core, {"vector": vector, "deferred": 1},
-                         lambda v=vector: self._route_interrupt(core, v))
+            self._irq(core, cs.deferred_vectors.pop(0), deferred=1)
 
     def route_device_interrupt(self, vector: int) -> Optional[int]:
         """Route a device interrupt on the lowest core the handler may use."""
@@ -752,10 +728,7 @@ class Engine:
                     self.platform.enqueue_update(cs.id, Update(
                         UpdateKind.INTERRUPT_ROUTED, vector=vector))
                     return None
-                return self._record(
-                    "irq", cs.id, {"vector": vector, "device": 1},
-                    lambda c=cs.id: self._route_interrupt(c, vector)
-                )["handler"]
+                return self._irq(cs.id, vector, device=1)["handler"]
             raise AssertionError("td0 runs everywhere and delivers everything")
 
     def _policies_rootward(self, dom: DomainNode):
@@ -795,55 +768,47 @@ class Engine:
         for core, dom in due:
             self._clear_quantum(core)
             if self.cores[core].current == dom:
-                self._record("irq", core,
-                             {"vector": TIMER_VECTOR, "quantum": 1},
-                             lambda c=core: self._route_interrupt(
-                                 c, TIMER_VECTOR))
+                self._irq(core, TIMER_VECTOR, quantum=1)
 
     # ------------------------------------------------------------------
     # channels, enumerate, attest
     # ------------------------------------------------------------------
 
     def getchan(self, caller: int, handle: Optional[int] = None) -> int:
-        return self._call(
-            ApiCall.GETCHAN, "getchan", caller,
-            {"caller": caller, "from": "self" if handle is None else handle},
-            lambda dom: self._getchan(dom, handle))["handle"]
+        def body(dom):
+            # handle None asks for a self-channel: a documented extension that
+            # lets a domain hand out attestation references to itself
+            target = dom if handle is None else \
+                self._resolve_td(dom, handle, allow_channel=True)
+            self._check_room(dom)
+            new_handle = dom.owned.insert(CapEntry(CapKind.CHANNEL, target.id))
+            return {"handle": new_handle, "to": target.id}
 
-    def _getchan(self, dom: DomainNode, handle: Optional[int]) -> dict:
-        if handle is None:
-            # self-channel: documented extension, lets a domain hand out
-            # attestation references to itself
-            target = dom
-        else:
-            target = self._resolve_td(dom, handle, allow_channel=True)
-        self._check_room(dom)
-        new_handle = dom.owned.insert(CapEntry(CapKind.CHANNEL, target.id))
-        return {"handle": new_handle, "to": target.id}
+        return self._call(ApiCall.GETCHAN, "getchan", caller,
+                          {"from": "self" if handle is None else handle},
+                          body)["handle"]
 
     def enumerate(self, caller: int, cursor: int):
+        """The description of the first capability at or after `cursor`, and
+        the cursor after it; (None, end) when there is none."""
         out: dict = {}
 
-        def run(dom):
-            desc, nxt = self._enumerate(dom, cursor)
-            out["desc"] = desc
-            out["next"] = nxt
+        def body(dom):
+            slots = dom.owned.slots
+            if cursor < 0 or cursor > len(slots):
+                raise deny(ErrorCode.BAD_CURSOR, f"cursor {cursor}")
+            desc, nxt = None, len(slots)
+            for index in range(cursor, len(slots)):
+                if slots[index] is not None:
+                    desc, nxt = self._describe(slots[index]), index + 1
+                    break
+            out["result"] = desc, nxt
             return {"next": nxt,
                     "entry": desc.render().replace(" ", "~") if desc else "end"}
 
-        self._call(ApiCall.ENUMERATE, "enumerate", caller,
-                   {"caller": caller, "cursor": cursor}, run)
-        return out["desc"], out["next"]
-
-    def _enumerate(self, dom: DomainNode, cursor: int):
-        if cursor < 0 or cursor > len(dom.owned.slots):
-            raise deny(ErrorCode.BAD_CURSOR, f"cursor {cursor}")
-        for index in range(cursor, len(dom.owned.slots)):
-            entry = dom.owned.slots[index]
-            if entry is None:
-                continue
-            return self._describe(entry), index + 1
-        return None, len(dom.owned.slots)
+        self._call(ApiCall.ENUMERATE, "enumerate", caller, {"cursor": cursor},
+                   body)
+        return out["result"]
 
     def _describe(self, entry: CapEntry) -> CapDescription:
         if entry.kind is CapKind.REGION:
@@ -879,19 +844,16 @@ class Engine:
         """The report and its bytes, serialised and signed once."""
         out: dict = {}
 
-        def run(dom):
-            if handle is None:
-                subject = dom
-            else:
-                subject = self._resolve_td(dom, handle, allow_channel=True)
+        def body(dom):
+            subject = dom if handle is None else \
+                self._resolve_td(dom, handle, allow_channel=True)
             out["signed"] = attest_mod.build_signed_report(
                 self, subject.id, verifier_key=verifier_key, nonce=nonce,
                 domain_key=domain_key)
             return {"subject": subject.id}
 
         self._call(ApiCall.ATTEST, "attest", caller,
-                   {"caller": caller,
-                    "subject": "self" if handle is None else handle}, run)
+                   {"subject": "self" if handle is None else handle}, body)
         return out["signed"]
 
     # ------------------------------------------------------------------
@@ -899,38 +861,35 @@ class Engine:
     # ------------------------------------------------------------------
 
     def revoke_region(self, caller: int, handle: int, child_index: int):
-        self._call(ApiCall.REVOKE, "revoke_region", caller,
-                   {"caller": caller, "handle": handle, "child": child_index},
-                   lambda dom: self._revoke_region(dom, handle, child_index))
+        def body(dom):
+            entry = self._resolve(dom, handle)
+            if entry.kind is not CapKind.REGION:
+                raise deny(ErrorCode.BAD_HANDLE, "expected a region capability")
+            parent = self.tree.get(entry.ref)
+            if not 0 <= child_index < len(parent.children):
+                raise deny(ErrorCode.NOT_A_CHILD, f"child index {child_index}")
+            child_id = parent.children[child_index]
+            self.tree.check_revoke(dom.id, parent.id, child_id)
+            regions, dom_ids = self._closure({child_id}, set())
+            self._execute_destruction(regions, dom_ids, dom.id,
+                                      f"revoke_region:{child_id}")
+            return {"parent": parent.id, "child": child_id,
+                    "regions": len(regions), "domains": len(dom_ids)}
 
-    def _revoke_region(self, dom: DomainNode, handle: int,
-                       child_index: int) -> dict:
-        entry = self._resolve(dom, handle)
-        if entry.kind is not CapKind.REGION:
-            raise deny(ErrorCode.BAD_HANDLE, "expected a region capability")
-        parent = self.tree.get(entry.ref)
-        if not 0 <= child_index < len(parent.children):
-            raise deny(ErrorCode.NOT_A_CHILD, f"child index {child_index}")
-        child_id = parent.children[child_index]
-        self.tree.check_revoke(dom.id, parent.id, child_id)
-        regions, dom_ids = self._closure({child_id}, set())
-        self._execute_destruction(regions, dom_ids, dom.id,
-                                  f"revoke_region:{child_id}")
-        return {"parent": parent.id, "child": child_id,
-                "regions": len(regions), "domains": len(dom_ids)}
+        self._call(ApiCall.REVOKE, "revoke_region", caller,
+                   {"handle": handle, "child": child_index}, body)
 
     def revoke_domain(self, caller: int, handle: int):
-        self._call(ApiCall.REVOKE, "revoke_domain", caller,
-                   {"caller": caller, "handle": handle},
-                   lambda dom: self._revoke_domain(dom, handle))
+        def body(dom):
+            child = self._resolve_td(dom, handle)
+            regions, dom_ids = self._closure(set(), {child.id})
+            self._execute_destruction(regions, dom_ids, dom.id,
+                                      f"revoke_domain:{child.id}")
+            return {"dom": child.id, "regions": len(regions),
+                    "domains": len(dom_ids)}
 
-    def _revoke_domain(self, dom: DomainNode, handle: int) -> dict:
-        child = self._resolve_td(dom, handle)
-        regions, dom_ids = self._closure(set(), {child.id})
-        self._execute_destruction(regions, dom_ids, dom.id,
-                                  f"revoke_domain:{child.id}")
-        return {"dom": child.id, "regions": len(regions),
-                "domains": len(dom_ids)}
+        self._call(ApiCall.REVOKE, "revoke_domain", caller,
+                   {"handle": handle}, body)
 
     def _closure(self, seed_regions: set[int],
                  seed_domains: set[int]) -> tuple[list[int], set[int]]:
@@ -1192,7 +1151,7 @@ class Engine:
         if args[1] != 0:
             return self._consume_buffer(caller, ApiCall.ATTEST, args[1])
         self._check_undrained(caller)
-        _, blob = self._attest(caller, None if args[0] == 0 else args[0] - 1)
+        _, blob = self._attest(caller, _optional(args[0]))
         return [len(blob), self._issue_buffer(caller, ApiCall.ATTEST, blob)]
 
     def _abi_enumerate(self, caller: int, core: int, args: list[int]):
@@ -1207,7 +1166,7 @@ class Engine:
                 len(blob)]
 
     def _abi_switch(self, caller: int, core: int, args: list[int]):
-        self.switch(caller, core, None if args[0] == 0 else args[0] - 1)
+        self.switch(caller, core, _optional(args[0]))
         return None
 
     def _abi_alias(self, caller: int, core: int, args: list[int]):
@@ -1229,7 +1188,7 @@ class Engine:
         return []
 
     def _abi_getchan(self, caller: int, core: int, args: list[int]):
-        return [self.getchan(caller, None if args[0] == 0 else args[0] - 1)]
+        return [self.getchan(caller, _optional(args[0]))]
 
     # -- continuation buffers
 
@@ -1270,41 +1229,39 @@ class Engine:
 
     def tree_alias(self, caller: int, handle: int, rng: PhysRange,
                    rights: Rights) -> int:
-        return self._call(
-            ApiCall.ALIAS, "alias", caller,
-            {"caller": caller, "handle": handle, "start": rng.start,
-             "end": rng.end, "rights": rights.render()},
-            lambda dom: self._derive(dom, handle, rng, rights, carve=False)
-        )["handle"]
+        return self._derive("alias", caller, handle, rng, rights)
 
     def tree_carve(self, caller: int, handle: int, rng: PhysRange,
                    rights: Rights) -> int:
-        return self._call(
-            ApiCall.CARVE, "carve", caller,
-            {"caller": caller, "handle": handle, "start": rng.start,
-             "end": rng.end, "rights": rights.render()},
-            lambda dom: self._derive(dom, handle, rng, rights, carve=True)
-        )["handle"]
+        return self._derive("carve", caller, handle, rng, rights)
 
-    def _derive(self, dom: DomainNode, handle: int, rng: PhysRange,
-                rights: Rights, carve: bool) -> dict:
-        entry = self._resolve(dom, handle)
-        if entry.kind is not CapKind.REGION:
-            raise deny(ErrorCode.BAD_HANDLE, "expected a region capability")
-        self._check_room(dom)
-        if carve:
-            new_id = self.tree.carve(dom.id, entry.ref, rng, rights)
-        else:
-            new_id = self.tree.alias(dom.id, entry.ref, rng, rights)
-        new_handle = dom.owned.insert(CapEntry(CapKind.REGION, new_id))
-        affected = self._cores_running({dom.id})
-        self.platform.barrier_update(
-            self._core_of(dom.id), affected,
-            lambda: self._push_views(affected),
-            f"{'carve' if carve else 'alias'}:{new_id}")
-        return {"region": new_id, "handle": new_handle,
-                "parent": entry.ref,
-                "status": self.tree.nodes[new_id].status.value}
+    def _derive(self, op: str, caller: int, handle: int, rng: PhysRange,
+                rights: Rights) -> int:
+        """ALIAS or CARVE, as `op` names: the call and the tree method."""
+        def body(dom):
+            entry = self._resolve(dom, handle)
+            if entry.kind is not CapKind.REGION:
+                raise deny(ErrorCode.BAD_HANDLE, "expected a region capability")
+            self._check_room(dom)
+            new_id = getattr(self.tree, op)(dom.id, entry.ref, rng, rights)
+            new_handle = dom.owned.insert(CapEntry(CapKind.REGION, new_id))
+            affected = self._cores_running({dom.id})
+            self.platform.barrier_update(
+                self._core_of(dom.id), affected,
+                lambda: self._push_views(affected), f"{op}:{new_id}")
+            return {"region": new_id, "handle": new_handle,
+                    "parent": entry.ref,
+                    "status": self.tree.nodes[new_id].status.value}
+
+        return self._call(ApiCall[op.upper()], op, caller,
+                          {"handle": handle, "start": rng.start,
+                           "end": rng.end, "rights": rights.render()},
+                          body)["handle"]
+
+
+def _optional(word: int) -> Optional[int]:
+    """A register word naming a handle or none: 0 is none, else handle + 1."""
+    return None if word == 0 else word - 1
 
 
 def _by_id(ids: tuple, ident: int, what: str):

@@ -255,6 +255,12 @@ class Platform:
         self._seq += 1
         return self._seq
 
+    def _log_phase(self, phase: str, core: Optional[int], tag: str):
+        """Log one phase of a barrier round; no core (None) logs as -1."""
+        self._seq += 1
+        self.protocol_log.append(ProtocolEvent(
+            self._seq, phase, -1 if core is None else core, tag))
+
     # -- monitor memory access (only legal when no domain can reach it) ----
 
     def read_bytes(self, rng: PhysRange) -> bytes:
@@ -323,27 +329,19 @@ class Platform:
         """
         others = sorted(c for c in affected if c != initiator)
         for core in others:
-            self.protocol_log.append(ProtocolEvent(
-                self.next_seq(), "ipi", core, tag))
+            self._log_phase("ipi", core, tag)
             self.cores[core].run_state = CoreRunState.PARKED
-            self.protocol_log.append(ProtocolEvent(
-                self.next_seq(), "park", core, tag))
-        self.protocol_log.append(ProtocolEvent(
-            self.next_seq(), "publish", -1 if initiator is None else initiator,
-            tag))
+            self._log_phase("park", core, tag)
+        self._log_phase("publish", initiator, tag)
         publish()
-        self.protocol_log.append(ProtocolEvent(
-            self.next_seq(), "release", -1 if initiator is None else initiator,
-            tag))
+        self._log_phase("release", initiator, tag)
         for core in others:
             self.cores[core].run_state = CoreRunState.RUNNING
             self.engine.process_updates(core)
-            self.protocol_log.append(ProtocolEvent(
-                self.next_seq(), "drain", core, tag))
+            self._log_phase("drain", core, tag)
         if initiator is not None and initiator in affected:
             self.engine.process_updates(initiator)
-            self.protocol_log.append(ProtocolEvent(
-                self.next_seq(), "drain", initiator, tag))
+            self._log_phase("drain", initiator, tag)
 
     # -- time --------------------------------------------------------------
 
@@ -416,6 +414,10 @@ class ConcurrentPlatform(Platform):
         with self._log_lock:
             self.access_log.append(event)
 
+    def _log_phase(self, phase: str, core: Optional[int], tag: str):
+        with self._log_lock:
+            super()._log_phase(phase, core, tag)
+
     # -- IPI servicing ------------------------------------------------------
 
     def service_ipi(self, core: int):
@@ -424,21 +426,13 @@ class ConcurrentPlatform(Platform):
             return
         self._ipi_requests[core] = None
         self.cores[core].run_state = CoreRunState.PARKED
-        with self._log_lock:
-            self.protocol_log.append(ProtocolEvent(
-                self._bump_seq(), "park", core, req.tag))
+        self._log_phase("park", core, req.tag)
         req.barrier1.wait()
         req.barrier2.wait()
         self.cores[core].run_state = CoreRunState.RUNNING
         with self.engine_lock:
             self.engine.process_updates(core)
-        with self._log_lock:
-            self.protocol_log.append(ProtocolEvent(
-                self._bump_seq(), "drain", core, req.tag))
-
-    def _bump_seq(self) -> int:
-        self._seq += 1
-        return self._seq
+        self._log_phase("drain", core, req.tag)
 
     def barrier_update(self, initiator: Optional[int], affected: set[int],
                        publish: Callable[[], None], tag: str):
@@ -452,25 +446,18 @@ class ConcurrentPlatform(Platform):
         barrier1 = threading.Barrier(len(live) + 1)
         barrier2 = threading.Barrier(len(live) + 1)
         for core in live:
-            with self._log_lock:
-                self.protocol_log.append(ProtocolEvent(
-                    self._bump_seq(), "ipi", core, tag))
+            self._log_phase("ipi", core, tag)
             self._ipi_requests[core] = _IpiRequest(barrier1, barrier2, tag)
             with self._work_cv[core]:
                 self._work_cv[core].notify()
         barrier1.wait()
-        with self._log_lock:
-            self.protocol_log.append(ProtocolEvent(
-                self._bump_seq(), "publish",
-                -1 if initiator is None else initiator, tag))
+        self._log_phase("publish", initiator, tag)
         publish()
-        with self._log_lock:
-            self.protocol_log.append(ProtocolEvent(
-                self._bump_seq(), "release",
-                -1 if initiator is None else initiator, tag))
+        self._log_phase("release", initiator, tag)
         barrier2.wait()
         if initiator is not None and initiator in affected:
             self.engine.process_updates(initiator)
+            self._log_phase("drain", initiator, tag)
 
     # -- worker threads -----------------------------------------------------
 

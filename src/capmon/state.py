@@ -2,12 +2,12 @@
 
 A dump captures the full logical state of the engine (trees, tables,
 policies, cores, id counters, continuation buffers and quantum deadlines)
-but not memory content; reloading is enough to attest and inspect, not to
-keep executing scenarios.  Domain records are the live ones and the
-revoked ones a core path still names; any other id below `next_domain`
-was revoked and reclaimed.  Two dumps compare equal exactly when the
-engine states do, which is how the tests prove that a rejected call
-changed nothing.
+but not memory content; reloading installs each core's view and is enough
+to attest and inspect, not to keep executing scenarios.  Domain records
+are the live ones and the revoked ones a core path still names; any other
+id below `next_domain` was revoked and reclaimed.  Two dumps compare equal
+exactly when the engine states do, which is how the tests prove that a
+rejected call changed nothing.
 """
 
 from __future__ import annotations
@@ -217,6 +217,7 @@ def load_state(dump: dict) -> Engine:
                               [ChainEntry(d, list(r), p)
                                for d, r, p in rec["irq"]["resume"]])
         cs.deferred_vectors = list(rec["deferred"])
+    engine._refresh_views({cs.id for cs in engine.cores})
     return engine
 
 

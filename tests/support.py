@@ -340,11 +340,10 @@ def fresh_memo(engine: Engine, dom, swept: Optional[dict] = None) -> ViewMemo:
     return ViewMemo(deps)
 
 
-def check_views(engine: Engine, cores: bool = True):
+def check_views(engine: Engine):
     """Each domain memo that still reads as valid holds what a build from
     scratch gives, and each core checks accesses against its current
-    domain's view as built from scratch (skipped when `cores` is false: an
-    engine reloaded from a dump has no core view installed)."""
+    domain's view as built from scratch."""
     swept: dict = {}
     fresh = {dom.id: fresh_memo(engine, dom, swept)
              for dom in engine.domains.values()}
@@ -360,7 +359,7 @@ def check_views(engine: Engine, cores: bool = True):
         assert memo.pages is None or \
             memo.pages == fresh[dom.id].page_map(), \
             f"domain {dom.id}: stale page memo"
-    for cs in engine.cores if cores else ():
+    for cs in engine.cores:
         memo = fresh.get(cs.current)
         view = [] if memo is None else memo.build_view()
         assert engine.platform.cores[cs.id].local_view == view, \

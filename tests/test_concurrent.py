@@ -69,6 +69,30 @@ class TestConcurrentBasics:
         assert ("park", 1) in phases
         assert drains and all(drains), drains
 
+    def test_barrier_round_logs_the_phases_step_mode_does(self):
+        # an alias by td0, which runs on both cores, from a worker on core
+        # 0: the initiator drains its own queue after the round and logs it
+        rounds = []
+        for concurrent in (False, True):
+            engine, td0, _ = boot(small_config(pages=32, cores=2),
+                                  concurrent=concurrent)
+            platform = engine.platform
+            root = engine.domains[td0].owned.find(CapKind.REGION, 0)
+
+            def alias():
+                engine.tree_alias(td0, root, PhysRange(A[0], A[1]), Rights.R)
+
+            if concurrent:
+                platform.start_cores()
+                platform.submit(0, alias)
+                platform.join()
+            else:
+                alias()
+            rounds.append(sorted((e.phase, e.core)
+                                 for e in platform.protocol_log))
+        assert ("drain", 0) in rounds[0]
+        assert rounds[1] == rounds[0]
+
     def test_views_are_read_under_the_engine_lock(self):
         # a view memo filled outside the lock could race a mutator and keep
         # a stale view for good, so every read of a domain's view memo, which

@@ -87,6 +87,25 @@ class TestSetGet:
         expect_code(ErrorCode.SEALED,
                     engine.set_policy, td0, handle, "cores", 0b01)
 
+    def test_register_reads_leave_the_state_unchanged(self):
+        # a read of an unsealed child's register creates no register file:
+        # a core of the machine without one reads as 0, any other core is
+        # denied, through the Python call and the register ABI alike
+        engine, td0 = small_engine()
+        handle = engine.create(td0)
+        before = dump_state(engine)
+        assert engine.get_register(td0, handle, 1, 3) == 0
+        for core in (2, 999, -5, 2**40):
+            expect_code(ErrorCode.CORE_NOT_ALLOWED,
+                        engine.get_register, td0, handle, core, 0)
+        regs = engine.domains[td0].core_regs(0)
+        for core in (1, 2, 2**64 - 1):
+            regs[:5] = [ApiCall.SET_GET, 1, handle, core, 0]
+            engine.monitor_call(0)
+            assert regs[0] == (0 if core == 1 else ErrorCode.CORE_NOT_ALLOWED)
+        regs[:5] = [0] * 5      # td0's own registers as they were
+        assert dump_state(engine) == before
+
     def test_policy_escalation_rejected(self):
         engine, td0 = small_engine()
         dom, dom_handle = make_child(engine, td0, cores=0b01,

@@ -322,12 +322,21 @@ class TestDumpReload:
         driver.run(300)  # each step's oracle diff warms the live views
         dump = state.dump_state(driver.engine)
         reloaded = state.load_state(dump)
-        assert all(node._view is None
-                   for node in reloaded.tree.nodes.values())
         assert state.dump_state(reloaded) == dump
         for nid in reloaded.tree.nodes:
             reloaded.tree.effective_view(nid)
+        for dom_id in list(reloaded.domains):
+            reloaded.view_cache_for(dom_id)
+        reloaded.page_access_map()
         assert state.dump_state(reloaded) == dump
+
+    def test_reloaded_td0_reads_its_page(self):
+        from capmon import state
+        engine, td0 = small_engine()
+        reloaded = state.load_state(state.dump_state(engine))
+        reloaded.platform.memory.data[PAGE] = 0x5A
+        assert reloaded.platform.read_mem(0, PAGE) == (True, 0x5A)
+        assert reloaded.domain_read(1, PAGE) == (True, 0x5A)
 
     def test_dump_round_trips_interrupt_state(self):
         import json
