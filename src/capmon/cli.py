@@ -88,7 +88,11 @@ def cmd_run(args) -> int:
     runner = ScenarioRunner(config, seed=args.seed,
                             concurrent=args.mode == "concurrent",
                             quantum=args.quantum)
-    status = runner.run(statements)
+    try:
+        status = runner.run(statements)
+    except ScriptError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
     if args.trace:
         with open(args.trace, "w") as fh:

@@ -11,7 +11,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .regions import PhysRange
 
 NUM_VECTORS = 256
 REG_PC = 16
@@ -198,7 +197,6 @@ class DomainNode:
     owned: CapTable = field(default_factory=CapTable)
     is_device: bool = False
     device_vector: Optional[int] = None
-    mmio: Optional[PhysRange] = None
     register_hash: Optional[bytes] = None
 
     def core_regs(self, core: int) -> list[int]:

@@ -10,7 +10,6 @@ time; in concurrent mode the platform supplies an IPI-aware lock.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import attest as attest_mod
@@ -39,33 +38,6 @@ MAX_UNDRAINED = 8
 CAP_SLOT_QUOTA = 256
 # selects the low register word of a drained 16-byte chunk
 _WORD_MASK = (1 << 64) - 1
-
-
-@dataclass
-class CapDescription:
-    """Enumerate output for a single owned capability."""
-
-    kind: str
-    status: str = ""
-    start: int = 0
-    end: int = 0
-    rights: str = ""
-    attributes: str = ""
-    state: str = ""
-    children: list[tuple[str, str, int, int, str]] = field(default_factory=list)
-
-    def render(self) -> str:
-        if self.kind == "region":
-            line = (f"region {self.status} {self.start:#x} {self.end:#x} "
-                    f"{self.rights}")
-            if self.attributes:
-                line += f" {self.attributes}"
-            for name, kind, start, end, rights in self.children:
-                line += f" | {kind} {start:#x} {end:#x} {name} {rights}"
-            return line
-        if self.kind == "domain":
-            return f"domain {self.state}"
-        return f"channel {self.state}"
 
 
 class ViewMemo:
@@ -122,7 +94,6 @@ class Engine:
         self.cores = [CoreState(i) for i in range(platform.ncores)]
         self.trace = TraceLog()
         self.root_region: Optional[int] = None
-        self.max_domains = platform.config.metadata_pool
         self.quantum: Optional[int] = None
         self._quantum_deadlines: dict[int, tuple[int, int]] = {}
         # continuation token -> (issuing domain, issuing call, output bytes,
@@ -206,7 +177,6 @@ class Engine:
             dev = self.domains.new(parent=td0.id)
             dev.is_device = True
             dev.device_vector = dev_cfg.vector
-            dev.mmio = dev_cfg.mmio
             dev.register_hash = self._register_hash(dev)
             dev.state = DomainState.SEALED
             carve_id = self.tree.carve(td0.id, self.root_region,
@@ -390,7 +360,7 @@ class Engine:
             if dom.state is not DomainState.SEALED or self._core_of(dom.id) < 0:
                 raise deny(ErrorCode.NOT_RUNNING,
                            "caller must be sealed and running")
-            if len(self.domains) >= self.max_domains:
+            if len(self.domains) >= self.platform.config.metadata_pool:
                 raise deny(ErrorCode.OUT_OF_METADATA, "domain pool exhausted")
             self._check_room(dom)
             child = self.domains.new(parent=dom.id)
@@ -666,6 +636,8 @@ class Engine:
         """Route a vector on a core and trace it as `irq`; `flags` name how
         it came (deferred, device or quantum)."""
         def body():
+            if not 0 <= core < len(self.cores):
+                raise deny(ErrorCode.CORE_NOT_ALLOWED, f"core {core}")
             if not 0 <= vector < NUM_VECTORS:
                 raise deny(ErrorCode.BAD_HANDLE, f"vector {vector}")
             cs = self.cores[core]
@@ -789,7 +761,7 @@ class Engine:
                           body)["handle"]
 
     def enumerate(self, caller: int, cursor: int):
-        """The description of the first capability at or after `cursor`, and
+        """The line describing the first capability at or after `cursor`, and
         the cursor after it; (None, end) when there is none."""
         out: dict = {}
 
@@ -797,38 +769,38 @@ class Engine:
             slots = dom.owned.slots
             if cursor < 0 or cursor > len(slots):
                 raise deny(ErrorCode.BAD_CURSOR, f"cursor {cursor}")
-            desc, nxt = None, len(slots)
+            line, nxt = None, len(slots)
             for index in range(cursor, len(slots)):
                 if slots[index] is not None:
-                    desc, nxt = self._describe(slots[index]), index + 1
+                    line, nxt = self._describe(slots[index]), index + 1
                     break
-            out["result"] = desc, nxt
+            out["result"] = line, nxt
             return {"next": nxt,
-                    "entry": desc.render().replace(" ", "~") if desc else "end"}
+                    "entry": "end" if line is None else line.replace(" ", "~")}
 
         self._call(ApiCall.ENUMERATE, "enumerate", caller, {"cursor": cursor},
                    body)
         return out["result"]
 
-    def _describe(self, entry: CapEntry) -> CapDescription:
-        if entry.kind is CapKind.REGION:
-            node = self.tree.get(entry.ref)
-            children = []
-            for n, cid in enumerate(node.children):
-                child = self.tree.nodes[cid]
-                children.append((f"c{n}", child.kind.value,
-                                 child.initial_range.start,
-                                 child.initial_range.end,
-                                 child.rights.render()))
-            return CapDescription(
-                kind="region", status=node.status.value,
-                start=node.initial_range.start, end=node.initial_range.end,
-                rights=node.rights.render(),
-                attributes=node.attributes.flags.render(),
-                children=children)
-        state = self.domains[entry.ref].state.value
-        kind = "domain" if entry.kind is CapKind.DOMAIN else "channel"
-        return CapDescription(kind=kind, state=state)
+    def _describe(self, entry: CapEntry) -> str:
+        """ENUMERATE's line for one capability: a region's status, range,
+        rights, attributes and children, or a domain's or channel's state."""
+        if entry.kind is not CapKind.REGION:
+            kind = "domain" if entry.kind is CapKind.DOMAIN else "channel"
+            return f"{kind} {self.domains[entry.ref].state.value}"
+        node = self.tree.get(entry.ref)
+        rng = node.initial_range
+        line = f"region {node.status.value} {rng.start:#x} {rng.end:#x} " \
+            f"{node.rights.render()}"
+        attributes = node.attributes.flags.render()
+        if attributes:
+            line += f" {attributes}"
+        for n, cid in enumerate(node.children):
+            child = self.tree.nodes[cid]
+            rng = child.initial_range
+            line += f" | {child.kind.value} {rng.start:#x} {rng.end:#x} " \
+                f"c{n} {child.rights.render()}"
+        return line
 
     def attest(self, caller: int, handle: Optional[int] = None,
                verifier_key: Optional[bytes] = None,
@@ -1158,10 +1130,10 @@ class Engine:
         if args[1] != 0:
             return self._consume_buffer(caller, ApiCall.ENUMERATE, args[1])
         self._check_undrained(caller)
-        desc, nxt = self.enumerate(caller, args[0])
-        if desc is None:
+        line, nxt = self.enumerate(caller, args[0])
+        if line is None:
             return [nxt, 0, 0]
-        blob = desc.render().encode()
+        blob = line.encode()
         return [nxt, self._issue_buffer(caller, ApiCall.ENUMERATE, blob),
                 len(blob)]
 

@@ -173,7 +173,6 @@ class CoreRunState:
 class SimCore:
     id: int
     run_state: str = CoreRunState.RUNNING
-    steps: int = 0
     queue: list = field(default_factory=list)
     # local cached view of the current domain: (start, end, rights) sorted
     # by start and disjoint, as disjoint_view builds it
@@ -251,10 +250,6 @@ class Platform:
     def ncores(self) -> int:
         return self.config.cores
 
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def _log_phase(self, phase: str, core: Optional[int], tag: str):
         """Log one phase of a barrier round; no core (None) logs as -1."""
         self._seq += 1
@@ -266,19 +261,21 @@ class Platform:
     def read_bytes(self, rng: PhysRange) -> bytes:
         if not self.memory.in_bounds(rng):
             raise deny(ErrorCode.OUT_OF_MEMORY_BOUNDS, repr(rng))
-        self.log_access(AccessEvent(
-            self.next_seq(), self.now, -1, -1, rng.start, "MON-R", True))
+        self.log_access(-1, -1, rng.start, "MON-R", True)
         return self.memory.peek(rng.start, rng.end)
 
     def zero_range(self, rng: PhysRange):
         if not self.memory.in_bounds(rng):
             raise deny(ErrorCode.OUT_OF_MEMORY_BOUNDS, repr(rng))
-        self.log_access(AccessEvent(
-            self.next_seq(), self.now, -1, -1, rng.start, "MON-W", True))
+        self.log_access(-1, -1, rng.start, "MON-W", True)
         self.memory.poke(rng.start, bytes(rng.end - rng.start))
 
-    def log_access(self, event: AccessEvent):
-        self.access_log.append(event)
+    def log_access(self, core: int, domain: int, addr: int, kind: str,
+                   allowed: bool):
+        """Number one access and append it to the access log."""
+        self._seq += 1
+        self.access_log.append(AccessEvent(
+            self._seq, self.now, core, domain, addr, kind, allowed))
 
     # -- interposed domain accesses ----------------------------------------
 
@@ -289,8 +286,7 @@ class Platform:
         domain = self.engine.current_domain(core)
         allowed = view_allows(sim.local_view, addr, kind) and \
             0 <= addr < self.memory.size
-        self.log_access(AccessEvent(
-            self.next_seq(), self.now, core, domain, addr, kind, allowed))
+        self.log_access(core, domain, addr, kind, allowed)
         return allowed
 
     def read_mem(self, core: int, addr: int) -> tuple[bool, int]:
@@ -306,9 +302,7 @@ class Platform:
 
     def dma_access(self, device_domain: int, addr: int, kind: str) -> bool:
         allowed = self.engine.domain_may_access(device_domain, addr, kind)
-        self.log_access(AccessEvent(
-            self.next_seq(), self.now, -1, device_domain, addr,
-            f"DMA-{kind}", allowed))
+        self.log_access(-1, device_domain, addr, f"DMA-{kind}", allowed)
         return allowed
 
     # -- update queues and the two-barrier protocol ------------------------
@@ -345,13 +339,12 @@ class Platform:
 
     # -- time --------------------------------------------------------------
 
-    def tick(self, n: int = 1, core: Optional[int] = None):
-        for _ in range(n):
-            self.now += 1
-            if core is not None:
-                self.cores[core].steps += 1
-            self._fire_due_irqs()
-            self.engine.check_quanta()
+    def tick(self, n: int = 1):
+        with self.engine_lock:
+            for _ in range(n):
+                self.now += 1
+                self._fire_due_irqs()
+                self.engine.check_quanta()
 
     def schedule_device_interrupt(self, vector: int, at_step: int):
         heapq.heappush(self._pending_irqs, (at_step, self._irq_order, vector))
@@ -405,14 +398,9 @@ class ConcurrentPlatform(Platform):
         self._errors: list[BaseException] = []
         self._thread_core = threading.local()
 
-    def next_seq(self) -> int:
+    def log_access(self, *event):
         with self._log_lock:
-            self._seq += 1
-            return self._seq
-
-    def log_access(self, event: AccessEvent):
-        with self._log_lock:
-            self.access_log.append(event)
+            super().log_access(*event)
 
     def _log_phase(self, phase: str, core: Optional[int], tag: str):
         with self._log_lock:
@@ -510,10 +498,6 @@ class ConcurrentPlatform(Platform):
         self._threads.clear()
         if self._errors:
             raise self._errors[0]
-
-    def tick(self, n: int = 1, core: Optional[int] = None):
-        # step accounting is advisory in concurrent mode
-        self.now += n
 
 
 def boot(config: MachineConfig, seed: int = 0, concurrent: bool = False):

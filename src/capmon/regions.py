@@ -178,7 +178,6 @@ class RegionTree:
     def __init__(self):
         self.nodes: dict[int, RegionNode] = {}
         self._next_id = 0
-        self._root_id: Optional[int] = None
 
     # -- construction ----------------------------------------------------
 
@@ -189,12 +188,11 @@ class RegionTree:
         return nid
 
     def create_root(self, owner: int, rng: PhysRange, rights: Rights) -> int:
-        assert self._root_id is None, "root region already exists"
+        assert not self.nodes, "root region already exists"
         nid = self._fresh_id()
         self.nodes[nid] = RegionNode(
             id=nid, owner=owner, initial_range=rng, rights=rights,
             status=RegionStatus.EXCLUSIVE, kind=DerivationKind.ROOT)
-        self._root_id = nid
         return nid
 
     # -- lookups ---------------------------------------------------------

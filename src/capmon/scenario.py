@@ -158,6 +158,10 @@ class ScenarioRunner:
     # -- execution ------------------------------------------------------------
 
     def run(self, statements: list[Statement]) -> int:
+        """Run a script; one naming a core the machine lacks runs nothing."""
+        for stmt in statements:
+            if not 0 <= stmt.core < self.engine.platform.ncores:
+                raise ScriptError(stmt.lineno, f"no core {stmt.core}")
         if self.concurrent:
             platform = self.engine.platform
             platform.start_cores()
@@ -175,7 +179,7 @@ class ScenarioRunner:
         except MonitorError:
             pass  # rejected operations are observable behavior, not crashes
         finally:
-            self.engine.platform.tick(1, stmt.core)
+            self.engine.platform.tick()
 
     def execute(self, stmt: Statement):
         handler = getattr(self, "_stmt_" + stmt.op.replace("-", "_"))

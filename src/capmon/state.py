@@ -28,7 +28,7 @@ from .regions import (
 )
 
 # a dump of another version has other keys, so load_state refuses it
-DUMP_VERSION = 7
+DUMP_VERSION = 8
 
 # enum fields are read as `_value_`: the same value as `.value`, without the
 # cost of that property on every field of every dump
@@ -114,7 +114,6 @@ def _dump_domain(dom) -> dict:
                   for e in dom.owned.slots],
         "is_device": dom.is_device,
         "device_vector": dom.device_vector,
-        "mmio": [dom.mmio.start, dom.mmio.end] if dom.mmio else None,
         "register_hash": dom.register_hash.hex() if dom.register_hash else None,
     }
 
@@ -164,8 +163,6 @@ def load_state(dump: dict) -> Engine:
     engine.quantum = dump["quantum"]
     engine._quantum_deadlines = {core: (deadline, dom) for core, deadline, dom
                                  in dump["quantum_deadlines"]}
-    if engine.root_region is not None:
-        engine.tree._root_id = engine.root_region
 
     for rec in dump["regions"]:
         node = RegionNode(
@@ -200,7 +197,6 @@ def load_state(dump: dict) -> Engine:
             for e in rec["owned"]]
         dom.is_device = rec["is_device"]
         dom.device_vector = rec["device_vector"]
-        dom.mmio = PhysRange(*rec["mmio"]) if rec["mmio"] else None
         dom.register_hash = bytes.fromhex(rec["register_hash"]) \
             if rec["register_hash"] else None
         if dom.live:

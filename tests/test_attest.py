@@ -239,17 +239,12 @@ class TestEnumerateFigureState:
             if desc is None:
                 break
             entries.append(desc)
-        exclusive = [d for d in entries
-                     if d.kind == "region" and d.status == "exclusive"]
-        assert len(exclusive) == 1
-        entry = exclusive[0]
-        assert (entry.start, entry.end) == (A[1], A[4])
-        assert entry.rights == "RWX"
-        assert entry.attributes == "HASH|CLEAN|VITAL"
-        kinds = [(kind, start, end, rights)
-                 for _, kind, start, end, rights in entry.children]
-        assert kinds == [("alias", A[2], A[3], "RW_"),
-                         ("carve", A[3], A[4], "RWX")]
+        assert entries == [
+            f"region aliased {A[0]:#x} {A[1]:#x} RW_",
+            f"region exclusive {A[1]:#x} {A[4]:#x} RWX HASH|CLEAN|VITAL"
+            f" | alias {A[2]:#x} {A[3]:#x} c0 RW_"
+            f" | carve {A[3]:#x} {A[4]:#x} c1 RWX",
+            "domain sealed"]
 
 
 class TestTextProjection:

@@ -21,6 +21,24 @@ GOLDEN = Path(__file__).parent / "golden"
 CONFIG = str(SCN / "small.mcfg")
 
 
+# small.mcfg with one device, vector 33
+DEVICE_CONFIG = ("memory 0x200000\n"
+                 "cores 2\n"
+                 "monitor_reserved 0x0 0x100000\n"
+                 "device net0 0x200000 0x201000 33\n")
+# tdq runs on core 0 until its 4-step quantum routes the timer vector
+QUANTUM_SCRIPT = ("boot\n"
+                  "create tdq\n"
+                  "set tdq cores 0b11\n"
+                  "set tdq mon_api 0b11111111111\n"
+                  "set tdq intr all noreport\n"
+                  "seal tdq\n"
+                  "switch tdq\n"
+                  "step 10\n"
+                  "expect current td0\n"
+                  "expect payload interrupt:32\n")
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -127,18 +145,44 @@ class TestRun:
 
     def test_quantum_flag_preempts(self, tmp_path):
         script = tmp_path / "quantum.tyscn"
-        script.write_text(
-            "boot\n"
-            "create tdq\n"
-            "set tdq cores 0b11\n"
-            "set tdq mon_api 0b11111111111\n"
-            "set tdq intr all noreport\n"
-            "seal tdq\n"
-            "switch tdq\n"
-            "step 10\n"
-            "expect current td0\n"
-            "expect payload interrupt:32\n")
+        script.write_text(QUANTUM_SCRIPT)
         assert run_cli("run", CONFIG, str(script), "--quantum", "4") == 0
+
+    def test_quantum_flag_preempts_in_concurrent_mode(self, tmp_path):
+        script = tmp_path / "quantum.tyscn"
+        script.write_text(QUANTUM_SCRIPT)
+        assert run_cli("run", CONFIG, str(script), "--quantum", "4",
+                       "--mode", "concurrent") == 0
+
+    @pytest.mark.parametrize("mode", ["step", "concurrent"])
+    def test_scheduled_device_interrupt_fires(self, tmp_path, mode):
+        config = tmp_path / "dev.mcfg"
+        config.write_text(DEVICE_CONFIG)
+        script = tmp_path / "devirq.tyscn"
+        script.write_text("boot\ndevirq net0 at 8\nstep 10\n")
+        trace = tmp_path / "out.trace"
+        assert run_cli("run", str(config), str(script), "--mode", mode,
+                       "--trace", str(trace)) == 0
+        irqs = [line for line in trace.read_text().splitlines()
+                if " irq " in line]
+        assert irqs == ["8 0 irq vector=0x21 device=1 -> ok handler=0 "
+                        "delivered=inplace"]
+
+    @pytest.mark.parametrize("prefix", ["@7", "@2", "@-1"])
+    def test_core_outside_the_machine_exits_two(self, tmp_path, prefix):
+        script = tmp_path / "core.tyscn"
+        script.write_text(f"boot\n{prefix} irq 3\n")
+        assert run_cli("run", CONFIG, str(script)) == 2
+
+    def test_core_outside_the_machine_runs_nothing(self):
+        from capmon import parse_config
+        from capmon.scenario import ScenarioRunner, ScriptError, parse_script
+        runner = ScenarioRunner(parse_config(Path(CONFIG).read_text()))
+        boot_trace = runner.engine.trace.dump()
+        with pytest.raises(ScriptError, match="line 2: no core 7"):
+            runner.run(parse_script("create a\n@7 create b\n"))
+        assert runner.engine.trace.dump() == boot_trace
+        assert runner.engine.platform.now == 0
 
 
 class TestAttestationGolden:

@@ -295,6 +295,10 @@ class TestConcurrentStress:
         engine, td0, tdA, tdB, config = self.run_stress()
         platform = engine.platform
 
+        # 0. each access is numbered as it is appended
+        seqs = [access.seq for access in platform.access_log]
+        assert all(a < b for a, b in zip(seqs, seqs[1:]))
+
         # 1. parked cores perform no accesses between park and drain
         windows = {}
         for event in platform.protocol_log:

@@ -12,6 +12,7 @@ from capmon.domains import (
 )
 from capmon.errors import ErrorCode, MonitorError
 from capmon.machine import FAULT_VECTOR, TIMER_VECTOR
+from capmon.state import dump_state
 
 from support import (
     build_policy_tree, delivered_in_place, drive_resume, make_child,
@@ -79,6 +80,16 @@ class TestRouting:
         assert handler == td0
         assert engine.cores[0].irq is None
         assert (0, 7, td0) in delivered_in_place(engine)
+
+    @pytest.mark.parametrize("core", [2, 7, -1])
+    def test_vector_on_a_core_outside_the_machine_is_denied(self, core):
+        engine, td0 = small_engine(cores=2)
+        before = dump_state(engine)
+        expect_code(ErrorCode.CORE_NOT_ALLOWED, engine.route_interrupt,
+                    core, 3)
+        assert dump_state(engine) == before
+        assert engine.trace.records[-1].to_line() == \
+            f"0 {core} irq vector=3 -> err=CORE_NOT_ALLOWED"
 
     def test_walk_to_first_deliver(self):
         engine, td0 = small_engine()
@@ -317,9 +328,9 @@ class TestQuantum:
             interrupts=[(TIMER_VECTOR, Visibility.NOT_REPORT, 0)])
         engine.switch(td0, 0, mid_handle)
         assert engine.current_domain(0) == mid
-        engine.platform.tick(3, core=0)
+        engine.platform.tick(3)
         assert engine.current_domain(0) == mid
-        engine.platform.tick(2, core=0)
+        engine.platform.tick(2)
         assert engine.current_domain(0) == td0
         assert engine.cores[0].last_payload == (PayloadCode.INTERRUPT,
                                                 TIMER_VECTOR)
@@ -330,7 +341,7 @@ class TestQuantum:
         mid, mid_handle = make_child(engine, td0)
         engine.switch(td0, 0, mid_handle)
         engine.switch(mid, 0, None)
-        engine.platform.tick(10, core=0)
+        engine.platform.tick(10)
         assert engine.current_domain(0) == td0
         assert engine.cores[0].last_payload == (PayloadCode.RETURNED, mid)
 

@@ -78,14 +78,14 @@ class TestReclaim:
                                    PhysRange(PAGE, 2 * PAGE), Rights.RW)
         expect_code(ErrorCode.DOMAIN_REVOKED, engine.send, td0, region, chan)
         # enumerate still describes the channel, as revoked
-        cursor, states = 0, []
+        cursor, channels = 0, []
         while True:
             desc, cursor = engine.enumerate(td0, cursor)
             if desc is None:
                 break
-            if desc.kind == "channel":
-                states.append(desc.state)
-        assert states == ["revoked"]
+            if desc.startswith("channel"):
+                channels.append(desc)
+        assert channels == ["channel revoked"]
         # ids are never reused: one at or above the counter is unknown
         expect_code(ErrorCode.UNKNOWN_DOMAIN, engine.domain,
                     engine.domains.next_id)
@@ -123,7 +123,7 @@ class TestReclaim:
         gone, handle = make_child(engine, td0)
         engine.revoke_domain(td0, handle)
         dump = state.dump_state(engine)
-        assert dump["version"] == 7
+        assert dump["version"] == 8
         assert [rec["id"] for rec in dump["domains"]] == [td0, keep]
         reloaded = state.load_state(json.loads(json.dumps(dump)))
         assert state.dump_state(reloaded) == dump
@@ -131,7 +131,7 @@ class TestReclaim:
         expect_code(ErrorCode.UNKNOWN_DOMAIN, reloaded.domain,
                     dump["next_domain"])
         with pytest.raises(ValueError):
-            state.load_state(dict(dump, version=6))
+            state.load_state(dict(dump, version=7))
 
     def test_step_mode_frees_the_current_domain_after_its_unwind(self):
         engine, td0 = small_engine()
