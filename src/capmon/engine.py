@@ -1054,8 +1054,15 @@ class Engine:
         code.  Large outputs are consumed via a continuation token.  The
         whole call, register decoding included, holds the engine lock.  A
         call rejected before any monitor call traced it is traced as `abi`.
+        A core outside the machine has no registers to answer in, so its
+        call is traced and raised.
         """
         with self.platform.engine_lock:
+            if not 0 <= core < len(self.cores):
+                self.trace.record(OpRecord(
+                    self.platform.now, core, "abi", {}, False,
+                    ErrorCode.CORE_NOT_ALLOWED.name))
+                raise deny(ErrorCode.CORE_NOT_ALLOWED, f"core {core}")
             self.process_updates(core)
             caller_id = self.cores[core].current
             caller = self.domains[caller_id]

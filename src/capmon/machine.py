@@ -6,6 +6,17 @@ engine: a deterministic single-context stepper used for golden tests, and a
 concurrent mode with one worker thread per core where the engine's
 serialization plus the two-barrier update protocol are the only cross-core
 synchronization.
+
+The platform keeps two logs, each a ring of the newest LOG_KEEP entries,
+so neither grows with the length of a run.  Entries are plain tuples:
+
+    access_log:   (seq, step, core, domain, addr, kind, allowed)
+    protocol_log: (seq, phase, core, tag)
+
+`seq` numbers accesses and barrier phases in one sequence; `core` is -1 for
+monitor and device accesses and for a phase with no initiating core; `kind`
+is R / W / X / DMA-R / DMA-W / MON-R / MON-W; `phase` is ipi / park /
+publish / release / drain.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ import heapq
 import threading
 import time
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -25,6 +37,7 @@ from .regions import PAGE, PhysRange
 FAULT_VECTOR = 14       # synthetic fault raised by denied accesses
 TIMER_VECTOR = 32       # synthetic preemption when a switch quantum expires
 MAX_CORES = 64
+LOG_KEEP = 4096         # entries each platform log keeps, newest last
 
 
 @dataclass(frozen=True)
@@ -128,25 +141,6 @@ def parse_config(text: str) -> MachineConfig:
     return config
 
 
-@dataclass
-class AccessEvent:
-    seq: int
-    step: int
-    core: int           # -1 for monitor or device accesses
-    domain: int
-    addr: int
-    kind: str           # R / W / X / DMA-R / DMA-W / MON-R / MON-W
-    allowed: bool
-
-
-@dataclass
-class ProtocolEvent:
-    seq: int
-    phase: str          # ipi / park / publish / release / drain
-    core: int
-    tag: str
-
-
 class SimMemory:
     """Byte-addressable physical memory; the simulator is its only owner."""
 
@@ -234,8 +228,9 @@ class Platform:
         self.engine = None
         self.now = 0
         self._seq = 0
-        self.access_log: list[AccessEvent] = []
-        self.protocol_log: list[ProtocolEvent] = []
+        # rings of plain tuples; the module docstring gives their layouts
+        self.access_log: deque[tuple] = deque(maxlen=LOG_KEEP)
+        self.protocol_log: deque[tuple] = deque(maxlen=LOG_KEEP)
         self._pending_irqs: list[tuple[int, int, int]] = []  # (step, order, vector)
         self._irq_order = 0
         # one context runs everything, so engine calls need no lock
@@ -253,8 +248,8 @@ class Platform:
     def _log_phase(self, phase: str, core: Optional[int], tag: str):
         """Log one phase of a barrier round; no core (None) logs as -1."""
         self._seq += 1
-        self.protocol_log.append(ProtocolEvent(
-            self._seq, phase, -1 if core is None else core, tag))
+        self.protocol_log.append(
+            (self._seq, phase, -1 if core is None else core, tag))
 
     # -- monitor memory access (only legal when no domain can reach it) ----
 
@@ -274,12 +269,16 @@ class Platform:
                    allowed: bool):
         """Number one access and append it to the access log."""
         self._seq += 1
-        self.access_log.append(AccessEvent(
-            self._seq, self.now, core, domain, addr, kind, allowed))
+        self.access_log.append(
+            (self._seq, self.now, core, domain, addr, kind, allowed))
 
     # -- interposed domain accesses ----------------------------------------
 
     def mem_access(self, core: int, addr: int, kind: str) -> bool:
+        # a negative core would index the core list from its end and be
+        # logged as a monitor access
+        if not 0 <= core < self.config.cores:
+            raise deny(ErrorCode.CORE_NOT_ALLOWED, f"core {core}")
         sim = self.cores[core]
         assert sim.run_state != CoreRunState.PARKED, \
             "parked cores make no memory accesses"

@@ -2,6 +2,7 @@
 registers 1..6, results in registers 0..3, large outputs drained through a
 continuation token."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from capmon import AttestationReport, Rights
@@ -9,7 +10,7 @@ from capmon.domains import (
     ALL_CALLS_MASK, ApiCall, CapKind, InterruptPolicy, PayloadCode, Visibility,
 )
 from capmon.engine import MAX_UNDRAINED
-from capmon.errors import ErrorCode
+from capmon.errors import ErrorCode, MonitorError
 from capmon.regions import PAGE
 from capmon.state import dump_state
 
@@ -294,6 +295,23 @@ class TestAbiContinuation:
 
 
 class TestAbiRejections:
+    @pytest.mark.parametrize("core", [2, 7, -1])
+    def test_call_from_a_core_outside_the_machine_is_denied(self, core):
+        # -1 would run core 1's caller from its registers
+        engine, td0 = small_engine(cores=2)
+        platform = engine.platform
+        load(engine, 1, ApiCall.CREATE)
+        before = dump_state(engine)
+        logs = list(platform.access_log), list(platform.protocol_log)
+        traced = len(engine.trace.records)
+        with pytest.raises(MonitorError) as err:
+            engine.monitor_call(core)
+        assert err.value.code is ErrorCode.CORE_NOT_ALLOWED
+        assert dump_state(engine) == before
+        assert (list(platform.access_log), list(platform.protocol_log)) == logs
+        assert [r.to_line() for r in engine.trace.records[traced:]] == \
+            [f"0 {core} abi -> err=CORE_NOT_ALLOWED"]
+
     def test_rejected_calls_change_only_register_zero(self):
         engine, td0 = small_engine()
         # user calls stay off and the REVOKE bit is clear for the child

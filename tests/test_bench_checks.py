@@ -3,7 +3,8 @@ change that breaks the `fuzz_checked` rejection and oracle checks, the
 `guest_mem` access verdicts, or the `tenant_sessions` signature, PCR,
 verdict or CLEAN checks fails here, not only in a benchmark run.  So does a
 change that deletes or renames a name the benchmark's self-tests plant
-faults in or its layer tracer wraps."""
+faults in or its layer tracer wraps, and one that lets the platform's
+access log grow with the round."""
 
 import io
 import sys
@@ -11,6 +12,8 @@ import unittest
 from pathlib import Path
 
 import pytest
+
+from capmon.machine import LOG_KEEP
 
 # the workload modules import each other by module name
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -40,6 +43,14 @@ def test_guest_mem_round_passes_its_checks():
     res = harness.run_round(guest_mem.GuestMem(seed=1, ops=600))
     assert res.failed == 0, res.messages
     assert res.ops == 600
+
+
+def test_guest_mem_round_keeps_a_bounded_access_log():
+    # a round of 600 ops makes about 9,600 accesses; the platform keeps
+    # only the newest LOG_KEEP of them
+    res = harness.run_round(guest_mem.GuestMem(seed=1, ops=600))
+    assert res.failed == 0, res.messages
+    assert res.counts["access_log"] == LOG_KEEP
 
 
 def test_benchmark_selftest_passes():

@@ -8,6 +8,7 @@ import pytest
 
 from capmon import DeviceConfig, Oracle, PhysRange, Rights, boot
 from capmon.domains import ALL_CALLS_MASK, ApiCall, CapKind, CapTable
+from capmon.machine import LOG_KEEP
 from capmon.regions import PAGE
 from capmon.scenario import ScenarioRunner, parse_script
 from capmon.state import dump_state
@@ -63,8 +64,9 @@ class TestConcurrentBasics:
                                Rights.RWX)
         engine.send(td0, rh, handle)  # main thread initiates; core 1 parks
         platform.join()
-        phases = [(e.phase, e.core) for e in platform.protocol_log
-                  if e.tag.startswith("send:")]
+        phases = [(phase, core)
+                  for _, phase, core, tag in platform.protocol_log
+                  if tag.startswith("send:")]
         assert ("ipi", 1) in phases
         assert ("park", 1) in phases
         assert drains and all(drains), drains
@@ -88,8 +90,8 @@ class TestConcurrentBasics:
                 platform.join()
             else:
                 alias()
-            rounds.append(sorted((e.phase, e.core)
-                                 for e in platform.protocol_log))
+            rounds.append(sorted(
+                (phase, core) for _, phase, core, _ in platform.protocol_log))
         assert ("drain", 0) in rounds[0]
         assert rounds[1] == rounds[0]
 
@@ -295,31 +297,37 @@ class TestConcurrentStress:
         engine, td0, tdA, tdB, config = self.run_stress()
         platform = engine.platform
 
+        # the checks below replay both logs whole, so neither may have
+        # dropped its oldest entries
+        assert len(platform.access_log) < LOG_KEEP
+        assert len(platform.protocol_log) < LOG_KEEP
+
         # 0. each access is numbered as it is appended
-        seqs = [access.seq for access in platform.access_log]
+        seqs = [access[0] for access in platform.access_log]
         assert all(a < b for a, b in zip(seqs, seqs[1:]))
 
         # 1. parked cores perform no accesses between park and drain
         windows = {}
-        for event in platform.protocol_log:
-            if event.phase == "park":
-                windows.setdefault(event.core, []).append([event.seq, None])
-            elif event.phase == "drain":
-                spans = windows.get(event.core)
+        for seq, phase, core, _ in platform.protocol_log:
+            if phase == "park":
+                windows.setdefault(core, []).append([seq, None])
+            elif phase == "drain":
+                spans = windows.get(core)
                 if spans and spans[-1][1] is None:
-                    spans[-1][1] = event.seq
-        for access in platform.access_log:
-            if access.core < 0:
+                    spans[-1][1] = seq
+        for seq, _, core, _, _, _, _ in platform.access_log:
+            if core < 0:
                 continue
-            for lo, hi in windows.get(access.core, []):
+            for lo, hi in windows.get(core, []):
                 if hi is not None:
-                    assert not (lo < access.seq < hi), \
-                        f"access at seq {access.seq} inside barrier window"
+                    assert not (lo < seq < hi), \
+                        f"access at seq {seq} inside barrier window"
 
         # 2. every access decision matches the oracle state at that moment;
         # publishes happen while affected cores are parked, so the page map
         # built from ops published before an access is authoritative for it
-        publishes = [e for e in platform.protocol_log if e.phase == "publish"]
+        publishes = [seq for seq, phase, _, _ in platform.protocol_log
+                     if phase == "publish"]
         barrier_records = [
             r for r in engine.trace.records
             if r.ok and (r.op in ("alias", "carve", "revoke_region",
@@ -332,22 +340,23 @@ class TestConcurrentStress:
             if id(rec) not in barrier_ids:
                 oracle.apply(rec)  # page-map neutral: registers domains etc.
         events = sorted(
-            [("publish", e.seq, i) for i, e in enumerate(publishes)] +
-            [("access", a.seq, a) for a in platform.access_log
-             if a.core >= 0],
+            [("publish", seq, i) for i, seq in enumerate(publishes)] +
+            # an access is (seq, step, core, ...); core -1 is the monitor's
+            [("access", a[0], a) for a in platform.access_log
+             if a[2] >= 0],
             key=lambda t: t[1])
         checks = 0
         for kind, seq, payload in events:
             if kind == "publish":
                 oracle.apply(barrier_records[payload])
                 continue
-            access = payload
-            page_map = oracle.address_map().get(access.domain, {})
-            rights, _ = page_map.get(access.addr // PAGE, (0, False))
-            bit = {"R": 4, "W": 2, "X": 1}[access.kind]
-            expected = bool(rights & bit) and access.addr < config.memory_size
-            assert access.allowed == expected, \
-                f"seq {seq}: {access} vs oracle rights {rights}"
+            _, _, _, domain, addr, access_kind, allowed = payload
+            page_map = oracle.address_map().get(domain, {})
+            rights, _ = page_map.get(addr // PAGE, (0, False))
+            bit = {"R": 4, "W": 2, "X": 1}[access_kind]
+            expected = bool(rights & bit) and addr < config.memory_size
+            assert allowed == expected, \
+                f"seq {seq}: {payload} vs oracle rights {rights}"
             checks += 1
         assert checks > 100, "stress must generate real probes"
 

@@ -1,5 +1,7 @@
 """Simulated machine: config parsing, boot state, access interposition,
-update protocol ordering, and device modeling."""
+update protocol ordering, bounded logs, and device modeling."""
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from capmon import (
 )
 from capmon.domains import ALL_CALLS_MASK, CapKind
 from capmon.errors import ErrorCode
-from capmon.machine import disjoint_view, view_allows
+from capmon.machine import LOG_KEEP, disjoint_view, view_allows
 from capmon.regions import PAGE
+from capmon.state import dump_state
 
 from support import (
     FuzzDriver, delivered_in_place, make_child, small_config, small_engine,
@@ -111,10 +114,10 @@ class TestInterposition:
         ok = engine.platform.write_mem(0, 0x10, 0xFF)  # reserved page
         assert not ok
         log = engine.platform.access_log
-        assert any(e.allowed and e.kind == "R" and e.addr == A[0]
-                   for e in log)
-        assert any(not e.allowed and e.kind == "W" and e.addr == 0x10
-                   for e in log)
+        assert any(allowed and kind == "R" and addr == A[0]
+                   for _, _, _, _, addr, kind, allowed in log)
+        assert any(not allowed and kind == "W" and addr == 0x10
+                   for _, _, _, _, addr, kind, allowed in log)
         # the denied write must not have modified memory
         assert engine.platform.memory.peek(0x10, 0x11) == b"\x00"
 
@@ -140,6 +143,24 @@ class TestInterposition:
         engine.send(td0, rh, handle)
         assert not engine.platform.mem_access(0, A[0], "W")
         assert engine.platform.mem_access(0, A[2], "W")
+
+    @pytest.mark.parametrize("core", [2, 7, -1])
+    def test_access_from_a_core_outside_the_machine_is_denied(self, core):
+        # -1 would read core 1's view and log as a monitor access
+        engine, td0 = small_engine(cores=2)
+        platform = engine.platform
+        before = dump_state(engine)
+        logs = list(platform.access_log), list(platform.protocol_log)
+        traced = len(engine.trace.records)
+        expect_code(ErrorCode.CORE_NOT_ALLOWED, engine.domain_read, core, A[0])
+        expect_code(ErrorCode.CORE_NOT_ALLOWED, engine.domain_write, core,
+                    A[0], 1)
+        expect_code(ErrorCode.CORE_NOT_ALLOWED, platform.mem_access, core,
+                    A[0], "X")
+        assert dump_state(engine) == before
+        assert (list(platform.access_log), list(platform.protocol_log)) == logs
+        assert len(engine.trace.records) == traced
+        assert platform.memory.peek(A[0], A[0] + 1) == b"\x00"
 
 
 def linear_view_allows(segments, addr, kind):
@@ -173,9 +194,9 @@ class TestUpdateProtocol:
         rh = engine.tree_carve(td0, root_handle, PhysRange(A[0], A[2]),
                                Rights.RWX)
         engine.send(td0, rh, handle)
-        events = [e for e in engine.platform.protocol_log
-                  if e.tag.startswith("send:")]
-        phases = [(e.phase, e.core) for e in events]
+        phases = [(phase, core)
+                  for _, phase, core, tag in engine.platform.protocol_log
+                  if tag.startswith("send:")]
         # core 1 (running the receiver) parks before publish, drains after
         assert ("park", 1) in phases and ("drain", 1) in phases
         order = [p for p, _ in phases]
@@ -202,6 +223,50 @@ class TestUpdateProtocol:
             engine.platform.mem_access(0, A[0], "R")
 
 
+class TestBoundedLogs:
+    def test_access_log_keeps_the_newest_accesses(self):
+        engine, td0 = small_engine()
+        platform = engine.platform
+        for _ in range(3 * LOG_KEEP):
+            platform.read_mem(0, A[0])
+        platform.write_mem(0, 0x10, 1)   # the newest access, a denied one
+        log = platform.access_log
+        assert len(log) == LOG_KEEP
+        seqs = [access[0] for access in log]
+        assert seqs == list(range(seqs[-1] - LOG_KEEP + 1, seqs[-1] + 1))
+        assert seqs[-1] == platform._seq
+        assert log[-1][2:] == (0, td0, 0x10, "W", False)
+
+    def test_protocol_log_keeps_the_newest_phases(self):
+        engine, td0 = small_engine(cores=2)
+        platform = engine.platform
+        rounds = 0
+        while rounds * 6 < 3 * LOG_KEEP:   # six phases a round
+            platform.barrier_update(0, {0, 1}, lambda: None, f"r{rounds}")
+            rounds += 1
+        log = platform.protocol_log
+        assert len(log) == LOG_KEEP
+        seqs = [event[0] for event in log]
+        assert seqs == list(range(seqs[-1] - LOG_KEEP + 1, seqs[-1] + 1))
+        assert seqs[-1] == platform._seq
+        assert log[-1][1:] == ("drain", 0, f"r{rounds - 1}")
+
+    def test_memory_stays_flat_once_the_ring_is_full(self):
+        engine, td0 = small_engine()
+        platform = engine.platform
+        tracemalloc.start()
+        try:
+            for _ in range(2 * LOG_KEEP):
+                platform.read_mem(0, A[0])
+            full = tracemalloc.get_traced_memory()[0]
+            for _ in range(2 * LOG_KEEP):
+                platform.read_mem(0, A[0])
+            later = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert later - full < 4096, (full, later)
+
+
 class TestClean:
     def test_clean_zeroes_between_removal_and_restore(self):
         engine, td0 = small_engine()
@@ -218,8 +283,8 @@ class TestClean:
         assert engine.platform.memory.peek(rng.start, rng.end) == \
             bytes(rng.end - rng.start)
         # monitor wrote the range inside the operation
-        assert any(e.kind == "MON-W" and e.addr == rng.start
-                   for e in engine.platform.access_log)
+        assert any(kind == "MON-W" and addr == rng.start
+                   for _, _, _, _, addr, kind, _ in engine.platform.access_log)
 
 
 class TestDevices:
