@@ -71,6 +71,23 @@ def main(argv=None) -> int:
 
 
 def cmd_run(args) -> int:
+    # arguments are checked before anything runs or any file is written
+    if not 0 <= args.seed < 1 << 64:
+        # the attestation key is derived from the seed's 8 bytes
+        print(f"parse error: --seed {args.seed}: must be 0 .. 2**64-1",
+              file=sys.stderr)
+        return EXIT_PARSE
+    if args.quantum is not None and args.quantum < 1:
+        print(f"parse error: --quantum {args.quantum}: must be 1 or more",
+              file=sys.stderr)
+        return EXIT_PARSE
+    reports = []
+    for spec in args.attest:
+        if "=" not in spec:
+            print(f"parse error: bad --attest spec {spec!r}: "
+                  f"expected NAME=PATH", file=sys.stderr)
+            return EXIT_PARSE
+        reports.append(spec.split("=", 1))
     try:
         with open(args.config) as fh:
             config = parse_config(fh.read())
@@ -99,11 +116,7 @@ def cmd_run(args) -> int:
             fh.write(runner.engine.trace.dump())
     if args.dump:
         state_mod.write_dump(runner.engine, args.dump)
-    for spec in args.attest:
-        if "=" not in spec:
-            print(f"bad --attest spec {spec!r}", file=sys.stderr)
-            return EXIT_PARSE
-        name, path = spec.split("=", 1)
+    for name, path in reports:
         report = runner.reports.get(name)
         if report is None:
             print(f"script produced no report named {name!r}",
@@ -176,16 +189,25 @@ def cmd_verify(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_PARSE
+        if not isinstance(meta, dict):
+            print(f"parse error: {args.meta}: not a JSON object",
+                  file=sys.stderr)
+            return EXIT_PARSE
         key = key or meta.get("monitor_public_key")
         pcr = pcr or meta.get("pcr")
     if not key or not pcr:
         print("need --key and --pcr (or --meta)", file=sys.stderr)
         return EXIT_PARSE
 
-    nonce = bytes.fromhex(args.nonce) if args.nonce else None
     try:
-        attest_mod.verify_report(report, bytes.fromhex(key),
-                                 bytes.fromhex(pcr), nonce)
+        key = _hex("key", key)
+        pcr = _hex("pcr", pcr)
+        nonce = _hex("nonce", args.nonce) if args.nonce else None
+    except ValueError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        attest_mod.verify_report(report, key, pcr, nonce)
     except MonitorError as exc:
         print(exc.code.name)
         return EXIT_FAIL
@@ -207,6 +229,15 @@ def cmd_verify(args) -> int:
                        verdict, clauses)
         status = status or (EXIT_OK if verdict else EXIT_FAIL)
     return status
+
+
+def _hex(name: str, text) -> bytes:
+    """A hex argument's bytes; anything else, such as a JSON number in the
+    metadata, is a ValueError naming the argument."""
+    try:
+        return bytes.fromhex(text)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} {text!r} is not hex") from None
 
 
 def _print_clauses(label: str, verdict: bool, clauses):

@@ -274,9 +274,10 @@ class Update:
     kind: UpdateKind
     domain: Optional[int] = None
     vector: Optional[int] = None
-    # the view for ACCESS_CHANGED, computed when the change is published; the
-    # drain, under the engine lock like every drain, installs it as it is
-    view: Optional[list[tuple[int, int, int]]] = None
+    # the view for ACCESS_CHANGED (machine.page_view bytes), computed when
+    # the change is published; the drain, under the engine lock like every
+    # drain, installs it as it is
+    view: Optional[bytes] = None
     # precomputed unwind for DOMAIN_REVOKED
     unwind: Optional[dict] = None
 

@@ -22,7 +22,7 @@ from .domains import (
 )
 from .errors import ErrorCode, MonitorError, deny
 from .machine import (
-    FAULT_VECTOR, TIMER_VECTOR, CoreRunState, disjoint_view, view_allows,
+    FAULT_VECTOR, TIMER_VECTOR, CoreRunState, page_view, view_allows,
 )
 from .regions import (
     PAGE, AttrFlags, PhysRange, RegionAttributes, RegionStatus, RegionTree,
@@ -50,8 +50,9 @@ class ViewMemo:
     def __init__(self, deps: list[tuple[int, list[ViewSegment]]]):
         # (region id, the effective_view list the memo was built from)
         self.deps = deps
-        # the disjoint view, filled by view_cache_for
-        self.view: Optional[list[tuple[int, int, int]]] = None
+        # one rights byte per page (machine.page_view), filled by
+        # view_cache_for; immutable, so cores and updates share it
+        self.view: Optional[bytes] = None
         # page -> (rights, exclusive), filled by page_access_map
         self.pages: Optional[dict[int, tuple[int, bool]]] = None
 
@@ -65,8 +66,8 @@ class ViewMemo:
                 return False
         return True
 
-    def build_view(self) -> list[tuple[int, int, int]]:
-        return disjoint_view([
+    def build_view(self) -> bytes:
+        return page_view([
             (seg.range.start, seg.range.end, int(seg.rights))
             for _, view in self.deps for seg in view])
 
@@ -291,12 +292,15 @@ class Engine:
                 if entry.kind is CapKind.REGION])
         return memo
 
-    def view_cache_for(self, dom_id: int) -> list[tuple[int, int, int]]:
-        """The view the interposer checks a domain's accesses against; the
-        list is the domain's memo, so callers must not mutate it."""
+    def view_cache_for(self, dom_id: int) -> bytes:
+        """The view the interposer checks a domain's accesses against: one
+        rights byte per page up to the domain's last granted page, so at
+        most address_top // PAGE bytes.  It is the domain's memo, shared as
+        immutable bytes; a domain that does not exist sees b"", which
+        grants nothing."""
         dom = self.domains.get(dom_id)
         if dom is None:
-            return []
+            return b""
         memo = self._view_memo(dom)
         if memo.view is None:
             memo.view = memo.build_view()
@@ -310,7 +314,7 @@ class Engine:
     def _push_views(self, cores: set[int]):
         """Queue each core's new view of the domain it runs (drained later);
         cores that run the same domain share one view."""
-        views: dict[int, list[tuple[int, int, int]]] = {}
+        views: dict[int, bytes] = {}
         for core in cores:
             current = self.cores[core].current
             if current not in views:

@@ -25,7 +25,6 @@ import contextlib
 import heapq
 import threading
 import time
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -168,53 +167,33 @@ class SimCore:
     id: int
     run_state: str = CoreRunState.RUNNING
     queue: list = field(default_factory=list)
-    # local cached view of the current domain: (start, end, rights) sorted
-    # by start and disjoint, as disjoint_view builds it
-    local_view: list[tuple[int, int, int]] = field(default_factory=list)
+    # local cached view of the current domain: one rights byte per page, as
+    # page_view builds it; shared with the domain's memo, and immutable
+    local_view: bytes = b""
 
 
 _ACCESS_BITS = {"R": 4, "W": 2, "X": 1}
+# _OR_RIGHTS[r] maps each rights byte b to b | r, for bytes.translate
+_OR_RIGHTS = [bytes(b | r for b in range(256)) for r in range(8)]
 
 
-# an end past every address: (addr, _TOP, 8) sorts after each segment that
-# starts at or below addr
-_TOP = 1 << 64
+def page_view(segments: list[tuple[int, int, int]]) -> bytes:
+    """A view as one rights byte per page, from page 0 to the last page any
+    (start, end, rights) segment covers; segments are page aligned, as every
+    PhysRange is, and where they overlap their rights are OR'ed."""
+    table = bytearray()
+    for start, end, rights in segments:
+        lo, hi = start // PAGE, end // PAGE
+        if hi > len(table):
+            table += bytes(hi - len(table))
+        table[lo:hi] = table[lo:hi].translate(_OR_RIGHTS[rights])
+    return bytes(table)
 
 
-def disjoint_view(segments: list[tuple[int, int, int]]
-                  ) -> list[tuple[int, int, int]]:
-    """(start, end, rights) segments sorted by start and made disjoint:
-    where segments overlap, the overlap is split off with their rights OR'ed."""
-    view = sorted(segments)
-    if all(prev[1] <= seg[0] for prev, seg in zip(view, view[1:])):
-        return view
-    cuts = sorted({p for start, end, _ in view for p in (start, end)})
-    out: list[tuple[int, int, int]] = []
-    active: list[tuple[int, int, int]] = []
-    nxt = 0
-    for lo, hi in zip(cuts, cuts[1:]):
-        # every start is a cut, so a segment covers [lo, hi) iff it has
-        # started and not ended by lo
-        while nxt < len(view) and view[nxt][0] == lo:
-            active.append(view[nxt])
-            nxt += 1
-        active = [seg for seg in active if seg[1] > lo]
-        if active:
-            rights = 0
-            for seg in active:
-                rights |= seg[2]
-            out.append((lo, hi, rights))
-    return out
-
-
-def view_allows(view: list[tuple[int, int, int]], addr: int,
-                kind: str) -> bool:
-    """Whether a view from disjoint_view grants `kind` access at addr."""
-    at = bisect_right(view, (addr, _TOP, 8)) - 1
-    if at < 0:
-        return False
-    _, end, rights = view[at]
-    return addr < end and bool(rights & _ACCESS_BITS[kind])
+def view_allows(view: bytes, addr: int, kind: str) -> bool:
+    """Whether a view from page_view grants `kind` access at addr."""
+    page = addr // PAGE
+    return 0 <= page < len(view) and bool(view[page] & _ACCESS_BITS[kind])
 
 
 class Platform:

@@ -361,7 +361,7 @@ def check_views(engine: Engine):
             f"domain {dom.id}: stale page memo"
     for cs in engine.cores:
         memo = fresh.get(cs.current)
-        view = [] if memo is None else memo.build_view()
+        view = b"" if memo is None else memo.build_view()
         assert engine.platform.cores[cs.id].local_view == view, \
             f"core {cs.id}: stale view of domain {cs.current}"
 

@@ -3,8 +3,9 @@ change that breaks the `fuzz_checked` rejection and oracle checks, the
 `guest_mem` access verdicts, or the `tenant_sessions` signature, PCR,
 verdict or CLEAN checks fails here, not only in a benchmark run.  So does a
 change that deletes or renames a name the benchmark's self-tests plant
-faults in or its layer tracer wraps, and one that lets the platform's
-access log grow with the round."""
+faults in or its layer tracer wraps, one that lets the platform's
+access log grow with the round, and one that loses a view memo or lets a
+view outgrow the machine."""
 
 import io
 import sys
@@ -13,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from capmon import engine as engine_mod
 from capmon.machine import LOG_KEEP
+from capmon.regions import PAGE
 
 # the workload modules import each other by module name
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -51,6 +54,43 @@ def test_guest_mem_round_keeps_a_bounded_access_log():
     res = harness.run_round(guest_mem.GuestMem(seed=1, ops=600))
     assert res.failed == 0, res.messages
     assert res.counts["access_log"] == LOG_KEEP
+
+
+def test_guest_mem_views_take_one_byte_per_page():
+    workload = guest_mem.GuestMem(seed=1, ops=600)
+    st = workload.setup(None)
+    engine = st.engine
+    top = engine.platform.config.address_top // PAGE
+    views = {dom: engine.view_cache_for(dom) for dom in engine.domains}
+    # td0 reaches RAM only, as the device's MMIO is carved away from it;
+    # the device reaches RAM and its MMIO page
+    assert len(views[st.td0]) == 512
+    assert len(views[st.device]) == 513 == top
+    assert all(len(view) <= top for view in views.values())
+
+
+def test_guest_mem_round_rebuilds_only_the_device_view(monkeypatch):
+    builds = []
+    build = engine_mod.page_view
+
+    def counted(segments):
+        builds.append(len(segments))
+        return build(segments)
+
+    monkeypatch.setattr(engine_mod, "page_view", counted)
+
+    class Counted(guest_mem.GuestMem):
+        def setup(self, spec):
+            st = super().setup(spec)
+            builds.clear()
+            return st
+
+    res = harness.run_round(Counted(seed=1, ops=600))
+    assert res.failed == 0, res.messages
+    # the one build is the device's, at its first DMA: it holds its MMIO
+    # carve and its RAM alias; the guests' 36-segment views and td0's are
+    # reused across every switch and fault
+    assert builds == [2]
 
 
 def test_benchmark_selftest_passes():

@@ -157,6 +157,24 @@ class TestRun:
         assert run_cli("run", CONFIG, str(script), "--quantum", "4",
                        "--mode", "concurrent") == 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--attest", "rep"],                # no NAME=PATH
+        ["--attest", "rep=x", "--attest", "rep2"],
+        ["--quantum", "-3"],
+        ["--quantum", "0"],
+        ["--seed", "-1"],
+        ["--seed", str(1 << 64)],
+    ])
+    def test_bad_arguments_exit_two_before_running(self, tmp_path, capsys,
+                                                   flags):
+        trace, dump = tmp_path / "out.trace", tmp_path / "state.json"
+        assert run_cli("run", CONFIG, str(SCN / "llm.tyscn"),
+                       "--trace", str(trace), "--dump", str(dump),
+                       *flags) == 2
+        assert "parse error" in capsys.readouterr().err
+        # no trace, no dump and no report was written
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("mode", ["step", "concurrent"])
     def test_scheduled_device_interrupt_fires(self, tmp_path, mode):
         config = tmp_path / "dev.mcfg"
@@ -260,6 +278,29 @@ class TestVerify:
                        "--key", meta["monitor_public_key"],
                        "--pcr", "00" * 32) == 1
         assert "MEASUREMENT_MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--key", "zz", "--pcr", "00" * 32],
+        ["--key", "00" * 32, "--pcr", "0g"],
+        ["--meta", "{meta}", "--nonce", "not-hex"],
+    ])
+    def test_non_hex_argument_exits_two(self, tmp_path, capsys, flags):
+        code, report = self.pipeline(tmp_path)
+        flags = [f.format(meta=f"{report}.meta.json") for f in flags]
+        assert run_cli("verify", str(report), *flags) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("meta", [
+        [1],
+        {"monitor_public_key": "xyz", "pcr": "00"},
+        {"monitor_public_key": "00", "pcr": 5},
+    ])
+    def test_malformed_meta_exits_two(self, tmp_path, capsys, meta):
+        code, report = self.pipeline(tmp_path)
+        path = tmp_path / "bad.meta.json"
+        path.write_text(json.dumps(meta))
+        assert run_cli("verify", str(report), "--meta", str(path)) == 2
+        assert "parse error" in capsys.readouterr().err
 
     def test_predicates_through_pipeline(self, tmp_path, capsys):
         code, report = self.pipeline(tmp_path)

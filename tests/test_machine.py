@@ -13,7 +13,7 @@ from capmon import (
 )
 from capmon.domains import ALL_CALLS_MASK, CapKind
 from capmon.errors import ErrorCode
-from capmon.machine import LOG_KEEP, disjoint_view, view_allows
+from capmon.machine import LOG_KEEP, page_view, view_allows
 from capmon.regions import PAGE
 from capmon.state import dump_state
 
@@ -174,15 +174,92 @@ class TestViewLookup:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 12),
                               st.integers(0, 7)), max_size=10))
-    def test_bisect_on_disjoint_view_equals_linear_scan(self, spans):
-        segments = [(start, start + length, rights)
+    def test_page_view_equals_linear_scan(self, spans):
+        segments = [(start * PAGE, (start + length) * PAGE, rights)
                     for start, length, rights in spans]
-        view = disjoint_view(segments)
-        assert all(prev[1] <= seg[0] for prev, seg in zip(view, view[1:]))
-        for addr in range(-1, 54):
+        view = page_view(segments)
+        assert isinstance(view, bytes)
+        for page in range(-1, len(view) + 2):
+            for addr in (page * PAGE, page * PAGE + PAGE - 1):
+                for kind in "RWX":
+                    assert view_allows(view, addr, kind) == \
+                        linear_view_allows(segments, addr, kind), (addr, kind)
+
+    def test_no_segments_give_an_empty_view_that_denies_everything(self):
+        view = page_view([])
+        assert view == b""
+        for addr in (-1, 0, PAGE - 1, PAGE, A[0]):
             for kind in "RWX":
-                assert view_allows(view, addr, kind) == \
-                    linear_view_allows(segments, addr, kind), (addr, kind)
+                assert not view_allows(view, addr, kind)
+
+
+class TestPageTable:
+    """The per-page table as the engine and the DMA check use it."""
+
+    @pytest.fixture
+    def guest(self):
+        """td0 and a sealed guest running on core 1 with no region yet."""
+        engine, td0 = small_engine()
+        dom, handle = make_child(engine, td0)
+        engine.switch(td0, 1, handle)
+        return engine, td0, handle
+
+    @staticmethod
+    def grant(engine, td0, handle, start, end, rights):
+        root = engine.domains[td0].owned.find(CapKind.REGION,
+                                              engine.root_region)
+        alias = engine.tree_alias(td0, root, PhysRange(start, end), rights)
+        engine.send(td0, alias, handle)
+
+    @staticmethod
+    def access(engine, td0, handle, kind, addr):
+        """One guest access on core 1; a denial faults to td0, which
+        resumes the guest."""
+        if kind == "R":
+            ok = engine.domain_read(1, addr)[0]
+        else:
+            ok = engine.domain_write(1, addr, 0x5A)
+        if not ok:
+            engine.switch(td0, 1, handle)
+        return ok
+
+    def test_r_and_w_aliases_of_one_page_give_rw_but_not_x(self, guest):
+        engine, td0, handle = guest
+        self.grant(engine, td0, handle, A[0], A[1], Rights.R)
+        self.grant(engine, td0, handle, A[0], A[1], Rights.W)
+        for addr in (A[0], A[1] - 1):
+            assert self.access(engine, td0, handle, "R", addr)
+            assert self.access(engine, td0, handle, "W", addr)
+            assert not engine.platform.mem_access(1, addr, "X")
+
+    def test_adjacent_pages_are_judged_by_their_own_rights(self, guest):
+        engine, td0, handle = guest
+        self.grant(engine, td0, handle, A[2], A[3], Rights.R)
+        self.grant(engine, td0, handle, A[3], A[4], Rights.W)
+        assert self.access(engine, td0, handle, "R", A[3] - 1)
+        assert not self.access(engine, td0, handle, "W", A[3] - 1)
+        assert not self.access(engine, td0, handle, "R", A[3])
+        assert self.access(engine, td0, handle, "W", A[3])
+        assert engine.cores[1].irq is None
+
+    def test_one_byte_past_the_last_granted_page_is_denied(self, guest):
+        engine, td0, handle = guest
+        self.grant(engine, td0, handle, A[2], A[4], Rights.RW)
+        assert len(engine.platform.cores[1].local_view) == A[4] // PAGE
+        assert self.access(engine, td0, handle, "R", A[4] - 1)
+        assert self.access(engine, td0, handle, "W", A[4] - 1)
+        assert not self.access(engine, td0, handle, "R", A[4])
+        assert not self.access(engine, td0, handle, "W", A[4])
+
+    def test_dma_reaches_the_last_mmio_byte_and_not_past_it(self):
+        mmio = PhysRange(0x20000, 0x21000)
+        engine, td0, _ = boot(small_config(
+            devices=[DeviceConfig("net0", mmio, 0x21)]))
+        dev = next(d.id for d in engine.domains.values() if d.is_device)
+        for kind in "RW":
+            assert engine.platform.dma_access(dev, mmio.end - 1, kind)
+            assert not engine.platform.dma_access(dev, mmio.end, kind)
+        assert not engine.platform.dma_access(dev, mmio.end - 1, "X")
 
 
 class TestUpdateProtocol:

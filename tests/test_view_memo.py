@@ -124,15 +124,15 @@ class TestEveryReaderSeesTheChange:
 class TestMemoHits:
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Counts the disjoint views the engine builds."""
+        """Counts the page views the engine builds."""
         count = []
-        build = engine_mod.disjoint_view
+        build = engine_mod.page_view
 
         def counted(segments):
             count.append(len(segments))
             return build(segments)
 
-        monkeypatch.setattr(engine_mod, "disjoint_view", counted)
+        monkeypatch.setattr(engine_mod, "page_view", counted)
         return count
 
     def test_switch_out_and_back_rebuilds_no_view(self, guest, builds):
