@@ -22,11 +22,12 @@ from .domains import (
 )
 from .errors import ErrorCode, MonitorError, deny
 from .machine import (
-    FAULT_VECTOR, TIMER_VECTOR, CoreRunState, page_view, view_allows,
+    EXCLUSIVE_BIT, FAULT_VECTOR, TIMER_VECTOR, CoreRunState, page_view,
+    view_allows,
 )
 from .regions import (
-    PAGE, AttrFlags, PhysRange, RegionAttributes, RegionStatus, RegionTree,
-    Rights, ViewSegment,
+    AttrFlags, PhysRange, RegionAttributes, RegionStatus, RegionTree, Rights,
+    ViewSegment,
 )
 from .trace import OpRecord, TraceLog
 
@@ -45,16 +46,14 @@ class ViewMemo:
     its table holds (see Engine._view_memo); a cache, never part of the
     state."""
 
-    __slots__ = ("deps", "view", "pages")
+    __slots__ = ("deps", "view")
 
     def __init__(self, deps: list[tuple[int, list[ViewSegment]]]):
         # (region id, the effective_view list the memo was built from)
         self.deps = deps
-        # one rights byte per page (machine.page_view), filled by
-        # view_cache_for; immutable, so cores and updates share it
+        # one byte per page (machine.page_view), filled by view_cache_for;
+        # immutable, so cores, updates and the oracle diff share it
         self.view: Optional[bytes] = None
-        # page -> (rights, exclusive), filled by page_access_map
-        self.pages: Optional[dict[int, tuple[int, bool]]] = None
 
     def valid(self, nodes: dict) -> bool:
         """Whether each region still holds the view the memo was built from:
@@ -67,22 +66,14 @@ class ViewMemo:
         return True
 
     def build_view(self) -> bytes:
+        # rights use bits 0-2 only, so + sets the bit (and skips IntFlag's
+        # slow |)
+        exclusive = RegionStatus.EXCLUSIVE
         return page_view([
-            (seg.range.start, seg.range.end, int(seg.rights))
+            (seg.range.start, seg.range.end,
+             seg.rights + EXCLUSIVE_BIT if seg.status is exclusive
+             else seg.rights)
             for _, view in self.deps for seg in view])
-
-    def page_map(self) -> dict[int, tuple[int, bool]]:
-        pages: dict[int, tuple[int, bool]] = {}
-        for _, view in self.deps:
-            for seg in view:
-                rights = int(seg.rights)
-                excl = seg.status is RegionStatus.EXCLUSIVE
-                for page in range(seg.range.start // PAGE,
-                                  seg.range.end // PAGE):
-                    old = pages.get(page)
-                    pages[page] = (rights, excl) if old is None else \
-                        (old[0] | rights, old[1] or excl)
-        return pages
 
 
 class Engine:
@@ -294,10 +285,11 @@ class Engine:
 
     def view_cache_for(self, dom_id: int) -> bytes:
         """The view the interposer checks a domain's accesses against: one
-        rights byte per page up to the domain's last granted page, so at
-        most address_top // PAGE bytes.  It is the domain's memo, shared as
-        immutable bytes; a domain that does not exist sees b"", which
-        grants nothing."""
+        byte per page up to the domain's last granted page, so at most
+        address_top // PAGE bytes, with the page's rights in bits 0-2 and
+        EXCLUSIVE_BIT set where an exclusive segment grants it.  It is the
+        domain's memo, shared as immutable bytes; a domain that does not
+        exist sees b"", which grants nothing."""
         dom = self.domains.get(dom_id)
         if dom is None:
             return b""
@@ -327,17 +319,12 @@ class Engine:
         with self.platform.engine_lock:
             return view_allows(self.view_cache_for(dom_id), addr, kind)
 
-    def page_access_map(self) -> dict[int, dict[int, tuple[int, bool]]]:
-        """Per-domain, per-page access as the engine sees it (for the oracle
-        diff); each domain's pages are a copy of its memo."""
-        out: dict[int, dict[int, tuple[int, bool]]] = {}
+    def page_access_map(self) -> dict[int, bytes]:
+        """Each live domain's view (for the oracle diff): the very bytes
+        each core running the domain checks its accesses against."""
         with self.platform.engine_lock:
-            for dom in self.domains.values():
-                memo = self._view_memo(dom)
-                if memo.pages is None:
-                    memo.pages = memo.page_map()
-                out[dom.id] = dict(memo.pages)
-        return out
+            return {dom_id: self.view_cache_for(dom_id)
+                    for dom_id in self.domains}
 
     # ------------------------------------------------------------------
     # domain-facing memory access (used by the scenario runner)
@@ -522,14 +509,6 @@ class Engine:
                         any(seg.range.overlaps(rng) for seg in view):
                     raise deny(ErrorCode.STILL_ACCESSIBLE,
                                f"{rng} reachable via region {region}")
-
-    def region_digest(self, rng: PhysRange) -> bytes:
-        """Digest of raw memory; only legal when no domain can reach it."""
-        with self.platform.engine_lock:
-            if not self.platform.memory.in_bounds(rng):
-                raise deny(ErrorCode.OUT_OF_MEMORY_BOUNDS, repr(rng))
-            self._check_unmapped(rng, exclude=set())
-            return hashlib.sha256(self.platform.read_bytes(rng)).digest()
 
     def seal(self, caller: int, handle: int):
         def body(dom):

@@ -167,26 +167,28 @@ class SimCore:
     id: int
     run_state: str = CoreRunState.RUNNING
     queue: list = field(default_factory=list)
-    # local cached view of the current domain: one rights byte per page, as
+    # local cached view of the current domain: one byte per page, as
     # page_view builds it; shared with the domain's memo, and immutable
     local_view: bytes = b""
 
 
 _ACCESS_BITS = {"R": 4, "W": 2, "X": 1}
-# _OR_RIGHTS[r] maps each rights byte b to b | r, for bytes.translate
-_OR_RIGHTS = [bytes(b | r for b in range(256)) for r in range(8)]
+EXCLUSIVE_BIT = 8       # marks a page that an exclusive segment grants
+# _OR_RIGHTS[r] maps each view byte b to b | r, for bytes.translate
+_OR_RIGHTS = [bytes(b | r for b in range(256)) for r in range(16)]
 
 
 def page_view(segments: list[tuple[int, int, int]]) -> bytes:
-    """A view as one rights byte per page, from page 0 to the last page any
-    (start, end, rights) segment covers; segments are page aligned, as every
-    PhysRange is, and where they overlap their rights are OR'ed."""
+    """A view as one byte per page, from page 0 to the last page any
+    (start, end, bits) segment covers: rights in bits 0-2, EXCLUSIVE_BIT in
+    bit 3.  Segments are page aligned, as every PhysRange is, and where they
+    overlap their bits are OR'ed."""
     table = bytearray()
-    for start, end, rights in segments:
+    for start, end, bits in segments:
         lo, hi = start // PAGE, end // PAGE
         if hi > len(table):
             table += bytes(hi - len(table))
-        table[lo:hi] = table[lo:hi].translate(_OR_RIGHTS[rights])
+        table[lo:hi] = table[lo:hi].translate(_OR_RIGHTS[bits])
     return bytes(table)
 
 

@@ -5,10 +5,15 @@ literal per-page grant sets.  An alias copies access, a carve moves it, a
 send retargets the owner, a revoke restores the parent's pages.  A page is
 exclusive exactly when a single live grant covers it.  Correctness over
 speed: everything here is O(pages x ops).
+
+The engine hands over each domain's view as the bytes its cores check, one
+byte per page: rights in bits 0-2, bit 3 set where the page is exclusive.
+`diff` reads them into this model's page -> (rights, exclusive) form.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,10 +22,20 @@ from .trace import OpRecord
 
 _PAGE = 4096
 _RIGHT_BITS = {"R": 4, "W": 2, "X": 1}
+# an engine view byte -> (rights, exclusive)
+_DECODE = [(byte & 7, bool(byte & 8)) for byte in range(256)]
 
 
 def _pages(start: int, end: int) -> set[int]:
     return set(range(start // _PAGE, end // _PAGE))
+
+
+# most views are the same bytes from one diff to the next; callers must not
+# mutate the map they get
+@functools.lru_cache(maxsize=128)
+def _page_map(view: bytes) -> dict[int, tuple[int, bool]]:
+    """page -> (rights, exclusive) for each page an engine view grants."""
+    return {page: _DECODE[byte] for page, byte in enumerate(view) if byte}
 
 
 def _rights_value(text) -> int:
@@ -270,7 +285,8 @@ class Oracle:
     def diff(self, engine) -> list[str]:
         """Empty iff the engine's effective views agree with this model."""
         mine = self.address_map()
-        theirs = engine.page_access_map()
+        theirs = {dom_id: _page_map(view)
+                  for dom_id, view in engine.page_access_map().items()}
         if mine == theirs:
             return []
         problems: list[str] = []

@@ -365,34 +365,3 @@ class RegionTree:
                 parent = self.nodes[node.parent]
                 parent.children = tuple(c for c in parent.children
                                         if c != rid)
-
-    # -- invariants (debug / property tests) -------------------------------
-
-    def exclusivity_by_path_walk(self, region_id: int) -> RegionStatus:
-        """Independent check: exclusive iff every edge from the root is a carve."""
-        node = self.get(region_id)
-        while node.kind is not DerivationKind.ROOT:
-            if node.kind is DerivationKind.ALIAS:
-                return RegionStatus.ALIASED
-            node = self.nodes[node.parent]
-        return RegionStatus.EXCLUSIVE
-
-    def check_invariants(self):
-        for node in self.nodes.values():
-            assert node._view is None or node._view == self._sweep(node), \
-                f"stale view memo at region {node.id}"
-            assert node.status is self.exclusivity_by_path_walk(node.id), \
-                f"exclusivity chain broken at region {node.id}"
-            if node.parent is not None:
-                parent = self.nodes[node.parent]
-                assert not (node.rights & ~parent.rights), \
-                    f"rights escalation at region {node.id}"
-                assert parent.initial_range.contains(node.initial_range), \
-                    f"range escape at region {node.id}"
-            carve_ranges = [
-                self.nodes[c].initial_range for c in node.children
-                if self.nodes[c].kind is DerivationKind.CARVE]
-            for i, a in enumerate(carve_ranges):
-                for b in carve_ranges[i + 1:]:
-                    assert not a.overlaps(b), \
-                        f"overlapping carves under region {node.id}"

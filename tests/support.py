@@ -20,7 +20,7 @@ from capmon import (
 )
 from capmon.domains import ALL_CALLS_MASK, CapKind, DomainState
 from capmon.engine import ViewMemo
-from capmon.regions import PAGE
+from capmon.regions import PAGE, DerivationKind, RegionStatus, RegionTree
 from capmon.state import dump_state
 
 _VISES = (Visibility.DELIVER, Visibility.REPORT, Visibility.NOT_REPORT)
@@ -298,8 +298,9 @@ class FuzzDriver:
             assert not problems, \
                 f"oracle diff after {op} (step {self.steps}): {problems[:4]}"
             check_core_paths(self.engine)
-            check_views(self.engine)
-            self.engine.tree.check_invariants()
+            swept: dict = {}  # each node is swept once for both checks
+            check_views(self.engine, swept)
+            check_invariants(self.engine.tree, swept)
 
     def run(self, n: int):
         for _ in range(n):
@@ -325,26 +326,29 @@ def check_core_paths(engine: Engine):
                 f"core {cs.id}: revoked domain {dom} on the path"
 
 
+def fresh_sweep(tree: RegionTree, swept: dict, region: int) -> list:
+    """region's view swept from the tree, bypassing its memo; `swept` keeps
+    the sweeps for reuse within one check."""
+    view = swept.get(region)
+    if view is None:
+        view = swept[region] = tree._sweep(tree.nodes[region])
+    return view
+
+
 def fresh_memo(engine: Engine, dom, swept: Optional[dict] = None) -> ViewMemo:
     """dom's view memo built from scratch: each region is swept from the
-    tree, bypassing both the region memos and the domain's.  `swept` keeps
-    the sweeps for reuse within one check."""
+    tree, bypassing both the region memos and the domain's."""
     swept = {} if swept is None else swept
-    deps = []
-    for _, entry in dom.owned.entries():
-        if entry.kind is CapKind.REGION:
-            if entry.ref not in swept:
-                swept[entry.ref] = engine.tree._sweep(
-                    engine.tree.nodes[entry.ref])
-            deps.append((entry.ref, swept[entry.ref]))
-    return ViewMemo(deps)
+    return ViewMemo([
+        (entry.ref, fresh_sweep(engine.tree, swept, entry.ref))
+        for _, entry in dom.owned.entries() if entry.kind is CapKind.REGION])
 
 
-def check_views(engine: Engine):
+def check_views(engine: Engine, swept: Optional[dict] = None):
     """Each domain memo that still reads as valid holds what a build from
     scratch gives, and each core checks accesses against its current
     domain's view as built from scratch."""
-    swept: dict = {}
+    swept = {} if swept is None else swept
     fresh = {dom.id: fresh_memo(engine, dom, swept)
              for dom in engine.domains.values()}
     for dom in engine.domains.values():
@@ -356,14 +360,47 @@ def check_views(engine: Engine):
         assert memo.view is None or \
             memo.view == fresh[dom.id].build_view(), \
             f"domain {dom.id}: stale view memo"
-        assert memo.pages is None or \
-            memo.pages == fresh[dom.id].page_map(), \
-            f"domain {dom.id}: stale page memo"
     for cs in engine.cores:
         memo = fresh.get(cs.current)
         view = b"" if memo is None else memo.build_view()
         assert engine.platform.cores[cs.id].local_view == view, \
             f"core {cs.id}: stale view of domain {cs.current}"
+
+
+def exclusivity_by_path_walk(tree: RegionTree, region: int) -> RegionStatus:
+    """Independent check: exclusive iff every edge from the root is a carve."""
+    node = tree.get(region)
+    while node.kind is not DerivationKind.ROOT:
+        if node.kind is DerivationKind.ALIAS:
+            return RegionStatus.ALIASED
+        node = tree.nodes[node.parent]
+    return RegionStatus.EXCLUSIVE
+
+
+def check_invariants(tree: RegionTree, swept: Optional[dict] = None):
+    """Every region memo holds a fresh sweep, every status agrees with the
+    path walk, rights and ranges only narrow from parent to child, and no
+    two carves of one node overlap."""
+    swept = {} if swept is None else swept
+    for node in tree.nodes.values():
+        assert node._view is None or \
+            node._view == fresh_sweep(tree, swept, node.id), \
+            f"stale view memo at region {node.id}"
+        assert node.status is exclusivity_by_path_walk(tree, node.id), \
+            f"exclusivity chain broken at region {node.id}"
+        if node.parent is not None:
+            parent = tree.nodes[node.parent]
+            assert not (node.rights & ~parent.rights), \
+                f"rights escalation at region {node.id}"
+            assert parent.initial_range.contains(node.initial_range), \
+                f"range escape at region {node.id}"
+        carves = sorted(
+            (tree.nodes[c].initial_range for c in node.children
+             if tree.nodes[c].kind is DerivationKind.CARVE),
+            key=lambda rng: rng.start)
+        for a, b in zip(carves, carves[1:]):
+            assert not a.overlaps(b), \
+                f"overlapping carves under region {node.id}"
 
 
 # ---------------------------------------------------------------------------

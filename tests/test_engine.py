@@ -281,6 +281,17 @@ class TestSend:
         expect_code(ErrorCode.STILL_ACCESSIBLE,
                     engine.send, td0, r, dom_handle, AttrFlags.HASH)
 
+    def test_digest_of_carved_and_parked_range(self):
+        engine, td0 = small_engine()
+        dom, dom_handle = make_child(engine, td0, seal=False)
+        rng = PhysRange(A[0], A[1])
+        root_handle = engine.domains[td0].owned.find(CapKind.REGION, 0)
+        rh = engine.tree_carve(td0, root_handle, rng, Rights.RWX)
+        region = engine.domains[td0].owned.get(rh).ref
+        engine.send(td0, rh, dom_handle, AttrFlags.HASH)
+        stored = engine.tree.nodes[region].attributes.hash_digest
+        assert stored == hashlib.sha256(bytes(PAGE)).digest()
+
     def test_attributes_replaced_on_each_send(self):
         engine, td0 = small_engine()
         domA, hA = make_child(engine, td0, receive=True)
@@ -672,29 +683,6 @@ class TestRevocation:
         engine.revoke_domain(td0, handle)
         assert 0 in engine.tree.nodes
         assert engine.tree.nodes[0].owner == td0
-
-
-class TestRegionDigestOp:
-    def test_digest_requires_unmapped(self):
-        engine, td0 = small_engine()
-        rng = PhysRange(A[0], A[1])
-        expect_code(ErrorCode.STILL_ACCESSIBLE, engine.region_digest, rng)
-
-    def test_digest_of_carved_and_parked_range(self):
-        engine, td0 = small_engine()
-        dom, dom_handle = make_child(engine, td0, seal=False)
-        rng = PhysRange(A[0], A[1])
-        root_handle = engine.domains[td0].owned.find(CapKind.REGION, 0)
-        rh = engine.tree_carve(td0, root_handle, rng, Rights.RWX)
-        region = engine.domains[td0].owned.get(rh).ref
-        engine.send(td0, rh, dom_handle, AttrFlags.HASH)
-        stored = engine.tree.nodes[region].attributes.hash_digest
-        assert stored == hashlib.sha256(bytes(PAGE)).digest()
-
-    def test_digest_out_of_bounds(self):
-        engine, td0 = small_engine()
-        expect_code(ErrorCode.OUT_OF_MEMORY_BOUNDS, engine.region_digest,
-                    PhysRange(0x10000000, 0x10001000))
 
 
 class TestApiGateExhaustive:

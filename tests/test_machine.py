@@ -13,7 +13,7 @@ from capmon import (
 )
 from capmon.domains import ALL_CALLS_MASK, CapKind
 from capmon.errors import ErrorCode
-from capmon.machine import LOG_KEEP, page_view, view_allows
+from capmon.machine import EXCLUSIVE_BIT, LOG_KEEP, page_view, view_allows
 from capmon.regions import PAGE
 from capmon.state import dump_state
 
@@ -164,19 +164,20 @@ class TestInterposition:
 
 
 def linear_view_allows(segments, addr, kind):
-    """Reference view check: a linear scan over overlapping segments."""
+    """Reference view check: a linear scan over overlapping segments, which
+    reads only the rights bits 0-2; bit 3 (EXCLUSIVE_BIT) grants nothing."""
     bit = {"R": 4, "W": 2, "X": 1}[kind]
-    return any(start <= addr < end and rights & bit
-               for start, end, rights in segments)
+    return any(start <= addr < end and bits & 0b111 & bit
+               for start, end, bits in segments)
 
 
 class TestViewLookup:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 12),
-                              st.integers(0, 7)), max_size=10))
+                              st.integers(0, 15)), max_size=10))
     def test_page_view_equals_linear_scan(self, spans):
-        segments = [(start * PAGE, (start + length) * PAGE, rights)
-                    for start, length, rights in spans]
+        segments = [(start * PAGE, (start + length) * PAGE, bits)
+                    for start, length, bits in spans]
         view = page_view(segments)
         assert isinstance(view, bytes)
         for page in range(-1, len(view) + 2):
@@ -184,6 +185,10 @@ class TestViewLookup:
                 for kind in "RWX":
                     assert view_allows(view, addr, kind) == \
                         linear_view_allows(segments, addr, kind), (addr, kind)
+            if 0 <= page < len(view):
+                assert bool(view[page] & EXCLUSIVE_BIT) == any(
+                    start <= page * PAGE < end and bits & EXCLUSIVE_BIT
+                    for start, end, bits in segments), page
 
     def test_no_segments_give_an_empty_view_that_denies_everything(self):
         view = page_view([])

@@ -4,16 +4,21 @@ The oracle rebuilds per-page access from the operation log alone; any
 divergence from the engine's locally-computed views is a bug in one of them.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmon import MonitorError, Oracle, PhysRange, Rights
+from capmon import oracle as oracle_mod
 from capmon.domains import CapKind
+from capmon.machine import EXCLUSIVE_BIT
 from capmon.regions import PAGE, RegionStatus
 from capmon.trace import parse_log
 
-from support import FuzzDriver, small_engine
+from support import FuzzDriver, carve_to, make_child, small_engine
 
 A = [PAGE * (1 + k) for k in range(8)]
 
@@ -94,6 +99,33 @@ class TestFuzzEquivalence:
         problems = oracle.diff(engine)
         assert problems and f"domain {td0}" in problems[0]
 
+    def test_diff_describes_each_mismatch(self, monkeypatch):
+        engine, td0 = small_engine(pages=8)
+        dom, handle = make_child(engine, td0)
+        other, _ = make_child(engine, td0)
+        carve_to(engine, td0, handle, PhysRange(A[0], A[1]))
+        oracle = Oracle().replay(engine.trace.records)
+        assert not oracle.diff(engine)
+        page = A[0] // PAGE
+        real = engine.page_access_map
+
+        def tampered():
+            # clear bit 3 of dom's exclusive page and drop `other`
+            views = real()
+            table = bytearray(views[dom])
+            assert table[page] == Rights.RWX | EXCLUSIVE_BIT
+            table[page] &= ~EXCLUSIVE_BIT
+            views[dom] = bytes(table)
+            del views[other]
+            return views
+
+        monkeypatch.setattr(engine, "page_access_map", tampered)
+        assert oracle.diff(engine) == [
+            f"domain {dom} page {page:#x}: oracle=(7, True) "
+            f"engine=(7, False)",
+            f"domain {other}: liveness mismatch (oracle=True, engine=False)",
+        ]
+
     def test_trace_lines_replay_identically(self):
         driver = FuzzDriver(seed=42)
         driver.run(300)
@@ -108,9 +140,9 @@ class TestConservation:
         driver = FuzzDriver(seed=seed)
         driver.run(600)
         owners_of_exclusive: dict[int, list[int]] = {}
-        for dom_id, pages in driver.engine.page_access_map().items():
-            for page, (_, exclusive) in pages.items():
-                if exclusive:
+        for dom_id, view in driver.engine.page_access_map().items():
+            for page, byte in enumerate(view):
+                if byte & EXCLUSIVE_BIT:
                     owners_of_exclusive.setdefault(page, []).append(dom_id)
         for page, owners in owners_of_exclusive.items():
             assert len(owners) == 1, \
@@ -127,12 +159,12 @@ class TestHandlerOracle:
 class TestViewCacheCoherence:
     @pytest.mark.parametrize("seed", (5, 17))
     def test_access_decisions_match_views_after_fuzz(self, seed):
-        # the per-core cached view must agree with the engine's truth for
+        # the per-core cached view must agree with the oracle's model of
         # the current domain after any operation sequence
         driver = FuzzDriver(seed=seed)
         driver.run(700)
         engine = driver.engine
-        page_maps = engine.page_access_map()
+        page_maps = driver.oracle.address_map()
         for core in engine.cores:
             pages = page_maps[core.current]
             for page in range(16):
@@ -142,6 +174,43 @@ class TestViewCacheCoherence:
                     got = engine.platform.mem_access(core.id, addr, kind)
                     assert got == expected, \
                         (core.id, core.current, hex(addr), kind)
+
+
+def capmon_imports(source: str) -> set[str]:
+    """The capmon modules a module's source imports, by name; `capmon`
+    stands for the package itself."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "capmon." + module if module else "capmon"
+            names = [module] if module != "capmon" else \
+                ["capmon." + alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "capmon":
+                found.add(parts[1] if len(parts) > 1 else "capmon")
+    return found
+
+
+class TestOracleIndependence:
+    def test_import_walk_sees_every_form(self):
+        source = ("from .engine import Engine\nimport capmon.regions\n"
+                  "from capmon import state\nfrom . import machine\n"
+                  "import capmon\nimport json\n")
+        assert capmon_imports(source) == {
+            "engine", "regions", "state", "machine", "capmon"}
+
+    def test_oracle_imports_only_errors_and_trace(self):
+        # the differential test holds only while the oracle shares no code
+        # with the engine it checks
+        source = Path(oracle_mod.__file__).read_text()
+        assert capmon_imports(source) <= {"errors", "trace"}
 
 
 @settings(max_examples=60, deadline=None)

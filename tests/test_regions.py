@@ -11,6 +11,8 @@ from capmon.regions import (
     Rights, ViewSegment,
 )
 
+from support import check_invariants, exclusivity_by_path_walk
+
 A = [0x100000 + k * 0x1000 for k in range(6)]
 TOP = 0x200000
 TD0, TD1 = 0, 1
@@ -163,7 +165,7 @@ class TestDerivation:
         r2 = tree.carve(TD0, root, PhysRange(A[2], A[5]), Rights.RWX)
         r4 = tree.carve(TD0, r2, PhysRange(A[4], A[5]), Rights.RWX)
         assert tree.nodes[r4].status is RegionStatus.EXCLUSIVE
-        assert tree.exclusivity_by_path_walk(r4) is RegionStatus.EXCLUSIVE
+        assert exclusivity_by_path_walk(tree, r4) is RegionStatus.EXCLUSIVE
 
     def test_rights_monotonicity(self):
         tree, root = fresh_tree()
@@ -321,10 +323,10 @@ class TestViewMemo:
         tree, root = fresh_tree()
         r1 = tree.carve(TD0, root, PhysRange(A[1], A[2]), Rights.RWX)
         tree.effective_view(root)
-        tree.check_invariants()
+        check_invariants(tree)
         tree.nodes[r1].initial_range = PhysRange(A[3], A[4])
         with pytest.raises(AssertionError, match=f"region {root}$"):
-            tree.check_invariants()
+            check_invariants(tree)
 
     def test_children_cannot_change_in_place(self):
         tree, root = fresh_tree()
@@ -357,8 +359,8 @@ class TestRandomTreesAgainstPathWalk:
                     continue
             for node in nodes:
                 assert tree.nodes[node].status is \
-                    tree.exclusivity_by_path_walk(node)
-            tree.check_invariants()
+                    exclusivity_by_path_walk(tree, node)
+            check_invariants(tree)
 
 
 class TestSubtreeCollection:
