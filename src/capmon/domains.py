@@ -149,12 +149,12 @@ class CapTable:
 
     def __init__(self):
         self.slots: list[Optional[CapEntry]] = []
-        # the engine's memo of the owning domain's view (Engine._view_memo);
-        # a cache, never part of the state, dropped by every insert and remove
-        self.view_memo = None
+        # the owning domain's page table (machine.page_view bytes), which
+        # the engine patches in each call that changes the table or its
+        # regions (Engine._patch_view); never part of the state
+        self.view = b""
 
     def insert(self, entry: CapEntry) -> int:
-        self.view_memo = None
         for i, slot in enumerate(self.slots):
             if slot is None:
                 self.slots[i] = entry
@@ -170,7 +170,6 @@ class CapTable:
     def remove(self, index: int) -> CapEntry:
         entry = self.slots[index]
         assert entry is not None
-        self.view_memo = None
         self.slots[index] = None
         return entry
 

@@ -26,8 +26,8 @@ from .machine import (
     view_allows,
 )
 from .regions import (
-    AttrFlags, PhysRange, RegionAttributes, RegionStatus, RegionTree, Rights,
-    ViewSegment,
+    PAGE, AttrFlags, PhysRange, RegionAttributes, RegionStatus, RegionTree,
+    Rights,
 )
 from .trace import OpRecord, TraceLog
 
@@ -39,41 +39,6 @@ MAX_UNDRAINED = 8
 CAP_SLOT_QUOTA = 256
 # selects the low register word of a drained 16-byte chunk
 _WORD_MASK = (1 << 64) - 1
-
-
-class ViewMemo:
-    """One domain's view, built once from the effective views of the regions
-    its table holds (see Engine._view_memo); a cache, never part of the
-    state."""
-
-    __slots__ = ("deps", "view")
-
-    def __init__(self, deps: list[tuple[int, list[ViewSegment]]]):
-        # (region id, the effective_view list the memo was built from)
-        self.deps = deps
-        # one byte per page (machine.page_view), filled by view_cache_for;
-        # immutable, so cores, updates and the oracle diff share it
-        self.view: Optional[bytes] = None
-
-    def valid(self, nodes: dict) -> bool:
-        """Whether each region still holds the view the memo was built from:
-        any write to a node drops its view, and region ids are never
-        reused."""
-        for region, view in self.deps:
-            node = nodes.get(region)
-            if node is None or node._view is not view:
-                return False
-        return True
-
-    def build_view(self) -> bytes:
-        # rights use bits 0-2 only, so + sets the bit (and skips IntFlag's
-        # slow |)
-        exclusive = RegionStatus.EXCLUSIVE
-        return page_view([
-            (seg.range.start, seg.range.end,
-             seg.rights + EXCLUSIVE_BIT if seg.status is exclusive
-             else seg.rights)
-            for _, view in self.deps for seg in view])
 
 
 class Engine:
@@ -188,7 +153,7 @@ class Engine:
 
         for core in self.cores:
             core.current = td0.id
-        self._refresh_views({c.id for c in self.cores})
+        self._build_views()
         return td0.id
 
     def _register_hash(self, dom: DomainNode) -> bytes:
@@ -271,32 +236,59 @@ class Engine:
     # views
     # ------------------------------------------------------------------
 
-    def _view_memo(self, dom: DomainNode) -> ViewMemo:
-        """dom's view memo, rebuilt only when stale: its table drops it on
-        every insert and remove, and `ViewMemo.valid` sees a change to any
-        of its regions.  Callers hold the engine lock."""
-        memo = dom.owned.view_memo
-        if memo is None or not memo.valid(self.tree.nodes):
-            memo = dom.owned.view_memo = ViewMemo([
-                (entry.ref, self.tree.effective_view(entry.ref))
-                for _, entry in dom.owned.entries()
-                if entry.kind is CapKind.REGION])
-        return memo
+    def _patch_view(self, dom: DomainNode, start: int = 0,
+                     end: Optional[int] = None):
+        """Recompute dom's table on the pages of [start, end), all of it by
+        default, from its regions clipped to them, and hand the table a new
+        bytes object only if it changed.  Trailing pages that grant nothing
+        are trimmed, so the table is as long as a fresh page_view build.
+        Callers hold the engine lock."""
+        if end is None:
+            end = self.platform.config.address_top
+        # enum members held in locals: a class attribute read costs more
+        # than the rest of a loop turn
+        region, exclusive = CapKind.REGION, RegionStatus.EXCLUSIVE
+        nodes = self.tree.nodes
+        segments = []
+        for entry in dom.owned.slots:
+            if entry is None or entry.kind is not region:
+                continue
+            rng = nodes[entry.ref].initial_range
+            if rng.end <= start or end <= rng.start:
+                continue
+            for seg in self.tree.effective_view(entry.ref):
+                lo, hi = max(seg.range.start, start), min(seg.range.end, end)
+                if lo < hi:
+                    # rights use bits 0-2 only, so + sets the bit (and
+                    # skips IntFlag's slow |)
+                    segments.append((lo - start, hi - start,
+                                     seg.rights + EXCLUSIVE_BIT
+                                     if seg.status is exclusive
+                                     else seg.rights))
+        lo, hi = start // PAGE, end // PAGE
+        patch = page_view(segments).ljust(hi - lo, b"\0")
+        old = dom.owned.view
+        if old[lo:hi].ljust(hi - lo, b"\0") != patch:
+            dom.owned.view = (old[:lo].ljust(lo, b"\0") + patch +
+                              old[hi:]).rstrip(b"\0")
 
     def view_cache_for(self, dom_id: int) -> bytes:
         """The view the interposer checks a domain's accesses against: one
         byte per page up to the domain's last granted page, so at most
         address_top // PAGE bytes, with the page's rights in bits 0-2 and
         EXCLUSIVE_BIT set where an exclusive segment grants it.  It is the
-        domain's memo, shared as immutable bytes; a domain that does not
-        exist sees b"", which grants nothing."""
+        domain's table, kept current by every call that changes it and
+        shared as immutable bytes; a domain that does not exist sees b"",
+        which grants nothing."""
         dom = self.domains.get(dom_id)
-        if dom is None:
-            return b""
-        memo = self._view_memo(dom)
-        if memo.view is None:
-            memo.view = memo.build_view()
-        return memo.view
+        return b"" if dom is None else dom.owned.view
+
+    def _build_views(self):
+        """Build every live domain's table from scratch and install each
+        core's view (at boot and on a reload)."""
+        for dom in self.domains.values():
+            self._patch_view(dom)
+        self._refresh_views({cs.id for cs in self.cores})
 
     def _refresh_views(self, cores: set[int]):
         for core in cores:
@@ -305,15 +297,12 @@ class Engine:
 
     def _push_views(self, cores: set[int]):
         """Queue each core's new view of the domain it runs (drained later);
-        cores that run the same domain share one view."""
-        views: dict[int, bytes] = {}
+        cores that run the same domain share its one table."""
         for core in cores:
             current = self.cores[core].current
-            if current not in views:
-                views[current] = self.view_cache_for(current)
             self.platform.enqueue_update(core, Update(
                 UpdateKind.ACCESS_CHANGED, domain=current,
-                view=views[current]))
+                view=self.view_cache_for(current)))
 
     def domain_may_access(self, dom_id: int, addr: int, kind: str) -> bool:
         with self.platform.engine_lock:
@@ -490,6 +479,10 @@ class Engine:
                     clean=bool(attrs & AttrFlags.CLEAN),
                     vital=bool(attrs & AttrFlags.VITAL))
                 dest.owned.insert(CapEntry(CapKind.REGION, node.id))
+                rng = node.initial_range
+                self._patch_view(dom, rng.start, rng.end)
+                if dest is not dom:
+                    self._patch_view(dest, rng.start, rng.end)
                 self._push_views(affected)
 
             affected = self._cores_running({dom.id, dest.id})
@@ -504,11 +497,12 @@ class Engine:
 
     def _check_unmapped(self, rng: PhysRange, exclude: set[int]):
         for other in self.domains.values():
-            for region, view in self._view_memo(other).deps:
-                if region not in exclude and \
-                        any(seg.range.overlaps(rng) for seg in view):
+            for _, entry in other.owned.entries():
+                if entry.kind is CapKind.REGION and entry.ref not in exclude \
+                        and any(seg.range.overlaps(rng) for seg
+                                in self.tree.effective_view(entry.ref)):
                     raise deny(ErrorCode.STILL_ACCESSIBLE,
-                               f"{rng} reachable via region {region}")
+                               f"{rng} reachable via region {entry.ref}")
 
     def seal(self, caller: int, handle: int):
         def body(dom):
@@ -941,7 +935,11 @@ class Engine:
                 self.tree.nodes[self.root_region].owner = root_heir
                 self.domains[root_heir].owned.insert(
                     CapEntry(CapKind.REGION, self.root_region))
-            # 5. per-core effects
+            # 5. the live domains that lost or regained pages get their
+            # tables rebuilt; the revoked ones have empty tables
+            for did in affected_doms - dom_ids:
+                self._patch_view(self.domains[did])
+            # 6. per-core effects
             for cs in self.cores:
                 if cs.id not in affected:
                     continue
@@ -952,7 +950,7 @@ class Engine:
                         unwind=unwind))
                 else:
                     self._push_views({cs.id})
-            # 6. records are freed; one a core path still names is held
+            # 7. records are freed; one a core path still names is held
             # until that core's unwind drains
             self.domains.reclaim(dom_ids, self._named_domains())
 
@@ -1208,9 +1206,15 @@ class Engine:
             new_id = getattr(self.tree, op)(dom.id, entry.ref, rng, rights)
             new_handle = dom.owned.insert(CapEntry(CapKind.REGION, new_id))
             affected = self._cores_running({dom.id})
-            self.platform.barrier_update(
-                self._core_of(dom.id), affected,
-                lambda: self._push_views(affected), f"{op}:{new_id}")
+
+            def publish():
+                # the parent is the caller's, so only the caller's table
+                # changes, and only on rng
+                self._patch_view(dom, rng.start, rng.end)
+                self._push_views(affected)
+
+            self.platform.barrier_update(self._core_of(dom.id), affected,
+                                         publish, f"{op}:{new_id}")
             return {"region": new_id, "handle": new_handle,
                     "parent": entry.ref,
                     "status": self.tree.nodes[new_id].status.value}

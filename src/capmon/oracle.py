@@ -81,6 +81,8 @@ class Oracle:
         self.caps: dict[int, OracleCap] = {}
         self.domains: dict[int, OracleDomain] = {}
         self.current: dict[int, int] = {}
+        # address_map's result, dropped by each record that can change it
+        self._map: Optional[dict[int, dict[int, tuple[int, bool]]]] = None
 
     # -- replay ------------------------------------------------------------
 
@@ -97,6 +99,8 @@ class Oracle:
             if record.op in _READ_ONLY_OPS:
                 return
             raise deny(ErrorCode.MALFORMED_LOG, f"unknown op {record.op}")
+        if record.op in _MAP_OPS:
+            self._map = None
         handler(record)
 
     def _op_boot(self, rec: OpRecord):
@@ -257,6 +261,14 @@ class Oracle:
     # -- the per-page truth -------------------------------------------------
 
     def address_map(self) -> dict[int, dict[int, tuple[int, bool]]]:
+        """domain -> page -> (rights, exclusive) for every live domain; kept
+        until a record changes a capability or the set of domains, so
+        callers must not mutate it."""
+        if self._map is None:
+            self._map = self._build_address_map()
+        return self._map
+
+    def _build_address_map(self) -> dict[int, dict[int, tuple[int, bool]]]:
         cover: dict[int, int] = {}
         by_owner: dict[int, list[OracleCap]] = {}
         for cap in self.caps.values():
@@ -307,6 +319,12 @@ class Oracle:
         return problems
 
 
+# the ops whose handlers change a capability or the set of domains, and so
+# the address map
+_MAP_OPS = {
+    "boot", "devboot", "create", "alias", "carve", "send", "revoke_region",
+    "revoke_domain",
+}
 _READ_ONLY_OPS = {
     "set_reg", "get_reg", "set_policy", "get_policy", "getchan",
     "attest", "enumerate", "irq",

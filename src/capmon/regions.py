@@ -159,17 +159,54 @@ class RegionNode:
     status: RegionStatus
     kind: DerivationKind
     parent: Optional[int] = None
-    # a tuple, so a new child is a write to this node and drops its memo
+    # a tuple, so a new child is a write to this node and drops its view
     children: tuple[int, ...] = ()
     attributes: RegionAttributes = field(default_factory=RegionAttributes)
-    # memo of RegionTree.effective_view; a cache, never part of the state
+    # RegionTree.effective_view, kept current by the tree's own writes; a
+    # cache, never part of the state
     _view: Optional[list[ViewSegment]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
-        # any write may change what the view is computed from
-        object.__setattr__(self, "_view", None)
+        # a write to what the view is computed from drops it; the tree puts
+        # back a patched view after its own writes (RegionTree.alias, carve)
+        if name not in _VIEW_NEUTRAL:
+            object.__setattr__(self, "_view", None)
         object.__setattr__(self, name, value)
+
+
+# RegionNode fields whose writes leave the node's view as it is
+_VIEW_NEUTRAL = frozenset({"owner", "attributes", "_view"})
+
+
+def _repaint(view: list[ViewSegment], sub: PhysRange, rights: Rights,
+             status: Optional[RegionStatus]) -> list[ViewSegment]:
+    """A node's view (each segment carries the node's rights) with its
+    pieces on sub given `status`, or cut out where status is None, merged
+    as RegionTree._sweep merges: adjacent pieces of one status become one
+    segment.  Only the segments on or next to sub are rebuilt."""
+    first = 0
+    while first < len(view) and view[first].range.end < sub.start:
+        first += 1
+    last = first
+    while last < len(view) and view[last].range.start <= sub.end:
+        last += 1
+    pieces: list[list] = []  # [start, end, status]
+    for seg in view[first:last]:
+        lo, hi = seg.range.start, seg.range.end
+        for start, end, piece in ((lo, min(hi, sub.start), seg.status),
+                                  (max(lo, sub.start), min(hi, sub.end),
+                                   status),
+                                  (max(lo, sub.end), hi, seg.status)):
+            if start >= end or piece is None:
+                continue
+            if pieces and pieces[-1][1] == start and pieces[-1][2] is piece:
+                pieces[-1][1] = end
+            else:
+                pieces.append([start, end, piece])
+    return view[:first] + [
+        ViewSegment(PhysRange(start, end), rights, piece)
+        for start, end, piece in pieces] + view[last:]
 
 
 class RegionTree:
@@ -189,10 +226,18 @@ class RegionTree:
 
     def create_root(self, owner: int, rng: PhysRange, rights: Rights) -> int:
         assert not self.nodes, "root region already exists"
+        return self._add(owner, rng, rights, RegionStatus.EXCLUSIVE,
+                         DerivationKind.ROOT, None)
+
+    def _add(self, owner: int, rng: PhysRange, rights: Rights,
+             status: RegionStatus, kind: DerivationKind,
+             parent: Optional[int]) -> int:
+        """A new node; having no children, its view is its one segment."""
         nid = self._fresh_id()
-        self.nodes[nid] = RegionNode(
+        node = self.nodes[nid] = RegionNode(
             id=nid, owner=owner, initial_range=rng, rights=rights,
-            status=RegionStatus.EXCLUSIVE, kind=DerivationKind.ROOT)
+            status=status, kind=kind, parent=parent)
+        node._view = [ViewSegment(rng, rights, status)]
         return nid
 
     # -- lookups ---------------------------------------------------------
@@ -211,8 +256,9 @@ class RegionTree:
         Sub-ranges taken by carve children are absent; sub-ranges covered by
         at least one alias child report Aliased regardless of the node's own
         status.  Segments are disjoint, sorted, and merged when adjacent with
-        identical status.  The list is the node's memo: callers must not
-        mutate it.
+        identical status.  The list is the node's own view, kept current by
+        alias and carve and swept again only after a write drops it:
+        callers must not mutate it.
         """
         node = self.get(region_id)
         if node._view is None:
@@ -291,12 +337,17 @@ class RegionTree:
         if rights & ~parent.rights:
             raise deny(ErrorCode.RIGHTS_ESCALATION,
                        f"{rights.render()} exceeds {parent.rights.render()}")
-        nid = self._fresh_id()
-        self.nodes[nid] = RegionNode(
-            id=nid, owner=caller, initial_range=sub, rights=rights,
-            status=RegionStatus.ALIASED, kind=DerivationKind.ALIAS,
-            parent=parent_id)
+        view = self.effective_view(parent_id)
+        nid = self._add(caller, sub, rights, RegionStatus.ALIASED,
+                        DerivationKind.ALIAS, parent_id)
         parent.children += (nid,)
+        # sub turns aliased in the parent's view; if it is already, the
+        # view stays the very same list
+        if any(seg.status is RegionStatus.EXCLUSIVE
+               for seg in view if seg.range.overlaps(sub)):
+            view = _repaint(view, sub, parent.rights,
+                            RegionStatus.ALIASED)
+        parent._view = view
         return nid
 
     def carve(self, caller: int, parent_id: int,
@@ -326,11 +377,11 @@ class RegionTree:
             for seg in view if seg.range.overlaps(sub))
         status = RegionStatus.EXCLUSIVE if exclusive else RegionStatus.ALIASED
 
-        nid = self._fresh_id()
-        self.nodes[nid] = RegionNode(
-            id=nid, owner=caller, initial_range=sub, rights=rights,
-            status=status, kind=DerivationKind.CARVE, parent=parent_id)
+        nid = self._add(caller, sub, rights, status, DerivationKind.CARVE,
+                        parent_id)
         parent.children += (nid,)
+        # no child overlaps sub, so all of it is in the view: cut it out
+        parent._view = _repaint(view, sub, parent.rights, None)
         return nid
 
     # -- revocation support ------------------------------------------------
@@ -357,7 +408,8 @@ class RegionTree:
                        f"region {child_id} is not a child of {parent_id}")
 
     def destroy(self, region_ids: list[int]):
-        """Remove nodes (bottom-up order expected) and detach from parents."""
+        """Remove nodes (bottom-up order expected) and detach from parents;
+        a surviving parent's view is dropped, to be swept afresh."""
         doomed = set(region_ids)
         for rid in region_ids:
             node = self.nodes.pop(rid)

@@ -213,7 +213,7 @@ def load_state(dump: dict) -> Engine:
                               [ChainEntry(d, list(r), p)
                                for d, r, p in rec["irq"]["resume"]])
         cs.deferred_vectors = list(rec["deferred"])
-    engine._refresh_views({cs.id for cs in engine.cores})
+    engine._build_views()
     return engine
 
 

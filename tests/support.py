@@ -19,7 +19,7 @@ from capmon import (
     boot,
 )
 from capmon.domains import ALL_CALLS_MASK, CapKind, DomainState
-from capmon.engine import ViewMemo
+from capmon.machine import EXCLUSIVE_BIT, page_view
 from capmon.regions import PAGE, DerivationKind, RegionStatus, RegionTree
 from capmon.state import dump_state
 
@@ -327,44 +327,59 @@ def check_core_paths(engine: Engine):
 
 
 def fresh_sweep(tree: RegionTree, swept: dict, region: int) -> list:
-    """region's view swept from the tree, bypassing its memo; `swept` keeps
-    the sweeps for reuse within one check."""
+    """region's view swept from the tree, bypassing the node's own; `swept`
+    keeps the sweeps for reuse within one check."""
     view = swept.get(region)
     if view is None:
         view = swept[region] = tree._sweep(tree.nodes[region])
     return view
 
 
-def fresh_memo(engine: Engine, dom, swept: Optional[dict] = None) -> ViewMemo:
-    """dom's view memo built from scratch: each region is swept from the
-    tree, bypassing both the region memos and the domain's."""
+def fresh_view(engine: Engine, dom, swept: Optional[dict] = None) -> bytes:
+    """dom's table built from scratch: each region is swept from the tree,
+    bypassing both the region views and the domain's table."""
     swept = {} if swept is None else swept
-    return ViewMemo([
-        (entry.ref, fresh_sweep(engine.tree, swept, entry.ref))
-        for _, entry in dom.owned.entries() if entry.kind is CapKind.REGION])
+    return page_view([
+        (seg.range.start, seg.range.end,
+         int(seg.rights) | (EXCLUSIVE_BIT if seg.status is
+                            RegionStatus.EXCLUSIVE else 0))
+        for _, entry in dom.owned.entries() if entry.kind is CapKind.REGION
+        for seg in fresh_sweep(engine.tree, swept, entry.ref)])
 
 
 def check_views(engine: Engine, swept: Optional[dict] = None):
-    """Each domain memo that still reads as valid holds what a build from
-    scratch gives, and each core checks accesses against its current
-    domain's view as built from scratch."""
+    """Every live domain's table is what a build from scratch gives, and
+    each core checks accesses against its current domain's table as built
+    from scratch."""
     swept = {} if swept is None else swept
-    fresh = {dom.id: fresh_memo(engine, dom, swept)
+    fresh = {dom.id: fresh_view(engine, dom, swept)
              for dom in engine.domains.values()}
-    for dom in engine.domains.values():
-        memo = dom.owned.view_memo
-        if memo is None or not memo.valid(engine.tree.nodes):
-            continue
-        assert memo.deps == fresh[dom.id].deps, \
-            f"domain {dom.id}: stale regions"
-        assert memo.view is None or \
-            memo.view == fresh[dom.id].build_view(), \
-            f"domain {dom.id}: stale view memo"
+    for dom_id, view in fresh.items():
+        assert engine.view_cache_for(dom_id) == view, \
+            f"domain {dom_id}: stale view"
     for cs in engine.cores:
-        memo = fresh.get(cs.current)
-        view = b"" if memo is None else memo.build_view()
-        assert engine.platform.cores[cs.id].local_view == view, \
+        assert engine.platform.cores[cs.id].local_view == \
+            fresh.get(cs.current, b""), \
             f"core {cs.id}: stale view of domain {cs.current}"
+
+
+def expected_statuses(tree: RegionTree) -> dict[int, RegionStatus]:
+    """Each node's status from its derivation path, in one pass from the
+    root: exclusive iff every edge from the root is a carve."""
+    # enum members held in locals: a class attribute read costs more than
+    # the rest of a loop turn
+    alias, aliased = DerivationKind.ALIAS, RegionStatus.ALIASED
+    nodes = tree.nodes
+    work = [(node.id, RegionStatus.EXCLUSIVE) for node in nodes.values()
+            if node.kind is DerivationKind.ROOT]
+    out: dict[int, RegionStatus] = {}
+    while work:
+        nid, status = work.pop()
+        out[nid] = status
+        for cid in nodes[nid].children:
+            work.append((cid, aliased if nodes[cid].kind is alias
+                         else status))
+    return out
 
 
 def exclusivity_by_path_walk(tree: RegionTree, region: int) -> RegionStatus:
@@ -378,25 +393,28 @@ def exclusivity_by_path_walk(tree: RegionTree, region: int) -> RegionStatus:
 
 
 def check_invariants(tree: RegionTree, swept: Optional[dict] = None):
-    """Every region memo holds a fresh sweep, every status agrees with the
-    path walk, rights and ranges only narrow from parent to child, and no
-    two carves of one node overlap."""
+    """Every region's view is a fresh sweep, every status agrees with its
+    derivation path, rights and ranges only narrow from parent to child,
+    and no two carves of one node overlap."""
     swept = {} if swept is None else swept
-    for node in tree.nodes.values():
-        assert node._view is None or \
-            node._view == fresh_sweep(tree, swept, node.id), \
+    statuses = expected_statuses(tree)
+    nodes = tree.nodes
+    carve = DerivationKind.CARVE
+    for node in nodes.values():
+        assert tree.effective_view(node.id) == \
+            fresh_sweep(tree, swept, node.id), \
             f"stale view memo at region {node.id}"
-        assert node.status is exclusivity_by_path_walk(tree, node.id), \
+        assert node.status is statuses.get(node.id), \
             f"exclusivity chain broken at region {node.id}"
         if node.parent is not None:
-            parent = tree.nodes[node.parent]
-            assert not (node.rights & ~parent.rights), \
+            parent = nodes[node.parent]
+            assert not (int(node.rights) & ~int(parent.rights)), \
                 f"rights escalation at region {node.id}"
             assert parent.initial_range.contains(node.initial_range), \
                 f"range escape at region {node.id}"
         carves = sorted(
-            (tree.nodes[c].initial_range for c in node.children
-             if tree.nodes[c].kind is DerivationKind.CARVE),
+            (nodes[c].initial_range for c in node.children
+             if nodes[c].kind is carve),
             key=lambda rng: rng.start)
         for a, b in zip(carves, carves[1:]):
             assert not a.overlaps(b), \

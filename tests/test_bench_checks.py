@@ -4,8 +4,8 @@ change that breaks the `fuzz_checked` rejection and oracle checks, the
 verdict or CLEAN checks fails here, not only in a benchmark run.  So does a
 change that deletes or renames a name the benchmark's self-tests plant
 faults in or its layer tracer wraps, one that lets the platform's
-access log grow with the round, and one that loses a view memo or lets a
-view outgrow the machine."""
+access log grow with the round, one that rebuilds a view a round or a
+set-up does not change, and one that lets a view outgrow the machine."""
 
 import io
 import sys
@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 from capmon import engine as engine_mod
-from capmon.machine import LOG_KEEP
-from capmon.regions import PAGE
+from capmon.machine import LOG_KEEP, boot
+from capmon.regions import PAGE, RegionTree
 
 # the workload modules import each other by module name
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -87,10 +87,40 @@ def test_guest_mem_round_rebuilds_only_the_device_view(monkeypatch):
 
     res = harness.run_round(Counted(seed=1, ops=600))
     assert res.failed == 0, res.messages
-    # the one build is the device's, at its first DMA: it holds its MMIO
-    # carve and its RAM alias; the guests' 36-segment views and td0's are
-    # reused across every switch and fault
-    assert builds == [2]
+    # every table, the device's included, is built at boot and patched by
+    # the calls that change it, none of which a round makes; the guests'
+    # 36-segment views and td0's are reused across every switch and fault
+    assert builds == []
+
+
+def test_guest_mem_setup_patches_without_sweeping_the_root(monkeypatch):
+    # the device's RAM alias makes the root's view one aliased segment, so
+    # the host's aliases of the root and their sends change neither the
+    # root's view nor td0's table
+    after_boot = {}
+    sweeps = []
+    sweep = RegionTree._sweep
+
+    def counted_sweep(tree, node):
+        sweeps.append(node.id)
+        return sweep(tree, node)
+
+    def counted_boot(config):
+        engine, td0, measurement = boot(config)
+        after_boot.update(table=engine.view_cache_for(td0),
+                          root=engine.tree.effective_view(engine.root_region))
+        sweeps.clear()
+        return engine, td0, measurement
+
+    monkeypatch.setattr(RegionTree, "_sweep", counted_sweep)
+    monkeypatch.setattr(guest_mem, "boot", counted_boot)
+    st = guest_mem.GuestMem(seed=1).setup(None)
+    engine = st.engine
+    assert len(engine.tree.nodes) == 3 + 72
+    # no region is swept after boot, the root included
+    assert sweeps == [], sweeps
+    assert engine.view_cache_for(st.td0) is after_boot["table"]
+    assert engine.tree.effective_view(engine.root_region) is after_boot["root"]
 
 
 def test_benchmark_selftest_passes():

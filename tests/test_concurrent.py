@@ -96,9 +96,10 @@ class TestConcurrentBasics:
         assert rounds[1] == rounds[0]
 
     def test_views_are_read_under_the_engine_lock(self):
-        # a view memo filled outside the lock could race a mutator and keep
-        # a stale view for good, so every read of a domain's view memo, which
-        # fills it and the region memos under it, must hold the lock
+        # a table patched or read outside the lock could race a mutator and
+        # keep or hand out a stale view, so every patch of a domain's table,
+        # which reads the region views under it, and every read of one must
+        # hold the lock
         config = small_config(pages=32, cores=2, devices=[
             DeviceConfig("net0", PhysRange(0x20000, 0x21000), 0x21)])
         runner = ScenarioRunner(config, concurrent=True)
@@ -106,13 +107,16 @@ class TestConcurrentBasics:
         platform = engine.platform
         dev = next(d.id for d in engine.domains.values() if d.is_device)
         held = []
-        view_memo = engine._view_memo
 
-        def locked_memo(dom):
-            held.append(platform.engine_lock._lock._is_owned())
-            return view_memo(dom)
+        def locked(fn):
+            def wrapper(*args):
+                held.append((fn.__name__,
+                             platform.engine_lock._lock._is_owned()))
+                return fn(*args)
+            return wrapper
 
-        engine._view_memo = locked_memo
+        engine._patch_view = locked(engine._patch_view)
+        engine.view_cache_for = locked(engine.view_cache_for)
         for addr in range(A[0], A[8], PAGE):
             platform.submit(1, lambda a=addr: platform.dma_access(dev, a, "W"))
             platform.submit(1, engine.page_access_map)
@@ -124,7 +128,8 @@ class TestConcurrentBasics:
             "revoke r1\n")) == 0, runner.failures
         assert any(r.ok and r.op == "revoke_region"
                    for r in engine.trace.records)
-        assert len(held) > 16 and all(held), held
+        assert {name for name, _ in held} == {"_patch_view", "view_cache_for"}
+        assert len(held) > 16 and all(owned for _, owned in held), held
 
     def test_scenario_resolves_handles_under_the_engine_lock(
             self, monkeypatch):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from capmon.errors import ErrorCode, MonitorError
 from capmon.regions import (
-    PAGE, AttrFlags, DerivationKind, PhysRange, RegionStatus, RegionTree,
-    Rights, ViewSegment,
+    PAGE, AttrFlags, DerivationKind, PhysRange, RegionAttributes,
+    RegionStatus, RegionTree, Rights, ViewSegment,
 )
 
 from support import check_invariants, exclusivity_by_path_walk
@@ -316,6 +316,42 @@ class TestViewMemo:
         assert view_tuples(tree, r1) == [(A[0], A[2], "RWX", "exclusive")]
         setattr(tree.nodes[r1], field, value)
         assert view_tuples(tree, r1) == want
+
+    @pytest.mark.parametrize("field, value", [
+        ("owner", TD1),
+        ("attributes", RegionAttributes(clean=True)),
+    ])
+    def test_owner_and_attribute_writes_keep_the_view(self, field, value):
+        # neither field is read by the sweep, so a send keeps the view
+        tree, root = fresh_tree()
+        r1 = tree.carve(TD0, root, PhysRange(A[0], A[2]), Rights.RWX)
+        view = tree.effective_view(r1)
+        setattr(tree.nodes[r1], field, value)
+        assert tree.effective_view(r1) is view
+
+    def test_alias_and_carve_patch_the_parent_view(self, monkeypatch):
+        tree, root = fresh_tree()
+        sweeps = []
+        sweep = RegionTree._sweep
+
+        def counted(tree, node):
+            sweeps.append(node.id)
+            return sweep(tree, node)
+
+        monkeypatch.setattr(RegionTree, "_sweep", counted)
+        r1 = tree.alias(TD0, root, PhysRange(A[1], A[4]), Rights.RW)
+        view = tree.effective_view(root)
+        # a second alias over aliased pages leaves the very same list
+        tree.alias(TD0, root, PhysRange(A[2], A[3]), Rights.R)
+        assert tree.effective_view(root) is view
+        tree.carve(TD0, r1, PhysRange(A[2], A[3]), Rights.RW)
+        tree.carve(TD0, root, PhysRange(A[4], A[5]), Rights.RW)
+        assert sweeps == []
+        for nid in tree.nodes:
+            assert tree.effective_view(nid) == reference_view(tree, nid)
+        assert view_tuples(tree, root) == [
+            (A[0], A[1], "RWX", "exclusive"), (A[1], A[4], "RWX", "aliased"),
+            (A[5], TOP, "RWX", "exclusive")]
 
     def test_moved_carve_child_leaves_parent_memo_stale(self):
         # the parent's memo is dropped only by writes to the parent; a child
