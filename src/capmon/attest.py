@@ -30,7 +30,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 from .domains import NUM_VECTORS, VISIBILITY_IDS, ApiCall, CapKind
 from .errors import ErrorCode, deny
-from .regions import AttrFlags, DerivationKind
+from .regions import CLEAN_BIT, AttrFlags, DerivationKind
 
 MAGIC = b"CAPA"
 VERSION = 1
@@ -47,7 +47,9 @@ _DOMAIN_FIXED = struct.Struct("<BQHB")      # sealed, cores, mon_api, flags
 # the register hash and the fixed part: the reader takes the hash's 32
 # bytes with them, while the writer copies the hash as the field holds it
 _DOMAIN_HEAD = struct.Struct("<32sBQHB")
-# a domain's interrupt table: (visibility code, readable registers) per vector
+# a domain's interrupt table: one row, (visibility code, readable
+# registers), per vector
+_INTERRUPT_ROW = struct.Struct("<BI")
 _INTERRUPT_TABLE = struct.Struct("<" + "BI" * NUM_VECTORS)
 _SPAN = struct.Struct("<BQQ")               # status or kind, start, end
 
@@ -398,8 +400,7 @@ def _write_domain(parts: list[bytes], dom: DomainDescriptor):
     parts.append(_DOMAIN_FIXED.pack(
         int(dom.sealed), dom.cores, dom.mon_api,
         int(dom.user_calls) | (int(dom.receive) << 1)))
-    parts.append(_INTERRUPT_TABLE.pack(
-        *itertools.chain.from_iterable(dom.interrupts)))
+    _write_interrupts(parts, dom.interrupts)
     parts.append(_U32.pack(len(dom.owned_names)))
     region_by_name = {r.name: r for r in dom.regions}
     nested_by_name = {n.name: n for n in dom.nested}
@@ -423,14 +424,10 @@ def _read_domain(reader: _Reader, nested: bool) -> DomainDescriptor:
     register_hash, sealed, cores, mon_api, flags = reader.unpack(_DOMAIN_HEAD)
     if sealed > 1 or flags > 3:
         raise deny(ErrorCode.PARSE_ERROR, "bad domain flag byte")
-    table = reader.unpack(_INTERRUPT_TABLE)
-    codes = table[::2]
-    if max(codes) >= len(VISIBILITY_IDS):
-        raise deny(ErrorCode.PARSE_ERROR, f"bad visibility code {max(codes)}")
     dom = DomainDescriptor(
         name=name, register_hash=register_hash, sealed=bool(sealed),
         cores=cores, mon_api=mon_api, user_calls=bool(flags & 1),
-        receive=bool(flags & 2), interrupts=list(zip(codes, table[1::2])))
+        receive=bool(flags & 2), interrupts=_read_interrupts(reader))
     for _ in range(reader.unpack(_U32)[0]):
         tag = reader.unpack(_U8)[0]
         if tag == 0:
@@ -458,6 +455,37 @@ def _read_domain(reader: _Reader, nested: bool) -> DomainDescriptor:
             len(described):
         raise deny(ErrorCode.PARSE_ERROR, "a described name is not unique")
     return dom
+
+
+# A domain's interrupt table is most often one row repeated: a domain
+# setting no vector apart has its default row on all of them.  The codec
+# then packs, or compares, the table's bytes as a whole instead of as 512
+# separate values; any other table goes value by value.
+
+def _write_interrupts(parts: list[bytes], rows: list[tuple[int, int]]):
+    first = rows[0]
+    if rows.count(first) == len(rows) == NUM_VECTORS:
+        parts.append(_INTERRUPT_ROW.pack(*first) * NUM_VECTORS)
+    else:
+        parts.append(_INTERRUPT_TABLE.pack(
+            *itertools.chain.from_iterable(rows)))
+
+
+def _read_interrupts(reader: _Reader) -> list[tuple[int, int]]:
+    blob, pos = reader.blob, reader.pos
+    row = blob[pos:pos + _INTERRUPT_ROW.size]
+    if blob[pos:pos + _INTERRUPT_TABLE.size] == row * NUM_VECTORS:
+        rows = [_INTERRUPT_ROW.unpack(row)] * NUM_VECTORS
+        reader.pos += _INTERRUPT_TABLE.size
+        code = rows[0][0]
+    else:
+        table = reader.unpack(_INTERRUPT_TABLE)
+        codes = table[::2]
+        rows = list(zip(codes, table[1::2]))
+        code = max(codes)
+    if code >= len(VISIBILITY_IDS):
+        raise deny(ErrorCode.PARSE_ERROR, f"bad visibility code {code}")
+    return rows
 
 
 def _write_region(parts: list[bytes], region: RegionDescriptor):
@@ -594,7 +622,7 @@ def is_confidential(report: AttestationReport,
         else "no exclusive region"))
 
     dirty = [r.name for r in exclusive
-             if not AttrFlags(r.attr_flags) & AttrFlags.CLEAN]
+             if not r.attr_flags & CLEAN_BIT]
     clauses.append(Clause(
         "clean-on-exclusive", not dirty,
         "all exclusive regions carry CLEAN" if not dirty

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -147,18 +148,21 @@ class CapEntry:
 class CapTable:
     """Per-domain capability table; indices reuse the lowest free slot."""
 
-    def __init__(self):
-        self.slots: list[Optional[CapEntry]] = []
+    def __init__(self, slots: Iterable[Optional[CapEntry]] = ()):
+        self.slots: list[Optional[CapEntry]] = list(slots)
+        # the free indices below len(slots), as a heap, so that neither
+        # insert nor len scans the slots
+        self._free = [i for i, e in enumerate(self.slots) if e is None]
         # the owning domain's page table (machine.page_view bytes), which
         # the engine patches in each call that changes the table or its
         # regions (Engine._patch_view); never part of the state
         self.view = b""
 
     def insert(self, entry: CapEntry) -> int:
-        for i, slot in enumerate(self.slots):
-            if slot is None:
-                self.slots[i] = entry
-                return i
+        if self._free:
+            index = heapq.heappop(self._free)
+            self.slots[index] = entry
+            return index
         self.slots.append(entry)
         return len(self.slots) - 1
 
@@ -171,6 +175,7 @@ class CapTable:
         entry = self.slots[index]
         assert entry is not None
         self.slots[index] = None
+        heapq.heappush(self._free, index)
         return entry
 
     def find(self, kind: CapKind, ref: int) -> Optional[int]:
@@ -183,7 +188,7 @@ class CapTable:
         return [(i, e) for i, e in enumerate(self.slots) if e is not None]
 
     def __len__(self) -> int:
-        return sum(1 for e in self.slots if e is not None)
+        return len(self.slots) - len(self._free)
 
 
 @dataclass

@@ -10,6 +10,7 @@ time; in concurrent mode the platform supplies an IPI-aware lock.
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Optional
 
 from . import attest as attest_mod
@@ -26,8 +27,8 @@ from .machine import (
     view_allows,
 )
 from .regions import (
-    PAGE, AttrFlags, PhysRange, RegionAttributes, RegionStatus, RegionTree,
-    Rights,
+    CLEAN_BIT, HASH_BIT, PAGE, VITAL_BIT, AttrFlags, PhysRange,
+    RegionAttributes, RegionStatus, RegionTree, Rights,
 )
 from .trace import OpRecord, TraceLog
 
@@ -37,8 +38,10 @@ MAX_UNDRAINED = 8
 # capabilities one domain's table may hold; a call that would add one more
 # is denied OUT_OF_METADATA (see Engine._check_room)
 CAP_SLOT_QUOTA = 256
-# selects the low register word of a drained 16-byte chunk
+# the width of a register word
 _WORD_MASK = (1 << 64) - 1
+# a drained 16-byte chunk as the two register words it fills
+_CHUNK = struct.Struct("<QQ")
 
 
 class Engine:
@@ -53,9 +56,9 @@ class Engine:
         self.root_region: Optional[int] = None
         self.quantum: Optional[int] = None
         self._quantum_deadlines: dict[int, tuple[int, int]] = {}
-        # continuation token -> (issuing domain, issuing call, output bytes,
-        # bytes drained)
-        self._buffers: dict[int, tuple[int, ApiCall, bytes, int]] = {}
+        # continuation token -> [issuing domain, issuing call, output bytes,
+        # bytes drained]; a drain moves only the last
+        self._buffers: dict[int, list] = {}
         self._next_token = 1
 
     # ------------------------------------------------------------------
@@ -440,6 +443,8 @@ class Engine:
 
     def send(self, caller: int, handle: int, dest_handle: int,
              attrs: AttrFlags = AttrFlags.NONE):
+        bits = int(attrs)
+
         def body(dom):
             entry = self._resolve(dom, handle)
             if entry.kind is CapKind.DOMAIN:
@@ -448,7 +453,7 @@ class Engine:
             dest = self._resolve_td(dom, dest_handle, allow_channel=True)
             if dest.state is DomainState.SEALED and not dest.policies.receive:
                 raise deny(ErrorCode.RECEIVE_DENIED, f"domain {dest.id} !RECEIVE")
-            if attrs:
+            if bits:
                 if entry.kind is CapKind.CHANNEL:
                     raise deny(ErrorCode.ATTRIBUTES_ON_CHANNEL,
                                "attributes apply to regions")
@@ -463,7 +468,7 @@ class Engine:
                 return {"chan_to": entry.ref, "to": dest.id}
             node = self.tree.get(entry.ref)
             digest = None
-            if attrs & AttrFlags.HASH:
+            if bits & HASH_BIT:
                 if node.status is not RegionStatus.EXCLUSIVE:
                     raise deny(ErrorCode.HASH_ON_ALIASED,
                                "hash needs an exclusive region")
@@ -476,8 +481,8 @@ class Engine:
                 node.owner = dest.id
                 node.attributes = RegionAttributes(
                     hash_digest=digest,
-                    clean=bool(attrs & AttrFlags.CLEAN),
-                    vital=bool(attrs & AttrFlags.VITAL))
+                    clean=bool(bits & CLEAN_BIT),
+                    vital=bool(bits & VITAL_BIT))
                 dest.owned.insert(CapEntry(CapKind.REGION, node.id))
                 rng = node.initial_range
                 self._patch_view(dom, rng.start, rng.end)
@@ -492,7 +497,7 @@ class Engine:
             return {**hashed, "region": node.id, "to": dest.id}
 
         self._call(ApiCall.SEND, "send", caller,
-                   {"handle": handle, "dest": dest_handle, "attrs": int(attrs)},
+                   {"handle": handle, "dest": dest_handle, "attrs": bits},
                    body)
 
     def _check_unmapped(self, rng: PhysRange, exclude: set[int]):
@@ -996,6 +1001,8 @@ class Engine:
     def process_updates(self, core: int):
         """Apply pending updates to a core's local state (drain point)."""
         cs = self.cores[core]
+        if not self.platform.cores[core].queue and not cs.deferred_vectors:
+            return
         while True:
             update = self.platform.pop_update(core)
             if update is None:
@@ -1162,7 +1169,7 @@ class Engine:
     def _issue_buffer(self, caller: int, call: ApiCall, blob: bytes) -> int:
         token = self._next_token
         self._next_token += 1
-        self._buffers[token] = (caller, call, blob, 0)
+        self._buffers[token] = [caller, call, blob, 0]
         return token
 
     def _consume_buffer(self, caller: int, call: ApiCall,
@@ -1172,16 +1179,17 @@ class Engine:
         entry = self._buffers.get(token)
         if entry is None or entry[0] != caller or entry[1] != call:
             raise deny(ErrorCode.BAD_CURSOR, f"token {token}")
-        owner, call, blob, offset = entry
+        blob, offset = entry[2], entry[3]
         end = offset + 16
-        chunk = blob[offset:end]
-        if end >= len(blob):
-            del self._buffers[token]
+        if end < len(blob):
+            entry[3] = end
         else:
-            self._buffers[token] = (owner, call, blob, end)
-        # a short last chunk reads as if padded with zero bytes
-        words = int.from_bytes(chunk, "little")
-        return [len(chunk), words & _WORD_MASK, words >> 64]
+            del self._buffers[token]
+            if end > len(blob):
+                # a short last chunk reads as if padded with zero bytes
+                chunk = blob[offset:]
+                return [len(chunk), *_CHUNK.unpack(chunk.ljust(16, b"\0"))]
+        return [16, *_CHUNK.unpack_from(blob, offset)]
 
     # ------------------------------------------------------------------
     # region derivations (engine-level wrappers)

@@ -34,9 +34,7 @@ class Rights(enum.IntFlag):
     RWX = R | W | X
 
     def render(self) -> str:
-        return ("R" if self & Rights.R else "_") + \
-               ("W" if self & Rights.W else "_") + \
-               ("X" if self & Rights.X else "_")
+        return _RIGHTS_TEXT[self._value_ & 7]
 
     @staticmethod
     def parse(text: str) -> "Rights":
@@ -73,14 +71,7 @@ class AttrFlags(enum.IntFlag):
     VITAL = 4
 
     def render(self) -> str:
-        parts = []
-        if self & AttrFlags.HASH:
-            parts.append("HASH")
-        if self & AttrFlags.CLEAN:
-            parts.append("CLEAN")
-        if self & AttrFlags.VITAL:
-            parts.append("VITAL")
-        return "|".join(parts)
+        return _ATTR_TEXT[self._value_ & 7]
 
     @staticmethod
     def parse(text: str) -> "AttrFlags":
@@ -93,6 +84,19 @@ class AttrFlags(enum.IntFlag):
                 raise ValueError(f"bad attribute token: {tok!r}")
             value |= AttrFlags[tok]
         return value
+
+
+# The flags' bits as plain ints, and `render` of every combination of them
+# by value: IntFlag's own operators cost about a microsecond each, and
+# these run on every traced derivation and every send.
+HASH_BIT, CLEAN_BIT, VITAL_BIT = (
+    AttrFlags.HASH._value_, AttrFlags.CLEAN._value_, AttrFlags.VITAL._value_)
+_RIGHTS_TEXT = tuple(("R" if v & Rights.R._value_ else "_") +
+                     ("W" if v & Rights.W._value_ else "_") +
+                     ("X" if v & Rights.X._value_ else "_") for v in range(8))
+_ATTR_TEXT = tuple("|".join(name for name, bit in (
+    ("HASH", HASH_BIT), ("CLEAN", CLEAN_BIT), ("VITAL", VITAL_BIT))
+    if v & bit) for v in range(8))
 
 
 @dataclass(frozen=True)
@@ -133,14 +137,9 @@ class RegionAttributes:
 
     @property
     def flags(self) -> AttrFlags:
-        value = AttrFlags.NONE
-        if self.hash_digest is not None:
-            value |= AttrFlags.HASH
-        if self.clean:
-            value |= AttrFlags.CLEAN
-        if self.vital:
-            value |= AttrFlags.VITAL
-        return value
+        return AttrFlags((HASH_BIT if self.hash_digest is not None else 0) |
+                         (CLEAN_BIT if self.clean else 0) |
+                         (VITAL_BIT if self.vital else 0))
 
 
 @dataclass(frozen=True)

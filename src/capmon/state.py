@@ -17,8 +17,8 @@ import operator
 
 from .attest import BootMeasurement
 from .domains import (
-    POLICY_FIELDS, ApiCall, CapEntry, CapKind, ChainEntry, DomainNode,
-    DomainState, InterruptPolicy, IrqFrame, Visibility,
+    POLICY_FIELDS, ApiCall, CapEntry, CapKind, CapTable, ChainEntry,
+    DomainNode, DomainState, InterruptPolicy, IrqFrame, Visibility,
 )
 from .engine import Engine
 from .machine import DeviceConfig, MachineConfig, Platform
@@ -158,7 +158,7 @@ def load_state(dump: dict) -> Engine:
     engine.tree._next_id = dump["next_region"]
     engine._next_token = dump["next_token"]
     engine._buffers = {
-        token: (owner, ApiCall(call), bytes.fromhex(blob), offset)
+        token: [owner, ApiCall(call), bytes.fromhex(blob), offset]
         for token, owner, call, blob, offset in dump["buffers"]}
     engine.quantum = dump["quantum"]
     engine._quantum_deadlines = {core: (deadline, dom) for core, deadline, dom
@@ -192,9 +192,9 @@ def load_state(dump: dict) -> Engine:
         dom.policies.interrupt_default = InterruptPolicy(Visibility(vis), regs)
         dom.regs = {int(core): list(regs)
                     for core, regs in rec["regs"].items()}
-        dom.owned.slots = [
+        dom.owned = CapTable(
             None if e is None else CapEntry(CapKind(e[0]), e[1])
-            for e in rec["owned"]]
+            for e in rec["owned"])
         dom.is_device = rec["is_device"]
         dom.device_vector = rec["device_vector"]
         dom.register_hash = bytes.fromhex(rec["register_hash"]) \

@@ -12,7 +12,7 @@ from capmon.domains import (
 from capmon.engine import MAX_UNDRAINED
 from capmon.errors import ErrorCode, MonitorError
 from capmon.regions import PAGE
-from capmon.state import dump_state
+from capmon.state import dump_state, load_state
 
 from support import make_child, small_engine
 
@@ -220,6 +220,46 @@ class TestAbiContinuation:
         assert token not in engine._buffers
         assert call(engine, 0, ApiCall.ATTEST, 0, token)[0] == \
             ErrorCode.BAD_CURSOR
+
+    def test_half_drained_token_survives_a_reload(self):
+        engine, td0 = small_engine()
+        status, total, token, _ = call(engine, 0, ApiCall.ATTEST, 0, 0)
+        assert status == 0
+        full = engine._buffers[token][2]
+        half = total // 32 * 16
+        head = drain(engine, 0, ApiCall.ATTEST, token, half)
+        reloaded = load_state(dump_state(engine))
+        assert reloaded._buffers == engine._buffers
+        rests = [drain(e, 0, ApiCall.ATTEST, token, total - half)
+                 for e in (engine, reloaded)]
+        assert rests[0] == rests[1] and head + rests[0] == full
+        assert token not in reloaded._buffers
+
+    def test_successful_drain_changes_only_registers_and_offset(self):
+        engine, td0 = small_engine()
+        status, total, token, _ = call(engine, 0, ApiCall.ATTEST, 0, 0)
+        assert status == 0
+        traced = len(engine.trace.records)
+        offset = 0
+        while offset < total:
+            load(engine, 0, ApiCall.ATTEST, 0, token)
+            expected = dump_state(engine)
+            engine.monitor_call(0)
+            regs = engine.domains[td0].core_regs(0)
+            n = min(16, total - offset)
+            assert regs[0] == 0 and regs[1] == n
+            offset += 16
+            # the caller's registers 0-3, and the token's offset or, after
+            # the last chunk, the token itself
+            dom = next(d for d in expected["domains"] if d["id"] == td0)
+            dom["regs"]["0"][:4] = regs[:4]
+            if offset < total:
+                expected["buffers"][0][4] = offset
+            else:
+                del expected["buffers"][0]
+            assert dump_state(engine) == expected
+            assert len(engine.trace.records) == traced
+        assert token not in engine._buffers
 
     def test_enumerate_via_continuation(self):
         engine, td0 = small_engine()

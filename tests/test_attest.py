@@ -3,6 +3,7 @@ visibility rules, fresh naming, and the two security predicates."""
 
 import functools
 import hashlib
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,14 +80,32 @@ class TestCanonicalForm:
             AttestationReport.from_bytes(blob)
         assert err.value.code is ErrorCode.PARSE_ERROR
 
-    def test_unknown_visibility_code_rejected(self):
+    @pytest.mark.parametrize("rows", [[0], [5], [255], range(256)],
+                             ids=["row0", "row5", "row255", "every-row"])
+    def test_unknown_visibility_code_rejected(self, rows):
         engine, td0 = small_engine()
         report = engine.attest(td0)
-        report.subject.interrupts[5] = (len(Visibility) + 4, 0)
+        for row in rows:
+            report.subject.interrupts[row] = (len(Visibility) + 4, 0)
         blob = report.to_bytes()
         with pytest.raises(MonitorError) as err:
             AttestationReport.from_bytes(blob)
         assert err.value.code is ErrorCode.PARSE_ERROR
+
+    def test_one_row_apart_round_trips(self):
+        engine, td0 = small_engine()
+        report = engine.attest(td0)
+        for apart in (None, 0, 7, 255):
+            rows = [(1, 0b101)] * 256
+            if apart is not None:
+                rows[apart] = (2, 0b11)
+            report.subject.interrupts = list(rows)
+            blob = report.to_bytes()
+            # the table is written row by row, whatever its shape
+            assert b"".join(struct.pack("<BI", *row) for row in rows) in blob
+            parsed = AttestationReport.from_bytes(blob)
+            assert parsed.subject.interrupts == rows
+            assert parsed.to_bytes() == blob
 
     def test_remote_fields_measured_into_signature(self):
         engine, td0, td1, td2, h1 = figure_engine()

@@ -6,7 +6,7 @@ import pytest
 
 from capmon import AttrFlags, PhysRange, Rights, Visibility
 from capmon.domains import (
-    ALL_CALLS_MASK, ApiCall, CapEntry, CapKind, DomainState,
+    ALL_CALLS_MASK, ApiCall, CapEntry, CapKind, CapTable, DomainState,
     InterruptPolicy,
 )
 from capmon.engine import CAP_SLOT_QUOTA
@@ -563,6 +563,23 @@ class TestHandleReuse:
         h3 = engine.create(td0)
         assert h3 == h1
         assert h2 != h3
+
+    def test_table_with_holes_counts_and_refills_lowest_hole(self):
+        table = CapTable()
+        for ref in range(6):
+            assert table.insert(CapEntry(CapKind.CHANNEL, ref)) == ref
+        for index in (4, 1, 3):
+            table.remove(index)
+        assert len(table) == 3
+        assert [table.insert(CapEntry(CapKind.CHANNEL, 10 + k))
+                for k in range(4)] == [1, 3, 4, 6]
+        assert len(table) == 7
+        # a table built from slots with holes, as load_state builds one
+        rebuilt = CapTable([None, CapEntry(CapKind.CHANNEL, 0), None])
+        assert len(rebuilt) == 1
+        assert rebuilt.insert(CapEntry(CapKind.CHANNEL, 1)) == 0
+        assert rebuilt.insert(CapEntry(CapKind.CHANNEL, 2)) == 2
+        assert rebuilt.insert(CapEntry(CapKind.CHANNEL, 3)) == 3
 
 
 class TestRevocation:
