@@ -154,6 +154,11 @@ class AttestationReport:
     signature: bytes = b""
     hash_name: str = HASH_NAME
     sig_scheme: str = SIG_SCHEME
+    # the report-local name of each domain id, for tooling: set when the
+    # monitor builds the report, never serialized, so a parsed report has
+    # none
+    name_of_domain: dict[int, str] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def signed_bytes(self) -> bytes:
         parts: list[bytes] = []
@@ -238,7 +243,6 @@ def build_signed_report(engine, subject_id: int,
         subject=subject)
     body = report.signed_bytes()
     report.signature = sign_bytes(engine.seed, body)
-    # runtime-only convenience for tooling; never serialized
     report.name_of_domain = dict(namer.domains)
     return report, _with_signature(body, report.signature)
 

@@ -143,7 +143,7 @@ def _write_report(report, path: str, runner: ScenarioRunner):
             runner.engine.seed).hex(),
         "pcr": runner.engine.measurement.pcr.hex(),
         "names": {str(dom_id): name for dom_id, name
-                  in getattr(report, "name_of_domain", {}).items()},
+                  in report.name_of_domain.items()},
     }
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)

@@ -103,14 +103,15 @@ class Policies:
         return bool(self.mon_api & (1 << call))
 
 
-def undeliverable_vectors(rootward: Iterable[Policies]) -> set[int]:
-    """The vectors that no policy on a root-ward path delivers.
+def undeliverable_vectors(path: Iterable[Policies]) -> set[int]:
+    """The vectors that no policy on a domain's path delivers.
 
-    `rootward` yields a domain's policies, then its parent's, and so on up;
-    a vector is deliverable when one of them has Deliver for it.
+    `path` yields the policies of a domain and of each of its ancestors, in
+    any order; a vector is deliverable when one of them has Deliver for it.
+    It is read only until every vector is deliverable.
     """
     missing = set(range(NUM_VECTORS))
-    for policies in rootward:
+    for policies in path:
         if policies.interrupt_default.visibility is Visibility.DELIVER:
             # only the vectors with an entry other than Deliver stay missing
             missing &= {v for v, p in policies.interrupts.items()
@@ -273,16 +274,15 @@ class UpdateKind(enum.Enum):
 
 @dataclass
 class Update:
-    """Per-core state-change notice, drained under the two-barrier protocol."""
+    """Per-core state-change notice, drained under the two-barrier protocol.
+
+    ACCESS_CHANGED carries nothing: the drain, under the engine lock like
+    every drain, installs the table of the domain the core then runs.
+    INTERRUPT_ROUTED carries its vector, and DOMAIN_REVOKED the unwind
+    planned when the revocation was published."""
 
     kind: UpdateKind
-    domain: Optional[int] = None
     vector: Optional[int] = None
-    # the view for ACCESS_CHANGED (machine.page_view bytes), computed when
-    # the change is published; the drain, under the engine lock like every
-    # drain, installs it as it is
-    view: Optional[bytes] = None
-    # precomputed unwind for DOMAIN_REVOKED
     unwind: Optional[dict] = None
 
 

@@ -287,8 +287,9 @@ class Engine:
         return b"" if dom is None else dom.owned.view
 
     def _build_views(self):
-        """Build every live domain's table from scratch and install each
-        core's view (at boot and on a reload)."""
+        """Sweep every region's view, build every live domain's table from
+        scratch and install each core's view (at boot and on a reload)."""
+        self.tree.sweep_all()
         for dom in self.domains.values():
             self._patch_view(dom)
         self._refresh_views({cs.id for cs in self.cores})
@@ -299,13 +300,11 @@ class Engine:
                 self.view_cache_for(self.cores[core].current)
 
     def _push_views(self, cores: set[int]):
-        """Queue each core's new view of the domain it runs (drained later);
-        cores that run the same domain share its one table."""
+        """Tell each core that the table of the domain it runs changed; its
+        drain installs the table as it then is."""
         for core in cores:
-            current = self.cores[core].current
             self.platform.enqueue_update(core, Update(
-                UpdateKind.ACCESS_CHANGED, domain=current,
-                view=self.view_cache_for(current)))
+                UpdateKind.ACCESS_CHANGED))
 
     def domain_may_access(self, dom_id: int, addr: int, kind: str) -> bool:
         with self.platform.engine_lock:
@@ -515,7 +514,7 @@ class Engine:
             if child.state is not DomainState.UNSEALED:
                 raise deny(ErrorCode.ALREADY_SEALED, f"domain {child.id}")
             undeliverable = undeliverable_vectors(
-                self._policies_rootward(child))
+                self._policies_from_root(child))
             if undeliverable:
                 raise deny(ErrorCode.UNDELIVERABLE_VECTOR,
                            f"vector {min(undeliverable)}")
@@ -685,13 +684,14 @@ class Engine:
                 return self._irq(cs.id, vector, device=1)["handler"]
             raise AssertionError("td0 runs everywhere and delivers everything")
 
-    def _policies_rootward(self, dom: DomainNode):
-        """The policies of dom and each of its ancestors, dom's first."""
-        while True:
-            yield dom.policies
-            if dom.parent is None:
-                return
+    def _policies_from_root(self, dom: DomainNode) -> list[Policies]:
+        """The policies of dom and each of its ancestors, td0's first: td0's
+        all-Deliver default usually settles the seal check at once."""
+        path = [dom.policies]
+        while dom.parent is not None:
             dom = self.domains[dom.parent]
+            path.append(dom.policies)
+        return path[::-1]
 
     def _handler_of(self, dom_id: Optional[int], vector: int) -> Optional[int]:
         """The nearest domain at or above dom_id that delivers the vector."""
@@ -951,8 +951,7 @@ class Engine:
                 unwind = self._plan_unwind(cs, dom_ids)
                 if unwind is not None:
                     self.platform.enqueue_update(cs.id, Update(
-                        UpdateKind.DOMAIN_REVOKED, domain=unwind["revoked"],
-                        unwind=unwind))
+                        UpdateKind.DOMAIN_REVOKED, unwind=unwind))
                 else:
                     self._push_views({cs.id})
             # 7. records are freed; one a core path still names is held
@@ -991,7 +990,6 @@ class Engine:
                           for e in entries[:cut - 1]],
             "restore_regs": list(new_current.saved_regs),
             "deliver_payload": not was_executing,
-            "view": self.view_cache_for(new_current.domain),
         }
 
     # ------------------------------------------------------------------
@@ -1008,8 +1006,7 @@ class Engine:
             if update is None:
                 break
             if update.kind is UpdateKind.ACCESS_CHANGED:
-                if cs.current == update.domain and update.view is not None:
-                    self.platform.cores[core].local_view = update.view
+                self._refresh_views({core})
             elif update.kind is UpdateKind.DOMAIN_REVOKED:
                 self._apply_unwind(cs, update.unwind)
             elif update.kind is UpdateKind.INTERRUPT_ROUTED:
@@ -1025,7 +1022,7 @@ class Engine:
         if unwind["deliver_payload"]:
             self._deliver_payload(cs, cs.id, PayloadCode.REVOKED_CHILD,
                                   unwind["revoked"])
-        self.platform.cores[cs.id].local_view = unwind["view"]
+        self._refresh_views({cs.id})
         self._clear_quantum(cs.id)
         if self.domains.held:
             self.domains.release(self._named_domains())

@@ -50,7 +50,6 @@ class ErrorCode(enum.IntEnum):
 
     # platform
     BAD_CONFIG = 50
-    UNKNOWN_DEVICE = 51
 
     # attestation and verification
     BAD_SIGNATURE = 60

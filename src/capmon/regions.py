@@ -158,31 +158,22 @@ class RegionNode:
     status: RegionStatus
     kind: DerivationKind
     parent: Optional[int] = None
-    # a tuple, so a new child is a write to this node and drops its view
+    # a tuple: only the tree's own writes change it, and each patches the
+    # view
     children: tuple[int, ...] = ()
     attributes: RegionAttributes = field(default_factory=RegionAttributes)
-    # RegionTree.effective_view, kept current by the tree's own writes; a
-    # cache, never part of the state
+    # RegionTree.effective_view, patched by every write the tree makes and
+    # swept from scratch only by RegionTree.sweep_all; a cache, never part
+    # of the state
     _view: Optional[list[ViewSegment]] = field(
         default=None, init=False, repr=False, compare=False)
 
-    def __setattr__(self, name, value):
-        # a write to what the view is computed from drops it; the tree puts
-        # back a patched view after its own writes (RegionTree.alias, carve)
-        if name not in _VIEW_NEUTRAL:
-            object.__setattr__(self, "_view", None)
-        object.__setattr__(self, name, value)
-
-
-# RegionNode fields whose writes leave the node's view as it is
-_VIEW_NEUTRAL = frozenset({"owner", "attributes", "_view"})
-
 
 def _repaint(view: list[ViewSegment], sub: PhysRange, rights: Rights,
-             status: Optional[RegionStatus]) -> list[ViewSegment]:
+             segments: list[ViewSegment]) -> list[ViewSegment]:
     """A node's view (each segment carries the node's rights) with its
-    pieces on sub given `status`, or cut out where status is None, merged
-    as RegionTree._sweep merges: adjacent pieces of one status become one
+    pieces on sub replaced by `segments`, which lie in sub, merged as
+    RegionTree._sweep merges: adjacent pieces of one status become one
     segment.  Only the segments on or next to sub are rebuilt."""
     first = 0
     while first < len(view) and view[first].range.end < sub.start:
@@ -190,19 +181,21 @@ def _repaint(view: list[ViewSegment], sub: PhysRange, rights: Rights,
     last = first
     while last < len(view) and view[last].range.start <= sub.end:
         last += 1
+    near = view[first:last]
     pieces: list[list] = []  # [start, end, status]
-    for seg in view[first:last]:
-        lo, hi = seg.range.start, seg.range.end
-        for start, end, piece in ((lo, min(hi, sub.start), seg.status),
-                                  (max(lo, sub.start), min(hi, sub.end),
-                                   status),
-                                  (max(lo, sub.end), hi, seg.status)):
-            if start >= end or piece is None:
-                continue
-            if pieces and pieces[-1][1] == start and pieces[-1][2] is piece:
-                pieces[-1][1] = end
-            else:
-                pieces.append([start, end, piece])
+    for start, end, piece in (
+            [(seg.range.start, min(seg.range.end, sub.start), seg.status)
+             for seg in near] +
+            [(seg.range.start, seg.range.end, seg.status)
+             for seg in segments] +
+            [(max(seg.range.start, sub.end), seg.range.end, seg.status)
+             for seg in near]):
+        if start >= end:
+            continue
+        if pieces and pieces[-1][1] == start and pieces[-1][2] is piece:
+            pieces[-1][1] = end
+        else:
+            pieces.append([start, end, piece])
     return view[:first] + [
         ViewSegment(PhysRange(start, end), rights, piece)
         for start, end, piece in pieces] + view[last:]
@@ -255,17 +248,23 @@ class RegionTree:
         Sub-ranges taken by carve children are absent; sub-ranges covered by
         at least one alias child report Aliased regardless of the node's own
         status.  Segments are disjoint, sorted, and merged when adjacent with
-        identical status.  The list is the node's own view, kept current by
-        alias and carve and swept again only after a write drops it:
-        callers must not mutate it.
+        identical status.  The list is the node's own view, patched by
+        alias, carve and destroy: callers must not mutate it.
         """
-        node = self.get(region_id)
-        if node._view is None:
-            node._view = self._sweep(node)
-        return node._view
+        return self.get(region_id)._view
 
-    def _sweep(self, node: RegionNode) -> list[ViewSegment]:
+    def sweep_all(self):
+        """Sweep every node's view from scratch: at boot, on a reload, and
+        after a write made behind the tree's back."""
+        for node in self.nodes.values():
+            node._view = self._sweep(node)
+
+    def _sweep(self, node: RegionNode,
+               window: Optional[PhysRange] = None) -> list[ViewSegment]:
+        """node's view, or the part of it in `window`."""
         lo, hi = node.initial_range.start, node.initial_range.end
+        if window is not None:
+            lo, hi = max(lo, window.start), min(hi, window.end)
         # (address, carve delta, alias delta) at each clipped child boundary
         events = [(lo, 0, 0)]
         for cid in node.children:
@@ -299,26 +298,10 @@ class RegionTree:
                             else RegionStatus.EXCLUSIVE)
                 for start, end, aliased in pieces]
 
-    def accessible_ranges(self, region_id: int) -> list[PhysRange]:
-        return [seg.range for seg in self.effective_view(region_id)]
-
-    def _covers(self, ranges: list[PhysRange], sub: PhysRange) -> bool:
-        # ranges are sorted and disjoint
-        pos = sub.start
-        for rng in ranges:
-            if rng.end <= pos:
-                continue
-            if rng.start > pos:
-                return False
-            pos = rng.end
-            if pos >= sub.end:
-                return True
-        return pos >= sub.end
-
     # -- derivation -------------------------------------------------------
 
     def _check_derivation(self, caller: int, parent_id: int,
-                          sub: PhysRange, rights: Rights) -> RegionNode:
+                          rights: Rights) -> RegionNode:
         parent = self.get(parent_id)
         if parent.owner != caller:
             raise deny(ErrorCode.NOT_OWNER,
@@ -329,29 +312,31 @@ class RegionTree:
 
     def alias(self, caller: int, parent_id: int,
               sub: PhysRange, rights: Rights) -> int:
-        parent = self._check_derivation(caller, parent_id, sub, rights)
-        if not self._covers(self.accessible_ranges(parent_id), sub):
+        parent = self._check_derivation(caller, parent_id, rights)
+        view = parent._view
+        # the segments are disjoint, so they cover sub exactly when their
+        # overlaps with it add up to all of it
+        over = [seg for seg in view if seg.range.overlaps(sub)]
+        if sum(min(seg.range.end, sub.end) - max(seg.range.start, sub.start)
+               for seg in over) != sub.end - sub.start:
             raise deny(ErrorCode.OUT_OF_RANGE,
                        f"{sub} not accessible in region {parent_id}")
         if rights & ~parent.rights:
             raise deny(ErrorCode.RIGHTS_ESCALATION,
                        f"{rights.render()} exceeds {parent.rights.render()}")
-        view = self.effective_view(parent_id)
         nid = self._add(caller, sub, rights, RegionStatus.ALIASED,
                         DerivationKind.ALIAS, parent_id)
         parent.children += (nid,)
         # sub turns aliased in the parent's view; if it is already, the
         # view stays the very same list
-        if any(seg.status is RegionStatus.EXCLUSIVE
-               for seg in view if seg.range.overlaps(sub)):
-            view = _repaint(view, sub, parent.rights,
-                            RegionStatus.ALIASED)
-        parent._view = view
+        if any(seg.status is RegionStatus.EXCLUSIVE for seg in over):
+            parent._view = _repaint(view, sub, parent.rights, [ViewSegment(
+                sub, parent.rights, RegionStatus.ALIASED)])
         return nid
 
     def carve(self, caller: int, parent_id: int,
               sub: PhysRange, rights: Rights) -> int:
-        parent = self._check_derivation(caller, parent_id, sub, rights)
+        parent = self._check_derivation(caller, parent_id, rights)
         if not parent.initial_range.contains(sub):
             raise deny(ErrorCode.OUT_OF_RANGE,
                        f"{sub} outside region {parent_id} {parent.initial_range}")
@@ -370,7 +355,7 @@ class RegionTree:
 
         # project the parent's per-address status onto sub: exclusive only if
         # every address of sub is exclusive in the parent's view
-        view = self.effective_view(parent_id)
+        view = parent._view
         exclusive = all(
             seg.status is RegionStatus.EXCLUSIVE
             for seg in view if seg.range.overlaps(sub))
@@ -380,7 +365,7 @@ class RegionTree:
                         parent_id)
         parent.children += (nid,)
         # no child overlaps sub, so all of it is in the view: cut it out
-        parent._view = _repaint(view, sub, parent.rights, None)
+        parent._view = _repaint(view, sub, parent.rights, [])
         return nid
 
     # -- revocation support ------------------------------------------------
@@ -408,7 +393,8 @@ class RegionTree:
 
     def destroy(self, region_ids: list[int]):
         """Remove nodes (bottom-up order expected) and detach from parents;
-        a surviving parent's view is dropped, to be swept afresh."""
+        a surviving parent's view is patched on the range the child
+        leaves, with that range swept afresh."""
         doomed = set(region_ids)
         for rid in region_ids:
             node = self.nodes.pop(rid)
@@ -416,3 +402,6 @@ class RegionTree:
                 parent = self.nodes[node.parent]
                 parent.children = tuple(c for c in parent.children
                                         if c != rid)
+                sub = node.initial_range
+                parent._view = _repaint(parent._view, sub, parent.rights,
+                                        self._sweep(parent, sub))

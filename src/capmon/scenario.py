@@ -521,7 +521,7 @@ class ScenarioRunner:
         if report is None:
             self._fail(stmt, f"no report named {args[0]!r}")
             return
-        names = getattr(report, "name_of_domain", {})
+        names = report.name_of_domain
         try:
             if encapsulated:
                 child = names[self._lookup(args[1], ("dom",))[1]]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmon import PhysRange, Visibility
+from capmon import engine as engine_mod
 from capmon.domains import (
     NUM_VECTORS, InterruptPolicy, PayloadCode, Policies,
     undeliverable_vectors,
@@ -303,8 +304,29 @@ class TestSealDeliverability:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_POLICIES, min_size=1, max_size=5))
     def test_one_pass_equals_a_walk_per_vector(self, rootward):
+        # the path may come in either order
         assert undeliverable_vectors(iter(rootward)) == \
             undeliverable_by_walks(rootward)
+        assert undeliverable_vectors(reversed(rootward)) == \
+            undeliverable_by_walks(rootward)
+
+    def test_seal_under_td0_reads_one_policy(self, monkeypatch):
+        # td0's policies come first, and its all-Deliver default settles
+        # every vector at once
+        engine, td0 = small_engine()
+        read = []
+        check = engine_mod.undeliverable_vectors
+
+        def counted(path):
+            def reading():
+                for policies in path:
+                    read.append(policies)
+                    yield policies
+            return check(reading())
+
+        monkeypatch.setattr(engine_mod, "undeliverable_vectors", counted)
+        make_child(engine, td0, interrupts=[(7, Visibility.REPORT, 0)])
+        assert read == [engine.domains[td0].policies]
 
     def test_seal_names_the_lowest_undeliverable_vector(self):
         engine, td0 = small_engine()

@@ -136,8 +136,8 @@ class TestDerivation:
         # the independent per-page model agrees the range left the parent
         tree, root = fresh_tree()
         tree.carve(TD0, root, PhysRange(A[2], A[5]), Rights.RWX)
-        accessible = {p for rng in tree.accessible_ranges(root)
-                      for p in rng.pages()}
+        accessible = {p for seg in tree.effective_view(root)
+                      for p in seg.range.pages()}
         assert not accessible & set(PhysRange(A[2], A[3]).pages())
         with pytest.raises(MonitorError) as err:
             tree.alias(TD0, root, PhysRange(A[2], A[3]), Rights.RW)
@@ -315,6 +315,7 @@ class TestViewMemo:
         r1 = tree.carve(TD0, root, PhysRange(A[0], A[2]), Rights.RWX)
         assert view_tuples(tree, r1) == [(A[0], A[2], "RWX", "exclusive")]
         setattr(tree.nodes[r1], field, value)
+        tree.sweep_all()
         assert view_tuples(tree, r1) == want
 
     @pytest.mark.parametrize("field, value", [
@@ -353,9 +354,37 @@ class TestViewMemo:
             (A[0], A[1], "RWX", "exclusive"), (A[1], A[4], "RWX", "aliased"),
             (A[5], TOP, "RWX", "exclusive")]
 
+    def test_destroy_patches_every_surviving_view(self, monkeypatch):
+        # a destroy sweeps the surviving parent on the child's range only;
+        # no node's view is dropped, and only sweep_all sweeps a whole node
+        tree, root = fresh_tree()
+        unwindowed = []
+        sweep = RegionTree._sweep
+
+        def counted(tree, node, window=None):
+            if window is None:
+                unwindowed.append(node.id)
+            return sweep(tree, node, window)
+
+        monkeypatch.setattr(RegionTree, "_sweep", counted)
+        r1 = tree.alias(TD0, root, PhysRange(A[0], A[4]), Rights.RW)
+        r2 = tree.carve(TD0, root, PhysRange(A[4], A[5]), Rights.RWX)
+        r3 = tree.alias(TD0, r1, PhysRange(A[1], A[2]), Rights.R)
+        r4 = tree.carve(TD0, r1, PhysRange(A[2], A[3]), Rights.RW)
+        tree.alias(TD0, r2, PhysRange(A[4], A[5]), Rights.RX)
+        tree.alias(TD0, root, PhysRange(A[1], A[3]), Rights.R)
+        for doomed in (r3, r4, r2, r1):
+            tree.destroy(tree.subtree(doomed))
+            assert all(node._view is not None for node in tree.nodes.values())
+            for nid in tree.nodes:
+                assert tree.effective_view(nid) == reference_view(tree, nid)
+        assert unwindowed == []
+        tree.sweep_all()
+        assert sorted(unwindowed) == sorted(tree.nodes)
+
     def test_moved_carve_child_leaves_parent_memo_stale(self):
-        # the parent's memo is dropped only by writes to the parent; a child
-        # moved behind the back is what check_invariants is there to catch
+        # only the tree's own writes patch a view; a child moved behind the
+        # back is what check_invariants is there to catch
         tree, root = fresh_tree()
         r1 = tree.carve(TD0, root, PhysRange(A[1], A[2]), Rights.RWX)
         tree.effective_view(root)
