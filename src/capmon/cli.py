@@ -152,7 +152,10 @@ def _write_report(report, path: str, runner: ScenarioRunner):
 def cmd_attest(args) -> int:
     try:
         engine = state_mod.read_dump(args.dump)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            MonitorError) as exc:
+        # a missing field or one of the wrong type, or an invalid range or
+        # config
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.subject not in engine.domains:

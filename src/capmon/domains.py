@@ -154,9 +154,10 @@ class CapTable:
         # the free indices below len(slots), as a heap, so that neither
         # insert nor len scans the slots
         self._free = [i for i, e in enumerate(self.slots) if e is None]
-        # the owning domain's page table (machine.page_view bytes), which
-        # the engine patches in each call that changes the table or its
-        # regions (Engine._patch_view); never part of the state
+        # the owning domain's page table: one byte per page from page 0, in
+        # the view format regions.py defines, which the engine patches in
+        # each call that changes the table or its regions
+        # (Engine._patch_view); never part of the state
         self.view = b""
 
     def insert(self, entry: CapEntry) -> int:

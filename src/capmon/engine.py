@@ -22,10 +22,7 @@ from .domains import (
     Visibility, undeliverable_vectors, zero_registers,
 )
 from .errors import ErrorCode, MonitorError, deny
-from .machine import (
-    EXCLUSIVE_BIT, FAULT_VECTOR, TIMER_VECTOR, CoreRunState, page_view,
-    view_allows,
-)
+from .machine import FAULT_VECTOR, TIMER_VECTOR, CoreRunState, view_allows
 from .regions import (
     CLEAN_BIT, HASH_BIT, PAGE, VITAL_BIT, AttrFlags, PhysRange,
     RegionAttributes, RegionStatus, RegionTree, Rights,
@@ -240,49 +237,44 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _patch_view(self, dom: DomainNode, start: int = 0,
-                     end: Optional[int] = None):
+                    end: Optional[int] = None):
         """Recompute dom's table on the pages of [start, end), all of it by
-        default, from its regions clipped to them, and hand the table a new
-        bytes object only if it changed.  Trailing pages that grant nothing
-        are trimmed, so the table is as long as a fresh page_view build.
-        Callers hold the engine lock."""
+        default, as the OR of its regions' views clipped to them, and hand
+        the table a new bytes object only if it changed.  Trailing pages
+        that grant nothing are trimmed, so the table ends at the domain's
+        last granted page.  Callers hold the engine lock."""
         if end is None:
             end = self.platform.config.address_top
-        # enum members held in locals: a class attribute read costs more
-        # than the rest of a loop turn
-        region, exclusive = CapKind.REGION, RegionStatus.EXCLUSIVE
-        nodes = self.tree.nodes
-        segments = []
+        lo, hi = start // PAGE, end // PAGE
+        region, nodes = CapKind.REGION, self.tree.nodes
+        # the window as one little-endian int, page lo in its lowest byte,
+        # so each region's bytes OR in at once
+        patch = 0
         for entry in dom.owned.slots:
             if entry is None or entry.kind is not region:
                 continue
-            rng = nodes[entry.ref].initial_range
-            if rng.end <= start or end <= rng.start:
-                continue
-            for seg in self.tree.effective_view(entry.ref):
-                lo, hi = max(seg.range.start, start), min(seg.range.end, end)
-                if lo < hi:
-                    # rights use bits 0-2 only, so + sets the bit (and
-                    # skips IntFlag's slow |)
-                    segments.append((lo - start, hi - start,
-                                     seg.rights + EXCLUSIVE_BIT
-                                     if seg.status is exclusive
-                                     else seg.rights))
-        lo, hi = start // PAGE, end // PAGE
-        patch = page_view(segments).ljust(hi - lo, b"\0")
+            node = nodes[entry.ref]
+            base = node.initial_range.start // PAGE
+            first = max(base, lo)
+            last = min(node.initial_range.end // PAGE, hi)
+            if first < last:
+                patch |= int.from_bytes(
+                    node._view[first - base:last - base],
+                    "little") << (first - lo) * 8
+        patch = patch.to_bytes(hi - lo, "little")
         old = dom.owned.view
         if old[lo:hi].ljust(hi - lo, b"\0") != patch:
             dom.owned.view = (old[:lo].ljust(lo, b"\0") + patch +
                               old[hi:]).rstrip(b"\0")
 
     def view_cache_for(self, dom_id: int) -> bytes:
-        """The view the interposer checks a domain's accesses against: one
-        byte per page up to the domain's last granted page, so at most
-        address_top // PAGE bytes, with the page's rights in bits 0-2 and
-        EXCLUSIVE_BIT set where an exclusive segment grants it.  It is the
-        domain's table, kept current by every call that changes it and
-        shared as immutable bytes; a domain that does not exist sees b"",
-        which grants nothing."""
+        """The view the interposer checks a domain's accesses against: the
+        domain's table, one byte per page in the format of a region's view,
+        from page 0 to its last granted page, so at most address_top // PAGE
+        bytes; a page's byte is the OR of the bytes of the regions granting
+        it.  Every call that changes the table patches it, and it is shared
+        as immutable bytes; a domain that does not exist sees b"", which
+        grants nothing."""
         dom = self.domains.get(dom_id)
         return b"" if dom is None else dom.owned.view
 
@@ -500,11 +492,14 @@ class Engine:
                    body)
 
     def _check_unmapped(self, rng: PhysRange, exclude: set[int]):
+        nodes = self.tree.nodes
         for other in self.domains.values():
             for _, entry in other.owned.entries():
-                if entry.kind is CapKind.REGION and entry.ref not in exclude \
-                        and any(seg.range.overlaps(rng) for seg
-                                in self.tree.effective_view(entry.ref)):
+                if entry.kind is not CapKind.REGION or entry.ref in exclude:
+                    continue
+                node = nodes[entry.ref]
+                lo, hi = node._pages(rng)
+                if lo < hi and any(node._view[lo:hi]):
                     raise deny(ErrorCode.STILL_ACCESSIBLE,
                                f"{rng} reachable via region {entry.ref}")
 

@@ -167,33 +167,17 @@ class SimCore:
     id: int
     run_state: str = CoreRunState.RUNNING
     queue: list = field(default_factory=list)
-    # local cached view of the current domain: one byte per page, as
-    # page_view builds it; shared with the domain's memo, and immutable
+    # the table of the domain the core runs, as the engine last installed
+    # it: the very bytes object the domain's capability table holds
     local_view: bytes = b""
 
 
 _ACCESS_BITS = {"R": 4, "W": 2, "X": 1}
-EXCLUSIVE_BIT = 8       # marks a page that an exclusive segment grants
-# _OR_RIGHTS[r] maps each view byte b to b | r, for bytes.translate
-_OR_RIGHTS = [bytes(b | r for b in range(256)) for r in range(16)]
-
-
-def page_view(segments: list[tuple[int, int, int]]) -> bytes:
-    """A view as one byte per page, from page 0 to the last page any
-    (start, end, bits) segment covers: rights in bits 0-2, EXCLUSIVE_BIT in
-    bit 3.  Segments are page aligned, as every PhysRange is, and where they
-    overlap their bits are OR'ed."""
-    table = bytearray()
-    for start, end, bits in segments:
-        lo, hi = start // PAGE, end // PAGE
-        if hi > len(table):
-            table += bytes(hi - len(table))
-        table[lo:hi] = table[lo:hi].translate(_OR_RIGHTS[bits])
-    return bytes(table)
 
 
 def view_allows(view: bytes, addr: int, kind: str) -> bool:
-    """Whether a view from page_view grants `kind` access at addr."""
+    """Whether a domain's table (one byte per page from page 0, in the
+    format regions.py defines) grants `kind` access at addr."""
     page = addr // PAGE
     return 0 <= page < len(view) and bool(view[page] & _ACCESS_BITS[kind])
 
@@ -373,6 +357,9 @@ class ConcurrentPlatform(Platform):
         self._ipi_requests: list[Optional[_IpiRequest]] = [None] * config.cores
         self._work: list[list] = [[] for _ in range(config.cores)]
         self._work_cv = [threading.Condition() for _ in range(config.cores)]
+        # whether each core's worker is running a statement; set and
+        # cleared under the core's work condition
+        self._busy = [False] * config.cores
         self._threads: list[threading.Thread] = []
         self._stop = False
         self._errors: list[BaseException] = []
@@ -410,10 +397,9 @@ class ConcurrentPlatform(Platform):
             return super().barrier_update(initiator, affected, publish, tag)
         initiator = getattr(self._thread_core, "core", None)
         others = sorted(c for c in affected if c != initiator)
-        live = [c for c in others if not self._stop]
-        barrier1 = threading.Barrier(len(live) + 1)
-        barrier2 = threading.Barrier(len(live) + 1)
-        for core in live:
+        barrier1 = threading.Barrier(len(others) + 1)
+        barrier2 = threading.Barrier(len(others) + 1)
+        for core in others:
             self._log_phase("ipi", core, tag)
             self._ipi_requests[core] = _IpiRequest(barrier1, barrier2, tag)
             with self._work_cv[core]:
@@ -451,6 +437,7 @@ class ConcurrentPlatform(Platform):
             with self._work_cv[core]:
                 if self._work[core]:
                     fn = self._work[core].pop(0)
+                    self._busy[core] = True
                 elif self._stop:
                     return
                 else:
@@ -462,10 +449,20 @@ class ConcurrentPlatform(Platform):
                     pass
                 except BaseException as exc:  # surfaced by join()
                     self._errors.append(exc)
+                finally:
+                    with self._work_cv[core]:
+                        self._busy[core] = False
+
+    def _idle(self, core: int) -> bool:
+        with self._work_cv[core]:
+            return not (self._work[core] or self._busy[core])
 
     def join(self, timeout: float = 60.0):
+        """Stop the workers once every core has run all its work, so no
+        statement is still running when they stop: one that is would find
+        the other cores no longer servicing its barrier rounds."""
         deadline = time.monotonic() + timeout
-        while any(self._work[c] for c in range(self.ncores)):
+        while not all(self._idle(c) for c in range(self.ncores)):
             if time.monotonic() > deadline:
                 raise TimeoutError("cores did not drain their work queues")
             time.sleep(0.001)

@@ -15,6 +15,7 @@ vital-triggered domain revocation, update fan-out) are driven by the engine.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -149,6 +150,17 @@ class ViewSegment:
     status: RegionStatus
 
 
+# A view is one byte per page: the rights in bits 0-2, and EXCLUSIVE_BIT
+# where the page is granted exclusively; 0 grants nothing.  A region's view
+# covers its initial range, a domain's table pages 0 and up; both are bytes.
+EXCLUSIVE_BIT = 8
+# _SHARED maps each view byte to itself without EXCLUSIVE_BIT, for
+# bytes.translate
+_SHARED = bytes(b & ~EXCLUSIVE_BIT for b in range(256))
+# a run of one nonzero byte value: one segment of effective_view
+_RUNS = re.compile(rb"([^\x00])\1*", re.DOTALL)
+
+
 @dataclass
 class RegionNode:
     id: int
@@ -162,43 +174,24 @@ class RegionNode:
     # view
     children: tuple[int, ...] = ()
     attributes: RegionAttributes = field(default_factory=RegionAttributes)
-    # RegionTree.effective_view, patched by every write the tree makes and
-    # swept from scratch only by RegionTree.sweep_all; a cache, never part
-    # of the state
-    _view: Optional[list[ViewSegment]] = field(
-        default=None, init=False, repr=False, compare=False)
+    # one byte per page of initial_range: the node's rights, plus
+    # EXCLUSIVE_BIT where the node is exclusive and no alias child covers
+    # the page, and 0 where a carve child took it.  Patched by every write
+    # the tree makes and swept from scratch only by RegionTree.sweep_all; a
+    # cache, never part of the state
+    _view: bytes = field(default=b"", init=False, repr=False, compare=False)
 
+    def _byte(self) -> int:
+        """The view's byte on a page no child of the node covers."""
+        return int(self.rights) | (
+            EXCLUSIVE_BIT if self.status is RegionStatus.EXCLUSIVE else 0)
 
-def _repaint(view: list[ViewSegment], sub: PhysRange, rights: Rights,
-             segments: list[ViewSegment]) -> list[ViewSegment]:
-    """A node's view (each segment carries the node's rights) with its
-    pieces on sub replaced by `segments`, which lie in sub, merged as
-    RegionTree._sweep merges: adjacent pieces of one status become one
-    segment.  Only the segments on or next to sub are rebuilt."""
-    first = 0
-    while first < len(view) and view[first].range.end < sub.start:
-        first += 1
-    last = first
-    while last < len(view) and view[last].range.start <= sub.end:
-        last += 1
-    near = view[first:last]
-    pieces: list[list] = []  # [start, end, status]
-    for start, end, piece in (
-            [(seg.range.start, min(seg.range.end, sub.start), seg.status)
-             for seg in near] +
-            [(seg.range.start, seg.range.end, seg.status)
-             for seg in segments] +
-            [(max(seg.range.start, sub.end), seg.range.end, seg.status)
-             for seg in near]):
-        if start >= end:
-            continue
-        if pieces and pieces[-1][1] == start and pieces[-1][2] is piece:
-            pieces[-1][1] = end
-        else:
-            pieces.append([start, end, piece])
-    return view[:first] + [
-        ViewSegment(PhysRange(start, end), rights, piece)
-        for start, end, piece in pieces] + view[last:]
+    def _pages(self, rng: PhysRange) -> tuple[int, int]:
+        """rng's pages as offsets into the view, clipped to it; empty
+        (lo >= hi) where rng misses the region."""
+        base = self.initial_range.start
+        return (max(rng.start - base, 0) // PAGE,
+                (min(rng.end, self.initial_range.end) - base) // PAGE)
 
 
 class RegionTree:
@@ -224,12 +217,12 @@ class RegionTree:
     def _add(self, owner: int, rng: PhysRange, rights: Rights,
              status: RegionStatus, kind: DerivationKind,
              parent: Optional[int]) -> int:
-        """A new node; having no children, its view is its one segment."""
+        """A new node; having no children, it grants each of its pages."""
         nid = self._fresh_id()
         node = self.nodes[nid] = RegionNode(
             id=nid, owner=owner, initial_range=rng, rights=rights,
             status=status, kind=kind, parent=parent)
-        node._view = [ViewSegment(rng, rights, status)]
+        node._view = bytes([node._byte()]) * ((rng.end - rng.start) // PAGE)
         return nid
 
     # -- lookups ---------------------------------------------------------
@@ -248,10 +241,16 @@ class RegionTree:
         Sub-ranges taken by carve children are absent; sub-ranges covered by
         at least one alias child report Aliased regardless of the node's own
         status.  Segments are disjoint, sorted, and merged when adjacent with
-        identical status.  The list is the node's own view, patched by
-        alias, carve and destroy: callers must not mutate it.
+        identical status: the runs of the node's view.
         """
-        return self.get(region_id)._view
+        node = self.get(region_id)
+        base, rights = node.initial_range.start, node.rights
+        return [ViewSegment(PhysRange(base + run.start() * PAGE,
+                                      base + run.end() * PAGE), rights,
+                            RegionStatus.EXCLUSIVE
+                            if run.group()[0] & EXCLUSIVE_BIT
+                            else RegionStatus.ALIASED)
+                for run in _RUNS.finditer(node._view)]
 
     def sweep_all(self):
         """Sweep every node's view from scratch: at boot, on a reload, and
@@ -260,43 +259,23 @@ class RegionTree:
             node._view = self._sweep(node)
 
     def _sweep(self, node: RegionNode,
-               window: Optional[PhysRange] = None) -> list[ViewSegment]:
-        """node's view, or the part of it in `window`."""
+               window: Optional[PhysRange] = None) -> bytes:
+        """node's view, or the part of it on `window`, from its record."""
         lo, hi = node.initial_range.start, node.initial_range.end
         if window is not None:
             lo, hi = max(lo, window.start), min(hi, window.end)
-        # (address, carve delta, alias delta) at each clipped child boundary
-        events = [(lo, 0, 0)]
+        view = bytearray([node._byte()]) * ((hi - lo) // PAGE)
         for cid in node.children:
             child = self.nodes[cid]
-            start = max(child.initial_range.start, lo)
-            end = min(child.initial_range.end, hi)
+            start = (max(child.initial_range.start, lo) - lo) // PAGE
+            end = (min(child.initial_range.end, hi) - lo) // PAGE
             if start >= end:
                 continue
             if child.kind is DerivationKind.CARVE:
-                events += ((start, 1, 0), (end, -1, 0))
+                view[start:end] = bytes(end - start)
             else:
-                events += ((start, 0, 1), (end, 0, -1))
-        events.sort()
-        events.append((hi, 0, 0))
-
-        always_aliased = node.status is RegionStatus.ALIASED
-        pieces: list[list] = []  # [start, end, aliased], merged as emitted
-        carves = aliases = 0
-        for (at, d_carve, d_alias), (upto, _, _) in zip(events, events[1:]):
-            carves += d_carve
-            aliases += d_alias
-            if at == upto or carves:
-                continue
-            aliased = always_aliased or aliases > 0
-            if pieces and pieces[-1][1] == at and pieces[-1][2] == aliased:
-                pieces[-1][1] = upto
-            else:
-                pieces.append([at, upto, aliased])
-        return [ViewSegment(PhysRange(start, end), node.rights,
-                            RegionStatus.ALIASED if aliased
-                            else RegionStatus.EXCLUSIVE)
-                for start, end, aliased in pieces]
+                view[start:end] = view[start:end].translate(_SHARED)
+        return bytes(view)
 
     # -- derivation -------------------------------------------------------
 
@@ -313,12 +292,10 @@ class RegionTree:
     def alias(self, caller: int, parent_id: int,
               sub: PhysRange, rights: Rights) -> int:
         parent = self._check_derivation(caller, parent_id, rights)
+        lo, hi = parent._pages(sub)
         view = parent._view
-        # the segments are disjoint, so they cover sub exactly when their
-        # overlaps with it add up to all of it
-        over = [seg for seg in view if seg.range.overlaps(sub)]
-        if sum(min(seg.range.end, sub.end) - max(seg.range.start, sub.start)
-               for seg in over) != sub.end - sub.start:
+        if not parent.initial_range.contains(sub) or \
+                view.find(0, lo, hi) >= 0:
             raise deny(ErrorCode.OUT_OF_RANGE,
                        f"{sub} not accessible in region {parent_id}")
         if rights & ~parent.rights:
@@ -328,10 +305,11 @@ class RegionTree:
                         DerivationKind.ALIAS, parent_id)
         parent.children += (nid,)
         # sub turns aliased in the parent's view; if it is already, the
-        # view stays the very same list
-        if any(seg.status is RegionStatus.EXCLUSIVE for seg in over):
-            parent._view = _repaint(view, sub, parent.rights, [ViewSegment(
-                sub, parent.rights, RegionStatus.ALIASED)])
+        # view stays the very same bytes
+        piece = view[lo:hi]
+        shared = piece.translate(_SHARED)
+        if shared != piece:
+            parent._view = view[:lo] + shared + view[hi:]
         return nid
 
     def carve(self, caller: int, parent_id: int,
@@ -353,19 +331,13 @@ class RegionTree:
             raise deny(ErrorCode.RIGHTS_ESCALATION,
                        f"{rights.render()} exceeds {parent.rights.render()}")
 
-        # project the parent's per-address status onto sub: exclusive only if
-        # every address of sub is exclusive in the parent's view
-        view = parent._view
-        exclusive = all(
-            seg.status is RegionStatus.EXCLUSIVE
-            for seg in view if seg.range.overlaps(sub))
-        status = RegionStatus.EXCLUSIVE if exclusive else RegionStatus.ALIASED
-
-        nid = self._add(caller, sub, rights, status, DerivationKind.CARVE,
-                        parent_id)
+        # no child overlaps sub, so each of its pages carries the parent's
+        # own status
+        nid = self._add(caller, sub, rights, parent.status,
+                        DerivationKind.CARVE, parent_id)
         parent.children += (nid,)
-        # no child overlaps sub, so all of it is in the view: cut it out
-        parent._view = _repaint(view, sub, parent.rights, [])
+        lo, hi = parent._pages(sub)
+        parent._view = parent._view[:lo] + bytes(hi - lo) + parent._view[hi:]
         return nid
 
     # -- revocation support ------------------------------------------------
@@ -402,6 +374,7 @@ class RegionTree:
                 parent = self.nodes[node.parent]
                 parent.children = tuple(c for c in parent.children
                                         if c != rid)
-                sub = node.initial_range
-                parent._view = _repaint(parent._view, sub, parent.rights,
-                                        self._sweep(parent, sub))
+                lo, hi = parent._pages(node.initial_range)
+                parent._view = (parent._view[:lo] +
+                                self._sweep(parent, node.initial_range) +
+                                parent._view[hi:])

@@ -182,12 +182,18 @@ class ScenarioRunner:
             self.engine.platform.tick()
 
     def execute(self, stmt: Statement):
+        """Run one statement; arguments that do not decode (a missing one,
+        a bad number, rights or attribute token) are a ScriptError."""
         handler = getattr(self, "_stmt_" + stmt.op.replace("-", "_"))
-        if stmt.op in _UNLOCKED_OPS:
-            handler(stmt)
-        else:
-            with self.engine.platform.engine_lock:
+        try:
+            if stmt.op in _UNLOCKED_OPS:
                 handler(stmt)
+            else:
+                with self.engine.platform.engine_lock:
+                    handler(stmt)
+        except (ValueError, IndexError) as exc:
+            raise ScriptError(stmt.lineno,
+                              f"{stmt.text!r}: bad arguments ({exc})") from None
 
     def _stmt_boot(self, stmt: Statement):
         pass  # the machine boots before the script runs

@@ -134,6 +134,8 @@ def _dump_core(cs) -> dict:
 
 
 def load_state(dump: dict) -> Engine:
+    if not isinstance(dump, dict):
+        raise ValueError("a dump is a JSON object")
     if dump.get("version") != DUMP_VERSION:
         raise ValueError(f"unsupported dump version {dump.get('version')}")
     config = MachineConfig(

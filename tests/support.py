@@ -19,7 +19,6 @@ from capmon import (
     boot,
 )
 from capmon.domains import ALL_CALLS_MASK, CapKind, DomainState
-from capmon.machine import EXCLUSIVE_BIT, page_view
 from capmon.regions import PAGE, DerivationKind, RegionStatus, RegionTree
 from capmon.state import dump_state
 
@@ -326,7 +325,7 @@ def check_core_paths(engine: Engine):
                 f"core {cs.id}: revoked domain {dom} on the path"
 
 
-def fresh_sweep(tree: RegionTree, swept: dict, region: int) -> list:
+def fresh_sweep(tree: RegionTree, swept: dict, region: int) -> bytes:
     """region's view swept from the tree, bypassing the node's own; `swept`
     keeps the sweeps for reuse within one check."""
     view = swept.get(region)
@@ -335,16 +334,33 @@ def fresh_sweep(tree: RegionTree, swept: dict, region: int) -> list:
     return view
 
 
+def page_table(segments) -> bytes:
+    """A table from (start, end, bits) page-aligned segments, page by page:
+    one byte per page from page 0 to the last page any segment covers,
+    OR'ing the bits of the segments that overlap on a page."""
+    table = bytearray()
+    for start, end, bits in segments:
+        if end // PAGE > len(table):
+            table += bytes(end // PAGE - len(table))
+        for page in range(start // PAGE, end // PAGE):
+            table[page] |= bits
+    return bytes(table)
+
+
 def fresh_view(engine: Engine, dom, swept: Optional[dict] = None) -> bytes:
     """dom's table built from scratch: each region is swept from the tree,
-    bypassing both the region views and the domain's table."""
+    bypassing both the region views and the domain's table, and each page
+    it grants goes into the table as one segment."""
     swept = {} if swept is None else swept
-    return page_view([
-        (seg.range.start, seg.range.end,
-         int(seg.rights) | (EXCLUSIVE_BIT if seg.status is
-                            RegionStatus.EXCLUSIVE else 0))
-        for _, entry in dom.owned.entries() if entry.kind is CapKind.REGION
-        for seg in fresh_sweep(engine.tree, swept, entry.ref)])
+    segments = []
+    for _, entry in dom.owned.entries():
+        if entry.kind is not CapKind.REGION:
+            continue
+        start = engine.tree.nodes[entry.ref].initial_range.start
+        segments += [(start + k * PAGE, start + (k + 1) * PAGE, byte)
+                     for k, byte in enumerate(
+                         fresh_sweep(engine.tree, swept, entry.ref)) if byte]
+    return page_table(segments)
 
 
 def check_views(engine: Engine, swept: Optional[dict] = None):
@@ -401,9 +417,8 @@ def check_invariants(tree: RegionTree, swept: Optional[dict] = None):
     nodes = tree.nodes
     carve = DerivationKind.CARVE
     for node in nodes.values():
-        assert tree.effective_view(node.id) == \
-            fresh_sweep(tree, swept, node.id), \
-            f"stale view memo at region {node.id}"
+        assert node._view == fresh_sweep(tree, swept, node.id), \
+            f"view differs from a fresh sweep at region {node.id}"
         assert node.status is statuses.get(node.id), \
             f"exclusivity chain broken at region {node.id}"
         if node.parent is not None:

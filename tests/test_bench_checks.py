@@ -71,13 +71,13 @@ def test_guest_mem_views_take_one_byte_per_page():
 
 def test_guest_mem_round_rebuilds_only_the_device_view(monkeypatch):
     builds = []
-    build = engine_mod.page_view
+    patch = engine_mod.Engine._patch_view
 
-    def counted(segments):
-        builds.append(len(segments))
-        return build(segments)
+    def counted(engine, dom, *window):
+        builds.append(dom.id)
+        return patch(engine, dom, *window)
 
-    monkeypatch.setattr(engine_mod, "page_view", counted)
+    monkeypatch.setattr(engine_mod.Engine, "_patch_view", counted)
 
     class Counted(guest_mem.GuestMem):
         def setup(self, spec):
@@ -101,14 +101,14 @@ def test_guest_mem_setup_patches_without_sweeping_the_root(monkeypatch):
     sweeps = []
     sweep = RegionTree._sweep
 
-    def counted_sweep(tree, node):
+    def counted_sweep(tree, node, window=None):
         sweeps.append(node.id)
-        return sweep(tree, node)
+        return sweep(tree, node, window)
 
     def counted_boot(config):
         engine, td0, measurement = boot(config)
         after_boot.update(table=engine.view_cache_for(td0),
-                          root=engine.tree.effective_view(engine.root_region))
+                          root=engine.tree.nodes[engine.root_region]._view)
         sweeps.clear()
         return engine, td0, measurement
 
@@ -120,7 +120,7 @@ def test_guest_mem_setup_patches_without_sweeping_the_root(monkeypatch):
     # no region is swept after boot, the root included
     assert sweeps == [], sweeps
     assert engine.view_cache_for(st.td0) is after_boot["table"]
-    assert engine.tree.effective_view(engine.root_region) is after_boot["root"]
+    assert engine.tree.nodes[engine.root_region]._view is after_boot["root"]
 
 
 def test_benchmark_selftest_passes():

@@ -195,6 +195,23 @@ class TestRun:
         script.write_text(f"boot\n{prefix} irq 3\n")
         assert run_cli("run", CONFIG, str(script)) == 2
 
+    @pytest.mark.parametrize("mode", ["step", "concurrent"])
+    @pytest.mark.parametrize("statement", [
+        "let a zz",
+        "create",
+        "set td0",
+        "irq",
+        "carve r1 root 0x101000 0x102000 QQ",
+        "send root td0 BOGUS",
+    ])
+    def test_malformed_statement_exits_two(self, tmp_path, capsys, mode,
+                                           statement):
+        # exit 1 is kept for a failed expectation
+        script = tmp_path / "bad.tyscn"
+        script.write_text(f"boot\n{statement}\n")
+        assert run_cli("run", CONFIG, str(script), "--mode", mode) == 2
+        assert "parse error: line 2:" in capsys.readouterr().err
+
     def test_core_outside_the_machine_runs_nothing(self):
         from capmon import parse_config
         from capmon.scenario import ScenarioRunner, ScriptError, parse_script
@@ -300,6 +317,30 @@ class TestVerify:
         path = tmp_path / "bad.meta.json"
         path.write_text(json.dumps(meta))
         assert run_cli("verify", str(report), "--meta", str(path)) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        (None, [1]),
+        ("config.memory", "0x200000"),
+        ("regions.0.range", [0x200000, 0x100000]),
+        ("domains.0.regs", [1]),
+        ("cores.0.id", 9),
+    ])
+    def test_malformed_dump_exits_two(self, tmp_path, capsys, field, value):
+        script, dump = tmp_path / "boot.tyscn", tmp_path / "state.json"
+        script.write_text("boot\n")
+        assert run_cli("run", CONFIG, str(script), "--dump", str(dump)) == 0
+        data = json.loads(dump.read_text())
+        if field is None:
+            data = value
+        else:
+            *path, last = field.split(".")
+            target = data
+            for key in path:
+                target = target[int(key) if key.isdigit() else key]
+            target[last] = value
+        dump.write_text(json.dumps(data))
+        assert run_cli("attest", str(dump), "0") == 2
         assert "parse error" in capsys.readouterr().err
 
     def test_predicates_through_pipeline(self, tmp_path, capsys):

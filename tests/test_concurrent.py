@@ -3,6 +3,7 @@ two-barrier update protocol.  Verifies access atomicity outside barrier
 windows and linearizability against a deterministic replay."""
 
 import sys
+import threading
 
 import pytest
 
@@ -193,6 +194,33 @@ class TestConcurrentWithoutWorkers:
             assert not engine.platform.cores[1].queue
             dumps.append(dump_state(engine))
         assert dumps[0] == dumps[1]
+
+
+class TestJoin:
+    def test_join_waits_for_a_statement_still_running(self):
+        # core 0's last statement is still running when the work lists run
+        # empty; the revoke it then makes must still park and drain core 1
+        engine, td0, _ = boot(small_config(pages=32, cores=2),
+                              concurrent=True)
+        platform = engine.platform
+        dom, handle = make_child(engine, td0)
+        engine.switch(td0, 1, handle)
+        go = threading.Event()
+
+        def revoke_late():
+            assert go.wait(5)
+            engine.revoke_domain(td0, handle)
+
+        platform.start_cores()
+        platform.submit(0, revoke_late)
+        timer = threading.Timer(0.05, go.set)
+        timer.start()
+        platform.join()
+        timer.join(timeout=5)
+        assert dom not in engine.domains
+        assert engine.current_domain(1) == td0
+        assert not platform.cores[1].queue
+        assert not engine.domains.held
 
 
 class TestConcurrentAbi:

@@ -13,12 +13,13 @@ from capmon import (
 )
 from capmon.domains import ALL_CALLS_MASK, CapKind
 from capmon.errors import ErrorCode
-from capmon.machine import EXCLUSIVE_BIT, LOG_KEEP, page_view, view_allows
-from capmon.regions import PAGE
+from capmon.machine import LOG_KEEP, view_allows
+from capmon.regions import EXCLUSIVE_BIT, PAGE
 from capmon.state import dump_state
 
 from support import (
-    FuzzDriver, delivered_in_place, make_child, small_config, small_engine,
+    FuzzDriver, delivered_in_place, make_child, page_table, small_config,
+    small_engine,
 )
 
 A = [PAGE * (1 + k) for k in range(8)]
@@ -178,7 +179,7 @@ class TestViewLookup:
     def test_page_view_equals_linear_scan(self, spans):
         segments = [(start * PAGE, (start + length) * PAGE, bits)
                     for start, length, bits in spans]
-        view = page_view(segments)
+        view = page_table(segments)
         assert isinstance(view, bytes)
         for page in range(-1, len(view) + 2):
             for addr in (page * PAGE, page * PAGE + PAGE - 1):
@@ -191,7 +192,7 @@ class TestViewLookup:
                     for start, end, bits in segments), page
 
     def test_no_segments_give_an_empty_view_that_denies_everything(self):
-        view = page_view([])
+        view = page_table([])
         assert view == b""
         for addr in (-1, 0, PAGE - 1, PAGE, A[0]):
             for kind in "RWX":

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from capmon import MonitorError, Oracle, PhysRange, Rights
 from capmon import oracle as oracle_mod
 from capmon.domains import CapKind
-from capmon.machine import EXCLUSIVE_BIT
-from capmon.regions import PAGE, RegionStatus
+from capmon.regions import EXCLUSIVE_BIT, PAGE, RegionStatus
 from capmon.trace import parse_log
 
 from support import (

@@ -301,7 +301,9 @@ class TestViewMemo:
     def test_second_read_without_a_write_is_the_same_object(self):
         tree, root = fresh_tree()
         tree.alias(TD0, root, PhysRange(A[1], A[2]), Rights.RW)
-        assert tree.effective_view(root) is tree.effective_view(root)
+        view = tree.nodes[root]._view
+        assert tree.effective_view(root) == tree.effective_view(root)
+        assert tree.nodes[root]._view is view
 
     @pytest.mark.parametrize("field, value, want", [
         ("rights", Rights.R, [(A[0], A[2], "R__", "exclusive")]),
@@ -326,25 +328,25 @@ class TestViewMemo:
         # neither field is read by the sweep, so a send keeps the view
         tree, root = fresh_tree()
         r1 = tree.carve(TD0, root, PhysRange(A[0], A[2]), Rights.RWX)
-        view = tree.effective_view(r1)
+        view = tree.nodes[r1]._view
         setattr(tree.nodes[r1], field, value)
-        assert tree.effective_view(r1) is view
+        assert tree.nodes[r1]._view is view
 
     def test_alias_and_carve_patch_the_parent_view(self, monkeypatch):
         tree, root = fresh_tree()
         sweeps = []
         sweep = RegionTree._sweep
 
-        def counted(tree, node):
+        def counted(tree, node, window=None):
             sweeps.append(node.id)
-            return sweep(tree, node)
+            return sweep(tree, node, window)
 
         monkeypatch.setattr(RegionTree, "_sweep", counted)
         r1 = tree.alias(TD0, root, PhysRange(A[1], A[4]), Rights.RW)
-        view = tree.effective_view(root)
-        # a second alias over aliased pages leaves the very same list
+        view = tree.nodes[root]._view
+        # a second alias over aliased pages leaves the very same bytes
         tree.alias(TD0, root, PhysRange(A[2], A[3]), Rights.R)
-        assert tree.effective_view(root) is view
+        assert tree.nodes[root]._view is view
         tree.carve(TD0, r1, PhysRange(A[2], A[3]), Rights.RW)
         tree.carve(TD0, root, PhysRange(A[4], A[5]), Rights.RW)
         assert sweeps == []
@@ -375,7 +377,9 @@ class TestViewMemo:
         tree.alias(TD0, root, PhysRange(A[1], A[3]), Rights.R)
         for doomed in (r3, r4, r2, r1):
             tree.destroy(tree.subtree(doomed))
-            assert all(node._view is not None for node in tree.nodes.values())
+            assert all(len(node._view) == (node.initial_range.end -
+                                           node.initial_range.start) // PAGE
+                       for node in tree.nodes.values())
             for nid in tree.nodes:
                 assert tree.effective_view(nid) == reference_view(tree, nid)
         assert unwindowed == []

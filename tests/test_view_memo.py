@@ -9,8 +9,7 @@ import pytest
 from capmon import AttrFlags, DeviceConfig, PhysRange, Rights, boot, state
 from capmon import engine as engine_mod
 from capmon.domains import CapKind
-from capmon.machine import EXCLUSIVE_BIT
-from capmon.regions import PAGE
+from capmon.regions import EXCLUSIVE_BIT, PAGE
 
 from support import (
     carve_to, check_invariants, check_views, fresh_view, make_child,
@@ -120,16 +119,16 @@ class TestEveryReaderSeesTheChange:
 class TestMemoHits:
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Counts the page_view calls the engine makes, to build or to patch
-        a table."""
+        """Counts the _patch_view calls the engine makes, to build or to
+        patch a table."""
         count = []
-        build = engine_mod.page_view
+        patch = engine_mod.Engine._patch_view
 
-        def counted(segments):
-            count.append(len(segments))
-            return build(segments)
+        def counted(engine, dom, *window):
+            count.append(dom.id)
+            return patch(engine, dom, *window)
 
-        monkeypatch.setattr(engine_mod, "page_view", counted)
+        monkeypatch.setattr(engine_mod.Engine, "_patch_view", counted)
         return count
 
     def test_switch_out_and_back_rebuilds_no_view(self, guest, builds):
@@ -188,13 +187,13 @@ class TestPatchEdgeCases:
         engine.send(td0, alias, handle)
         assert_fresh(engine)
         view = table(engine, dom)
-        segments = engine.tree.effective_view(region)
+        region_view = engine.tree.nodes[region]._view
         engine.tree_alias(dom, held_handle(engine, dom, region),
                           PhysRange(A[1], A[3]), Rights.R)
         assert_fresh(engine)
         # the pages were aliased already: neither view changes at all
         assert table(engine, dom) is view
-        assert engine.tree.effective_view(region) is segments
+        assert engine.tree.nodes[region]._view is region_view
 
     def test_carve_under_an_aliased_parent_beside_another_alias(self):
         engine, td0 = small_engine()
@@ -220,13 +219,13 @@ class TestPatchEdgeCases:
     def test_send_to_self(self, guest):
         engine, _, dom, _, region = guest
         view = table(engine, dom)
-        segments = engine.tree.effective_view(region)
+        region_view = engine.tree.nodes[region]._view
         chan = engine.getchan(dom)
         engine.send(dom, held_handle(engine, dom, region), chan)
         assert_fresh(engine)
         assert engine.tree.nodes[region].owner == dom
         assert table(engine, dom) is view
-        assert engine.tree.effective_view(region) is segments
+        assert engine.tree.nodes[region]._view is region_view
 
     def test_send_past_the_receivers_last_page_grows_its_table(self, guest):
         engine, td0, dom, handle, _ = guest
