@@ -267,26 +267,6 @@ class DomainTable(dict):
             del self.held[dom_id]
 
 
-class UpdateKind(enum.Enum):
-    ACCESS_CHANGED = "access_changed"
-    DOMAIN_REVOKED = "domain_revoked"
-    INTERRUPT_ROUTED = "interrupt_routed"
-
-
-@dataclass
-class Update:
-    """Per-core state-change notice, drained under the two-barrier protocol.
-
-    ACCESS_CHANGED carries nothing: the drain, under the engine lock like
-    every drain, installs the table of the domain the core then runs.
-    INTERRUPT_ROUTED carries its vector, and DOMAIN_REVOKED the unwind
-    planned when the revocation was published."""
-
-    kind: UpdateKind
-    vector: Optional[int] = None
-    unwind: Optional[dict] = None
-
-
 class PayloadCode(enum.IntEnum):
     """Switch return payloads, carried in the simulated ABI's result registers."""
 
@@ -320,6 +300,9 @@ class CoreState:
     irq: Optional[IrqFrame] = None
     deferred_vectors: list[int] = field(default_factory=list)
     last_payload: Optional[tuple[int, int]] = None
+    # set by a publish that affects the core, cleared by the core's drain;
+    # not part of the state, as every barrier round ends with its drains
+    drain_pending: bool = False
 
     def path_domains(self) -> list[int]:
         """Root-ward path of domains this core is executing, outermost first."""

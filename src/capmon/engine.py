@@ -1,10 +1,15 @@
 """The capability engine: one logical state machine for the whole machine.
 
 Owns both derivation trees (memory regions and trust domains), validates and
-executes the eleven monitor calls, routes interrupts over the domain tree,
-and publishes cross-core effects through per-core update queues under the
-two-barrier protocol.  Operations with overlapping targets execute one at a
-time; in concurrent mode the platform supplies an IPI-aware lock.
+executes the eleven monitor calls, and routes interrupts over the domain
+tree.  A call with cross-core effects publishes them in a two-barrier round
+while the affected cores are parked, and marks each of them; a marked core's
+drain (`process_updates`) works out what changed for it from the engine's
+state, as a TLB shootdown's responder re-reads the tables: it unwinds past
+the first revoked domain on its path, installs the table of the domain it
+then runs and routes its deferred vectors.  Operations with overlapping
+targets execute one at a time; in concurrent mode the platform supplies an
+IPI-aware lock.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ from .domains import (
     ALL_CALLS_MASK, POLICY_FIELD_IDS, POLICY_FIELDS, REG_MASK, NUM_REGS,
     NUM_VECTORS, VISIBILITY_IDS, ApiCall, CapEntry, CapKind, ChainEntry,
     CoreState, DomainNode, DomainState, DomainTable, InterruptPolicy,
-    IrqFrame, PayloadCode, Policies, RevokedDomain, Update, UpdateKind,
-    Visibility, undeliverable_vectors, zero_registers,
+    IrqFrame, PayloadCode, Policies, RevokedDomain, Visibility,
+    undeliverable_vectors, zero_registers,
 )
 from .errors import ErrorCode, MonitorError, deny
-from .machine import FAULT_VECTOR, TIMER_VECTOR, CoreRunState, view_allows
+from .machine import FAULT_VECTOR, TIMER_VECTOR, view_allows
 from .regions import (
     CLEAN_BIT, HASH_BIT, PAGE, VITAL_BIT, AttrFlags, PhysRange,
     RegionAttributes, RegionStatus, RegionTree, Rights,
@@ -291,12 +296,11 @@ class Engine:
             self.platform.cores[core].local_view = \
                 self.view_cache_for(self.cores[core].current)
 
-    def _push_views(self, cores: set[int]):
-        """Tell each core that the table of the domain it runs changed; its
-        drain installs the table as it then is."""
+    def _mark_drains(self, cores: set[int]):
+        """Mark each core a publish affects; its drain, under the engine
+        lock, works out from the engine's state what changed for it."""
         for core in cores:
-            self.platform.enqueue_update(core, Update(
-                UpdateKind.ACCESS_CHANGED))
+            self.cores[core].drain_pending = True
 
     def domain_may_access(self, dom_id: int, addr: int, kind: str) -> bool:
         with self.platform.engine_lock:
@@ -479,7 +483,7 @@ class Engine:
                 self._patch_view(dom, rng.start, rng.end)
                 if dest is not dom:
                     self._patch_view(dest, rng.start, rng.end)
-                self._push_views(affected)
+                self._mark_drains(affected)
 
             affected = self._cores_running({dom.id, dest.id})
             self.platform.barrier_update(self._core_of(dom.id), affected,
@@ -672,9 +676,10 @@ class Engine:
                 handler = self._handler_of(cs.current, vector)
                 if not self.domains[handler].policies.cores & (1 << cs.id):
                     continue
-                if self.platform.cores[cs.id].run_state == CoreRunState.PARKED:
-                    self.platform.enqueue_update(cs.id, Update(
-                        UpdateKind.INTERRUPT_ROUTED, vector=vector))
+                if cs.drain_pending:
+                    # the core may still run a revoked domain: its drain
+                    # routes the vector once the core's path is current
+                    cs.deferred_vectors.append(vector)
                     return None
                 return self._irq(cs.id, vector, device=1)["handler"]
             raise AssertionError("td0 runs everywhere and delivers everything")
@@ -711,9 +716,12 @@ class Engine:
         self._quantum_deadlines.pop(core, None)
 
     def check_quanta(self):
+        # a core whose drain is pending may still run a revoked domain; its
+        # deadline waits for the drain, and an unwind clears it
         due = [(core, dom) for core, (deadline, dom)
                in self._quantum_deadlines.items()
-               if deadline <= self.platform.now]
+               if deadline <= self.platform.now
+               and not self.cores[core].drain_pending]
         for core, dom in due:
             self._clear_quantum(core)
             if self.cores[core].current == dom:
@@ -939,16 +947,9 @@ class Engine:
             # tables rebuilt; the revoked ones have empty tables
             for did in affected_doms - dom_ids:
                 self._patch_view(self.domains[did])
-            # 6. per-core effects
-            for cs in self.cores:
-                if cs.id not in affected:
-                    continue
-                unwind = self._plan_unwind(cs, dom_ids)
-                if unwind is not None:
-                    self.platform.enqueue_update(cs.id, Update(
-                        UpdateKind.DOMAIN_REVOKED, unwind=unwind))
-                else:
-                    self._push_views({cs.id})
+            # 6. each affected core drains: it unwinds past a revoked
+            # domain on its path and installs its table
+            self._mark_drains(affected)
             # 7. records are freed; one a core path still names is held
             # until that core's unwind drains
             self.domains.reclaim(dom_ids, self._named_domains())
@@ -959,65 +960,47 @@ class Engine:
     def _named_domains(self) -> set[int]:
         return {d for cs in self.cores for d in cs.path_domains()}
 
-    def _plan_unwind(self, cs: CoreState, dom_ids: set[int]) -> Optional[dict]:
-        path = cs.path_domains()
-        cut = None
-        for i, dom_id in enumerate(path):
-            if dom_id in dom_ids:
-                cut = i
-                break
-        if cut is None:
-            return None
-        assert cut >= 1, "td0 is never revoked"
-        entries: list[ChainEntry] = list(cs.chain)
-        current_entry = ChainEntry(
-            cs.current, list(self.domains[cs.current].core_regs(cs.id))
-            if self.domains[cs.current].regs.get(cs.id) else zero_registers())
-        entries.append(current_entry)
-        if cs.irq is not None:
-            entries.extend(cs.irq.resume)
-        new_current = entries[cut - 1]
-        was_executing = (cut - 1) == len(cs.chain) and cs.irq is None
-        return {
-            "revoked": path[cut],
-            "new_current": new_current.domain,
-            "new_chain": [(e.domain, list(e.saved_regs))
-                          for e in entries[:cut - 1]],
-            "restore_regs": list(new_current.saved_regs),
-            "deliver_payload": not was_executing,
-        }
-
     # ------------------------------------------------------------------
-    # per-core update drain
+    # per-core drain
     # ------------------------------------------------------------------
 
     def process_updates(self, core: int):
-        """Apply pending updates to a core's local state (drain point)."""
+        """The drain point.  A core a publish marked unwinds past the first
+        revoked domain on its path and installs the table of the domain it
+        then runs; then a core not in an interrupt routes its deferred
+        vectors."""
         cs = self.cores[core]
-        if not self.platform.cores[core].queue and not cs.deferred_vectors:
-            return
-        while True:
-            update = self.platform.pop_update(core)
-            if update is None:
-                break
-            if update.kind is UpdateKind.ACCESS_CHANGED:
-                self._refresh_views({core})
-            elif update.kind is UpdateKind.DOMAIN_REVOKED:
-                self._apply_unwind(cs, update.unwind)
-            elif update.kind is UpdateKind.INTERRUPT_ROUTED:
-                cs.deferred_vectors.append(update.vector)
+        if cs.drain_pending:
+            cs.drain_pending = False
+            self._unwind(cs)
+            self._refresh_views({core})
         if cs.irq is None and cs.deferred_vectors:
             self._route_deferred(core)
 
-    def _apply_unwind(self, cs: CoreState, unwind: dict):
-        cs.chain = [ChainEntry(dom, regs) for dom, regs in unwind["new_chain"]]
-        cs.current = unwind["new_current"]
+    def _unwind(self, cs: CoreState):
+        """Cut the core's path at its first revoked domain.  The domain
+        above the cut runs again at the registers it was suspended with and
+        is told which child was revoked; its chain is what lies above it."""
+        if not self.domains.held:
+            return  # a revoked domain that a core path names is held
+        path = cs.path_domains()
+        cut = next((i for i, dom_id in enumerate(path)
+                    if dom_id not in self.domains), None)
+        if cut is None:
+            return
+        assert cut >= 1, "td0 is never revoked"
+        regs = self.domains[cs.current].regs.get(cs.id)
+        entries = cs.chain + [
+            ChainEntry(cs.current, list(regs or zero_registers()))]
+        if cs.irq is not None:
+            entries += cs.irq.resume
+        resumed = entries[cut - 1]
+        cs.chain = [ChainEntry(e.domain, list(e.saved_regs))
+                    for e in entries[:cut - 1]]
+        cs.current = resumed.domain
         cs.irq = None
-        self.domains[cs.current].regs[cs.id] = list(unwind["restore_regs"])
-        if unwind["deliver_payload"]:
-            self._deliver_payload(cs, cs.id, PayloadCode.REVOKED_CHILD,
-                                  unwind["revoked"])
-        self._refresh_views({cs.id})
+        self.domains[cs.current].regs[cs.id] = list(resumed.saved_regs)
+        self._deliver_payload(cs, cs.id, PayloadCode.REVOKED_CHILD, path[cut])
         self._clear_quantum(cs.id)
         if self.domains.held:
             self.domains.release(self._named_domains())
@@ -1211,7 +1194,7 @@ class Engine:
                 # the parent is the caller's, so only the caller's table
                 # changes, and only on rng
                 self._patch_view(dom, rng.start, rng.end)
-                self._push_views(affected)
+                self._mark_drains(affected)
 
             self.platform.barrier_update(self._core_of(dom.id), affected,
                                          publish, f"{op}:{new_id}")

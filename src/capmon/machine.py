@@ -4,8 +4,10 @@ The simulator owns all physical memory, so every byte touched by a scenario
 passes through the access interposer here.  Two execution modes share the
 engine: a deterministic single-context stepper used for golden tests, and a
 concurrent mode with one worker thread per core where the engine's
-serialization plus the two-barrier update protocol are the only cross-core
-synchronization.
+serialization plus the two-barrier protocol are the only cross-core
+synchronization.  A barrier round parks the affected cores, publishes, then
+releases them; each then drains under the engine lock, and the engine works
+out the drain from its own state, so a core carries no queue of updates.
 
 The platform keeps two logs, each a ring of the newest LOG_KEEP entries,
 so neither grows with the length of a run.  Entries are plain tuples:
@@ -26,7 +28,7 @@ import heapq
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .domains import NUM_VECTORS
@@ -166,7 +168,6 @@ class CoreRunState:
 class SimCore:
     id: int
     run_state: str = CoreRunState.RUNNING
-    queue: list = field(default_factory=list)
     # the table of the domain the core runs, as the engine last installed
     # it: the very bytes object the domain's capability table holds
     local_view: bytes = b""
@@ -269,14 +270,7 @@ class Platform:
         self.log_access(-1, device_domain, addr, f"DMA-{kind}", allowed)
         return allowed
 
-    # -- update queues and the two-barrier protocol ------------------------
-
-    def enqueue_update(self, core: int, update):
-        self.cores[core].queue.append(update)
-
-    def pop_update(self, core: int):
-        queue = self.cores[core].queue
-        return queue.pop(0) if queue else None
+    # -- the two-barrier protocol -------------------------------------------
 
     def barrier_update(self, initiator: Optional[int], affected: set[int],
                        publish: Callable[[], None], tag: str):
@@ -392,7 +386,7 @@ class ConcurrentPlatform(Platform):
     def barrier_update(self, initiator: Optional[int], affected: set[int],
                        publish: Callable[[], None], tag: str):
         if not self._threads:
-            # no worker would drain another core's queue: run the protocol
+            # no worker would drain another core: run the protocol
             # inline, as the single-context platform does
             return super().barrier_update(initiator, affected, publish, tag)
         initiator = getattr(self._thread_core, "core", None)

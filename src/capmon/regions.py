@@ -194,6 +194,15 @@ class RegionNode:
                 (min(rng.end, self.initial_range.end) - base) // PAGE)
 
 
+def _check_rights(parent: RegionNode, rights: Rights):
+    """A child may hold only rights its parent holds.  The check compares
+    ints: `~` on an IntFlag complements only the defined bits, so a word
+    with a bit above R|W|X would pass."""
+    if int(rights) & ~int(parent.rights):
+        raise deny(ErrorCode.RIGHTS_ESCALATION,
+                   f"{rights.render()} exceeds {parent.rights.render()}")
+
+
 class RegionTree:
     """The region capability derivation tree for one machine."""
 
@@ -298,9 +307,7 @@ class RegionTree:
                 view.find(0, lo, hi) >= 0:
             raise deny(ErrorCode.OUT_OF_RANGE,
                        f"{sub} not accessible in region {parent_id}")
-        if rights & ~parent.rights:
-            raise deny(ErrorCode.RIGHTS_ESCALATION,
-                       f"{rights.render()} exceeds {parent.rights.render()}")
+        _check_rights(parent, rights)
         nid = self._add(caller, sub, rights, RegionStatus.ALIASED,
                         DerivationKind.ALIAS, parent_id)
         parent.children += (nid,)
@@ -327,9 +334,7 @@ class RegionTree:
                 # carving under a live alias would silently revoke shared access
                 raise deny(ErrorCode.OVERLAPS_ALIAS,
                            f"{sub} overlaps alias {cid}")
-        if rights & ~parent.rights:
-            raise deny(ErrorCode.RIGHTS_ESCALATION,
-                       f"{rights.render()} exceeds {parent.rights.render()}")
+        _check_rights(parent, rights)
 
         # no child overlaps sub, so each of its pages carries the parent's
         # own status

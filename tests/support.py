@@ -312,8 +312,10 @@ class _Skip(Exception):
 
 def check_core_paths(engine: Engine):
     """The chain plus current plus any pending resume is always a simple
-    root-ward path of live domains."""
+    root-ward path of live domains, and no core's drain is pending: every
+    barrier round ends with its drains."""
     for cs in engine.cores:
+        assert not cs.drain_pending, f"core {cs.id}: drain still pending"
         path = cs.path_domains()
         assert len(set(path)) == len(path), f"core {cs.id}: cycle in {path}"
         for upper, lower in zip(path, path[1:]):

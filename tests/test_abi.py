@@ -5,7 +5,7 @@ continuation token."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capmon import AttestationReport, Rights
+from capmon import AttestationReport, Oracle, Rights
 from capmon.domains import (
     ALL_CALLS_MASK, ApiCall, CapKind, InterruptPolicy, PayloadCode, Visibility,
 )
@@ -407,3 +407,18 @@ class TestAbiRejections:
             lines = [r.to_line() for r in engine.trace.records[traced:]]
             assert lines == [f"0 {core} {op} caller={caller} {detail} "
                              f"-> err={code.name}"], registers
+
+    @pytest.mark.parametrize("word", [8, 0x1F, 2 ** 64 - 1], ids=hex)
+    @pytest.mark.parametrize("call_id", [ApiCall.ALIAS, ApiCall.CARVE],
+                             ids=("alias", "carve"))
+    def test_rights_above_rwx_are_an_escalation(self, call_id, word):
+        # td0's root grants RWX; a rights word with any bit above those
+        # asks for a right td0 does not hold
+        engine, td0 = small_engine()
+        load(engine, 0, call_id, 0, A[1], A[3], word)
+        expected = dump_state(engine)
+        next(d for d in expected["domains"] if d["id"] == td0)[
+            "regs"]["0"][0] = int(ErrorCode.RIGHTS_ESCALATION)
+        engine.monitor_call(0)
+        assert dump_state(engine) == expected
+        assert Oracle().replay(engine.trace.records).diff(engine) == []

@@ -7,14 +7,18 @@ import threading
 
 import pytest
 
-from capmon import DeviceConfig, Oracle, PhysRange, Rights, boot
-from capmon.domains import ALL_CALLS_MASK, ApiCall, CapKind, CapTable
-from capmon.machine import LOG_KEEP
+from capmon import DeviceConfig, Oracle, PhysRange, Rights, Visibility, boot
+from capmon.domains import (
+    ALL_CALLS_MASK, ApiCall, CapKind, CapTable, PayloadCode,
+)
+from capmon.machine import LOG_KEEP, TIMER_VECTOR
 from capmon.regions import PAGE
 from capmon.scenario import ScenarioRunner, parse_script
 from capmon.state import dump_state
 
-from support import carve_to, make_child, replay_trace, small_config
+from support import (
+    carve_to, delivered_in_place, make_child, replay_trace, small_config,
+)
 from test_abi import call, drain
 
 A = [PAGE * (1 + k) for k in range(16)]
@@ -41,7 +45,7 @@ class TestConcurrentBasics:
     def test_barrier_send_parks_receiver_core(self):
         engine, td0, config = build_concurrent(cores=2, pages=32)
         platform = engine.platform
-        # whether each drain of a core's update queue holds the engine lock
+        # whether each core's drain holds the engine lock
         drains = []
         process_updates = engine.process_updates
 
@@ -74,7 +78,7 @@ class TestConcurrentBasics:
 
     def test_barrier_round_logs_the_phases_step_mode_does(self):
         # an alias by td0, which runs on both cores, from a worker on core
-        # 0: the initiator drains its own queue after the round and logs it
+        # 0: the initiator drains itself after the round and logs it
         rounds = []
         for concurrent in (False, True):
             engine, td0, _ = boot(small_config(pages=32, cores=2),
@@ -176,8 +180,8 @@ class TestConcurrentBasics:
 class TestConcurrentWithoutWorkers:
     @pytest.mark.parametrize("started", (False, True))
     def test_updates_drain_as_in_step_mode(self, started):
-        # before start_cores and after join no worker drains another core's
-        # queue, so the barrier round must drain it as step mode does
+        # before start_cores and after join no worker drains another core,
+        # so the barrier round must drain it as step mode does
         dumps = []
         for concurrent in (False, True):
             engine, td0, _ = boot(small_config(pages=32, cores=2),
@@ -191,7 +195,7 @@ class TestConcurrentWithoutWorkers:
             engine.revoke_domain(td0, handle)
             assert engine.current_domain(1) == td0
             assert not engine.domains.held
-            assert not engine.platform.cores[1].queue
+            assert not engine.cores[1].drain_pending
             dumps.append(dump_state(engine))
         assert dumps[0] == dumps[1]
 
@@ -219,8 +223,78 @@ class TestJoin:
         timer.join(timeout=5)
         assert dom not in engine.domains
         assert engine.current_domain(1) == td0
-        assert not platform.cores[1].queue
+        assert not engine.cores[1].drain_pending
         assert not engine.domains.held
+
+
+class _DrainStall:
+    """Stands in for the engine lock.  Core 0's worker, the first time it
+    takes the lock, waits until `go` is set: a barrier round has released
+    the core and its drain has not yet run."""
+
+    def __init__(self, lock):
+        self.lock = lock
+        self.reached = threading.Event()
+        self.go = threading.Event()
+
+    def __enter__(self):
+        if threading.current_thread().name == "core0" and \
+                not self.reached.is_set():
+            self.reached.set()
+            self.go.wait(timeout=5)
+        self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        self.lock.__exit__(*exc_info)
+
+
+class TestDrainWindow:
+    """Between a barrier round's release and a core's drain the core may
+    still run a revoked domain; nothing may be delivered to it there."""
+
+    def revoke_and_stall(self, vector, quantum=None):
+        # R runs on core 0 only and delivers `vector`; the main thread
+        # revokes R, and core 0's drain is held back
+        engine, td0, _ = boot(small_config(pages=32, cores=2),
+                              concurrent=True)
+        engine.set_quantum(quantum)
+        dom, handle = make_child(engine, td0, cores=0b01, interrupts=[
+            (vector, Visibility.DELIVER, 0)])
+        engine.switch(td0, 0, handle)
+        stall = _DrainStall(engine.platform.engine_lock)
+        engine.platform.engine_lock = stall
+        engine.platform.start_cores()
+        engine.revoke_domain(td0, handle)
+        assert stall.reached.wait(5)
+        return engine, td0, dom, stall
+
+    def drain(self, engine, td0, dom, stall):
+        stall.go.set()
+        engine.platform.join()
+        assert engine.current_domain(0) == td0
+        assert engine.cores[0].last_payload == (PayloadCode.REVOKED_CHILD,
+                                                dom)
+
+    def test_device_interrupt_waits_for_the_drain(self):
+        engine, td0, dom, stall = self.revoke_and_stall(0x21)
+        try:
+            handler = engine.route_device_interrupt(0x21)
+        finally:
+            self.drain(engine, td0, dom, stall)
+        assert handler is None
+        # the drain routes the vector to td0, which R's core now runs
+        assert delivered_in_place(engine) == [(0, 0x21, td0)]
+
+    def test_quantum_expiry_waits_for_the_drain(self):
+        engine, td0, dom, stall = self.revoke_and_stall(TIMER_VECTOR,
+                                                        quantum=5)
+        try:
+            engine.platform.tick(10)
+        finally:
+            self.drain(engine, td0, dom, stall)
+        # the unwind cleared R's deadline
+        assert delivered_in_place(engine) == []
+        assert 0 not in engine._quantum_deadlines
 
 
 class TestConcurrentAbi:

@@ -398,10 +398,9 @@ class TestDevices:
 
     def test_interrupt_to_parked_core_deferred_until_release(self):
         engine, td0, dev = self.build()
-        engine.platform.cores[0].run_state = "parked"
+        engine.cores[0].drain_pending = True
         assert engine.route_device_interrupt(dev.device_vector) is None
         assert not delivered_in_place(engine)
-        engine.platform.cores[0].run_state = "running"
         engine.process_updates(0)
         assert any(v == dev.device_vector
                    for _, v, _ in delivered_in_place(engine))

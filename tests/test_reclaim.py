@@ -8,9 +8,7 @@ import json
 import pytest
 
 from capmon import PhysRange, Rights, boot, state
-from capmon.domains import (
-    CapKind, DomainNode, DomainState, RevokedDomain, UpdateKind,
-)
+from capmon.domains import CapKind, DomainNode, DomainState, RevokedDomain
 from capmon.errors import ErrorCode
 from capmon.regions import PAGE
 from capmon.scenario import ScenarioRunner, parse_script
@@ -159,9 +157,9 @@ class TestReclaimConcurrent:
         process_updates = engine.process_updates
 
         def observed(core):
-            unwinding = core == 1 and any(
-                u.kind is UpdateKind.DOMAIN_REVOKED
-                for u in platform.cores[1].queue)
+            cs = engine.cores[1]
+            unwinding = core == 1 and cs.drain_pending and \
+                dom in cs.path_domains()
             if unwinding:
                 seen.append(("parked", engine.domains[dom],
                              dom in engine.domains, len(engine.domains)))
