@@ -318,10 +318,10 @@ class Engine:
     # ------------------------------------------------------------------
 
     def domain_read(self, core: int, addr: int) -> tuple[bool, int]:
-        ok, value = self.platform.read_mem(core, addr)
-        if not ok:
+        result = self.platform.read_mem(core, addr)
+        if not result[0]:
             self.route_interrupt(core, FAULT_VECTOR)
-        return ok, value
+        return result
 
     def domain_write(self, core: int, addr: int, value: int) -> bool:
         ok = self.platform.write_mem(core, addr, value)
@@ -610,6 +610,10 @@ class Engine:
 
     def route_interrupt(self, core: int, vector: int) -> int:
         with self.platform.engine_lock:
+            # a marked core may still run a revoked domain: drain it first,
+            # as a monitor call does; `_irq` denies a core outside the machine
+            if 0 <= core < len(self.cores) and self.cores[core].drain_pending:
+                self.process_updates(core)
             return self._irq(core, vector)["handler"]
 
     def _irq(self, core: int, vector: int, **flags) -> dict:

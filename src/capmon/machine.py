@@ -233,7 +233,8 @@ class Platform:
 
     def log_access(self, core: int, domain: int, addr: int, kind: str,
                    allowed: bool):
-        """Number one access and append it to the access log."""
+        """Number one monitor or DMA access and append it to the access
+        log; `mem_access` logs a guest access itself."""
         self._seq += 1
         self.access_log.append(
             (self._seq, self.now, core, domain, addr, kind, allowed))
@@ -241,6 +242,14 @@ class Platform:
     # -- interposed domain accesses ----------------------------------------
 
     def mem_access(self, core: int, addr: int, kind: str) -> bool:
+        """Decide one guest access against the core's installed table and
+        log it: the whole interposer in one frame.
+
+        The lookup is `view_allows` written inline, since every checked
+        access pays a call; `view_allows` stays the rule the DMA check and
+        the tests use.  It never calls `log_access`, whose concurrent form
+        takes the log lock that concurrent `mem_access` already holds.
+        """
         # a negative core would index the core list from its end and be
         # logged as a monitor access
         if not 0 <= core < self.config.cores:
@@ -248,10 +257,15 @@ class Platform:
         sim = self.cores[core]
         assert sim.run_state != CoreRunState.PARKED, \
             "parked cores make no memory accesses"
-        domain = self.engine.current_domain(core)
-        allowed = view_allows(sim.local_view, addr, kind) and \
-            0 <= addr < self.memory.size
-        self.log_access(core, domain, addr, kind, allowed)
+        view = sim.local_view
+        page = addr // PAGE
+        # a negative page would read the table from its end
+        allowed = 0 <= page < len(view) and \
+            bool(view[page] & _ACCESS_BITS[kind]) and addr < self.memory.size
+        self._seq += 1
+        self.access_log.append((self._seq, self.now, core,
+                                self.engine.cores[core].current, addr, kind,
+                                allowed))
         return allowed
 
     def read_mem(self, core: int, addr: int) -> tuple[bool, int]:
@@ -362,6 +376,10 @@ class ConcurrentPlatform(Platform):
     def log_access(self, *event):
         with self._log_lock:
             super().log_access(*event)
+
+    def mem_access(self, core: int, addr: int, kind: str) -> bool:
+        with self._log_lock:
+            return super().mem_access(core, addr, kind)
 
     def _log_phase(self, phase: str, core: Optional[int], tag: str):
         with self._log_lock:

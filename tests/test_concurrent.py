@@ -285,6 +285,17 @@ class TestDrainWindow:
         # the drain routes the vector to td0, which R's core now runs
         assert delivered_in_place(engine) == [(0, 0x21, td0)]
 
+    def test_routed_vector_waits_for_the_drain(self):
+        # the fault path of a guest access routes through route_interrupt
+        engine, td0, dom, stall = self.revoke_and_stall(0x21)
+        try:
+            handler = engine.route_interrupt(0, 0x21)
+        finally:
+            self.drain(engine, td0, dom, stall)
+        # the core drained first, so td0, not the revoked R, handles it
+        assert handler == td0
+        assert delivered_in_place(engine) == [(0, 0x21, td0)]
+
     def test_quantum_expiry_waits_for_the_drain(self):
         engine, td0, dom, stall = self.revoke_and_stall(TIMER_VECTOR,
                                                         quantum=5)
@@ -295,6 +306,57 @@ class TestDrainWindow:
         # the unwind cleared R's deadline
         assert delivered_in_place(engine) == []
         assert 0 not in engine._quantum_deadlines
+
+
+class _CountingLock:
+    """Stands in for the platform's log lock: a plain, non-reentrant lock
+    that counts how often it is taken."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.taken = 0
+
+    def __enter__(self):
+        self.lock.acquire()
+        self.taken += 1
+
+    def __exit__(self, *exc_info):
+        self.lock.release()
+
+
+class TestLogLock:
+    ACCESSES = 50
+
+    def test_each_access_takes_the_log_lock_once(self):
+        engine, td0, config = build_concurrent(cores=2, pages=32)
+        platform = engine.platform
+        lock = platform._log_lock = _CountingLock()
+        logged = len(platform.access_log)
+        errors = []
+
+        def touch(core):
+            for i in range(self.ACCESSES):
+                assert engine.domain_read(core, A[i % 4])[0]
+                assert engine.domain_write(core, A[i % 4], i)
+
+        def accesses():
+            # core 0's worker and this thread access memory side by side
+            try:
+                platform.start_cores()
+                platform.submit(0, lambda: touch(0))
+                touch(1)
+                platform.join()
+            except BaseException as exc:
+                errors.append(exc)
+
+        runner = threading.Thread(target=accesses, daemon=True)
+        runner.start()
+        runner.join(timeout=10)
+        # an access that took the lock twice would deadlock, not hang here
+        assert not runner.is_alive(), "an access deadlocked on the log lock"
+        assert errors == []
+        assert lock.taken == 4 * self.ACCESSES
+        assert len(platform.access_log) - logged == 4 * self.ACCESSES
 
 
 class TestConcurrentAbi:

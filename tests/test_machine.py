@@ -1,6 +1,7 @@
 """Simulated machine: config parsing, boot state, access interposition,
 update protocol ordering, bounded logs, and device modeling."""
 
+import sys
 import tracemalloc
 
 import pytest
@@ -163,6 +164,30 @@ class TestInterposition:
         assert len(engine.trace.records) == traced
         assert platform.memory.peek(A[0], A[0] + 1) == b"\x00"
 
+    def test_an_access_enters_three_frames(self):
+        # pins the interposer's depth: mem_access decides and logs a guest
+        # access with no helper frame under it
+        engine, td0 = small_engine()
+
+        def frames(fn, *args):
+            names = []
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    names.append(frame.f_code.co_name)
+
+            sys.setprofile(profile)
+            try:
+                result = fn(*args)
+            finally:
+                sys.setprofile(None)
+            return result, names
+
+        (ok, _), names = frames(engine.domain_read, 0, A[0])
+        assert ok and names == ["domain_read", "read_mem", "mem_access"]
+        ok, names = frames(engine.domain_write, 0, A[0], 1)
+        assert ok and names == ["domain_write", "write_mem", "mem_access"]
+
 
 def linear_view_allows(segments, addr, kind):
     """Reference view check: a linear scan over overlapping segments, which
@@ -181,11 +206,20 @@ class TestViewLookup:
                     for start, length, bits in spans]
         view = page_table(segments)
         assert isinstance(view, bytes)
+        # the interposer's inline lookup is the same rule, bounded by RAM
+        engine, td0 = small_engine()
+        platform = engine.platform
+        platform.cores[1].local_view = view
         for page in range(-1, len(view) + 2):
             for addr in (page * PAGE, page * PAGE + PAGE - 1):
                 for kind in "RWX":
                     assert view_allows(view, addr, kind) == \
                         linear_view_allows(segments, addr, kind), (addr, kind)
+                    verdict = platform.mem_access(1, addr, kind)
+                    assert verdict is (view_allows(view, addr, kind)
+                                       and addr < platform.memory.size)
+                    assert platform.access_log[-1][2:] == \
+                        (1, td0, addr, kind, verdict)
             if 0 <= page < len(view):
                 assert bool(view[page] & EXCLUSIVE_BIT) == any(
                     start <= page * PAGE < end and bits & EXCLUSIVE_BIT
