@@ -13,7 +13,6 @@ rejected call changed nothing.
 from __future__ import annotations
 
 import json
-import operator
 
 from .attest import BootMeasurement
 from .domains import (
@@ -30,13 +29,120 @@ from .regions import (
 # a dump of another version has other keys, so load_state refuses it
 DUMP_VERSION = 8
 
-# enum fields are read as `_value_`: the same value as `.value`, without the
-# cost of that property on every field of every dump
-_policy_values = operator.attrgetter(*POLICY_FIELDS)
-
 
 def dump_state(engine: Engine) -> dict:
+    # One frame per dump: every list and dict is built by a plain loop in
+    # this body, with no comprehension and no per-record helper.  CPython
+    # 3.11 runs each comprehension as a frame of its own (PEP 709 inlines
+    # them only from 3.12), and most of a dump's lists hold 0 to 2 items.
+    # Enum fields are read as `_value_`: the same value as `.value`, without
+    # the cost of that property.  A table that is often empty is tested
+    # before it is sorted, as sorting an empty one costs more than the test.
     config = engine.platform.config
+    devices = []
+    for d in config.devices:
+        devices.append([d.name, d.mmio.start, d.mmio.end, d.vector])
+    boot = engine.measurement
+    measurement = None
+    if boot:
+        events = []
+        for name, digest in boot.event_log:
+            events.append([name, digest.hex()])
+        measurement = {"pcr": boot.pcr.hex(), "events": events}
+    buffers = []
+    if engine._buffers:
+        for token, (owner, call, blob, offset) in sorted(
+                engine._buffers.items()):
+            buffers.append([token, owner, int(call), blob.hex(), offset])
+    deadlines = []
+    if engine._quantum_deadlines:
+        for core, (deadline, dom) in sorted(
+                engine._quantum_deadlines.items()):
+            deadlines.append([core, deadline, dom])
+
+    regions = []
+    nodes = engine.tree.nodes
+    for key in sorted(nodes):
+        node = nodes[key]
+        rng, attributes = node.initial_range, node.attributes
+        digest = attributes.hash_digest
+        regions.append({
+            "id": node.id,
+            "owner": node.owner,
+            "range": [rng.start, rng.end],
+            "rights": node.rights._value_,
+            "status": node.status._value_,
+            "kind": node.kind._value_,
+            "parent": node.parent,
+            "children": list(node.children),
+            "attributes": {
+                "hash": digest.hex() if digest else None,
+                "clean": attributes.clean,
+                "vital": attributes.vital,
+            },
+        })
+
+    domains = []
+    # the held records are iterated as items: indexing the table by a held
+    # id would enter DomainTable.__missing__
+    for _, dom in sorted([*engine.domains.items(),
+                          *engine.domains.held.items()]):
+        policies = dom.policies
+        interrupts = []
+        if policies.interrupts:
+            for v, p in sorted(policies.interrupts.items()):
+                interrupts.append([v, p.visibility._value_, p.readable_regs])
+        default = policies.interrupt_default
+        regs = {}
+        if dom.regs:
+            for core, words in sorted(dom.regs.items()):
+                regs[str(core)] = list(words)
+        owned = []
+        for e in dom.owned.slots:
+            owned.append(None if e is None else [e.kind._value_, e.ref])
+        digest = dom.register_hash
+        domains.append({
+            "id": dom.id,
+            "state": dom.state._value_,
+            "parent": dom.parent,
+            # the scalar fields in POLICY_FIELDS order, which load_state
+            # reads back by name
+            "policies": {
+                "cores": policies.cores,
+                "mon_api": policies.mon_api,
+                "user_calls": policies.user_calls,
+                "receive": policies.receive,
+                "interrupts": interrupts,
+                "interrupt_default": [default.visibility._value_,
+                                      default.readable_regs],
+            },
+            "regs": regs,
+            "owned": owned,
+            "is_device": dom.is_device,
+            "device_vector": dom.device_vector,
+            "register_hash": digest.hex() if digest else None,
+        })
+
+    cores = []
+    for cs in engine.cores:
+        chain = []
+        for e in cs.chain:
+            chain.append([e.domain, list(e.saved_regs), e.pending_observation])
+        irq = cs.irq
+        if irq is not None:
+            resume = []
+            for e in irq.resume:
+                resume.append([e.domain, list(e.saved_regs),
+                               e.pending_observation])
+            irq = {"vector": irq.vector, "resume": resume}
+        cores.append({
+            "id": cs.id,
+            "current": cs.current,
+            "chain": chain,
+            "irq": irq,
+            "deferred": list(cs.deferred_vectors),
+        })
+
     return {
         "version": DUMP_VERSION,
         "seed": engine.seed,
@@ -46,90 +152,20 @@ def dump_state(engine: Engine) -> dict:
             "cores": config.cores,
             "monitor_reserved": [config.monitor_reserved.start,
                                  config.monitor_reserved.end],
-            "devices": [[d.name, d.mmio.start, d.mmio.end, d.vector]
-                        for d in config.devices],
+            "devices": devices,
             "pool": config.metadata_pool,
         },
-        "measurement": {
-            "pcr": engine.measurement.pcr.hex(),
-            "events": [[name, digest.hex()]
-                       for name, digest in engine.measurement.event_log],
-        } if engine.measurement else None,
+        "measurement": measurement,
         "root_region": engine.root_region,
         "next_domain": engine.domains.next_id,
         "next_region": engine.tree._next_id,
         "next_token": engine._next_token,
-        "buffers": [[token, owner, int(call), blob.hex(), offset]
-                    for token, (owner, call, blob, offset)
-                    in sorted(engine._buffers.items())],
+        "buffers": buffers,
         "quantum": engine.quantum,
-        "quantum_deadlines": [[core, deadline, dom] for core, (deadline, dom)
-                              in sorted(engine._quantum_deadlines.items())],
-        "regions": [_dump_region(node) for _, node
-                    in sorted(engine.tree.nodes.items())],
-        "domains": [_dump_domain(dom) for _, dom
-                    in sorted([*engine.domains.items(),
-                               *engine.domains.held.items()])],
-        "cores": [_dump_core(cs) for cs in engine.cores],
-    }
-
-
-def _dump_region(node: RegionNode) -> dict:
-    rng, attributes = node.initial_range, node.attributes
-    return {
-        "id": node.id,
-        "owner": node.owner,
-        "range": [rng.start, rng.end],
-        "rights": node.rights._value_,
-        "status": node.status._value_,
-        "kind": node.kind._value_,
-        "parent": node.parent,
-        "children": list(node.children),
-        "attributes": {
-            "hash": attributes.hash_digest.hex()
-                    if attributes.hash_digest else None,
-            "clean": attributes.clean,
-            "vital": attributes.vital,
-        },
-    }
-
-
-def _dump_domain(dom) -> dict:
-    policies = dom.policies
-    default = policies.interrupt_default
-    return {
-        "id": dom.id,
-        "state": dom.state._value_,
-        "parent": dom.parent,
-        "policies": {
-            **dict(zip(POLICY_FIELDS, _policy_values(policies))),
-            "interrupts": [[v, p.visibility._value_, p.readable_regs]
-                           for v, p in sorted(policies.interrupts.items())],
-            "interrupt_default": [default.visibility._value_,
-                                  default.readable_regs],
-        },
-        "regs": {str(core): list(regs)
-                 for core, regs in sorted(dom.regs.items())},
-        "owned": [None if e is None else [e.kind._value_, e.ref]
-                  for e in dom.owned.slots],
-        "is_device": dom.is_device,
-        "device_vector": dom.device_vector,
-        "register_hash": dom.register_hash.hex() if dom.register_hash else None,
-    }
-
-
-def _dump_core(cs) -> dict:
-    return {
-        "id": cs.id,
-        "current": cs.current,
-        "chain": [[e.domain, list(e.saved_regs), e.pending_observation]
-                  for e in cs.chain],
-        "irq": None if cs.irq is None else {
-            "vector": cs.irq.vector,
-            "resume": [[e.domain, list(e.saved_regs), e.pending_observation]
-                       for e in cs.irq.resume],
-        },
-        "deferred": list(cs.deferred_vectors),
+        "quantum_deadlines": deadlines,
+        "regions": regions,
+        "domains": domains,
+        "cores": cores,
     }
 
 
@@ -206,6 +242,12 @@ def load_state(dump: dict) -> Engine:
         else:
             engine.domains.held[dom.id] = dom
 
+    # one record per core of the machine, each naming only domains that
+    # have a record: a core's path decides the view it is given
+    if sorted(rec["id"] for rec in dump["cores"]) != list(range(config.cores)):
+        raise ValueError(f"core records must be 0..{config.cores - 1}, "
+                         "once each")
+    recorded = engine.domains.keys() | engine.domains.held.keys()
     for rec in dump["cores"]:
         cs = engine.cores[rec["id"]]
         cs.current = rec["current"]
@@ -215,6 +257,8 @@ def load_state(dump: dict) -> Engine:
                               [ChainEntry(d, list(r), p)
                                for d, r, p in rec["irq"]["resume"]])
         cs.deferred_vectors = list(rec["deferred"])
+        if not recorded.issuperset(cs.path_domains()):
+            raise ValueError(f"core {cs.id} names a domain with no record")
     engine._build_views()
     return engine
 
