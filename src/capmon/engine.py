@@ -44,6 +44,8 @@ CAP_SLOT_QUOTA = 256
 _WORD_MASK = (1 << 64) - 1
 # a drained 16-byte chunk as the two register words it fills
 _CHUNK = struct.Struct("<QQ")
+# the call ids whose register 2, when nonzero, names a token to drain
+_DRAIN_CALLS = frozenset({int(ApiCall.ATTEST), int(ApiCall.ENUMERATE)})
 
 
 class Engine:
@@ -1018,11 +1020,19 @@ class Engine:
 
         Call id sits in register 0, arguments in 1..6; results land in
         registers 0..3 with register 0 holding 0 for success or the error
-        code.  Large outputs are consumed via a continuation token.  The
-        whole call, register decoding included, holds the engine lock.  A
-        call rejected before any monitor call traced it is traced as `abi`.
-        A core outside the machine has no registers to answer in, so its
-        call is traced and raised.
+        code.  The whole call, register decoding included, holds the engine
+        lock.  A call rejected before any monitor call traced it is traced
+        as `abi`.  A core outside the machine has no registers to answer
+        in, so its call is traced and raised.
+
+        Large outputs are consumed via a continuation token.  ATTEST or
+        ENUMERATE with a nonzero token in register 2 is a drain, decided
+        and answered here, after the `user_calls` gate and before the
+        handler table: the token must name an output of the caller issued
+        by the same call id, or the drain is denied `BAD_CURSOR`.  It
+        answers the next 16 bytes as two words, a short last chunk padded
+        with zero bytes, drops the token after its last chunk, and traces
+        nothing.  The handlers of both calls only issue.
         """
         with self.platform.engine_lock:
             if not 0 <= core < len(self.cores):
@@ -1034,16 +1044,39 @@ class Engine:
             caller_id = self.cores[core].current
             caller = self.domains[caller_id]
             regs = caller.core_regs(core)
-            call_id, args = regs[0], regs[1:7]
+            call_id = regs[0]
             traced = len(self.trace.records)
             try:
                 if user and not caller.policies.user_calls:
                     raise deny(ErrorCode.POLICY_DENIED, "user calls not allowed")
+                token = regs[2]
+                if token and call_id in _DRAIN_CALLS:
+                    # a drain: the token drains only for the domain whose
+                    # call produced the output, and only through that call
+                    entry = self._buffers.get(token)
+                    if entry is None or entry[0] != caller_id or \
+                            entry[1] != call_id:
+                        raise deny(ErrorCode.BAD_CURSOR, f"token {token}")
+                    blob, offset = entry[2], entry[3]
+                    end = offset + 16
+                    regs[0] = 0
+                    if end < len(blob):
+                        entry[3] = end
+                        regs[1] = 16
+                        regs[2], regs[3] = _CHUNK.unpack_from(blob, offset)
+                    else:
+                        del self._buffers[token]
+                        chunk = blob[offset:]
+                        regs[1] = len(chunk)
+                        regs[2], regs[3] = _CHUNK.unpack(
+                            chunk.ljust(16, b"\0"))
+                    return
                 # checked here, so that a negative id cannot index the
                 # table from its end
                 if not 0 <= call_id < len(_ABI_HANDLERS):
                     raise deny(ErrorCode.BAD_HANDLE, f"unknown call {call_id}")
-                results = _ABI_HANDLERS[call_id](self, caller_id, core, args)
+                results = _ABI_HANDLERS[call_id](self, caller_id, core,
+                                                 regs[1:7])
             except MonitorError as exc:
                 if len(self.trace.records) == traced:
                     self.trace.record(OpRecord(
@@ -1060,7 +1093,8 @@ class Engine:
                 regs[1:1 + len(results)] = results
 
     # -- one handler per call: (caller, core, argument registers) -> at most
-    # three result words, or None when control moved
+    # three result words, or None when control moved; ATTEST's and
+    # ENUMERATE's only issue, as monitor_call answers their drains
 
     def _abi_create(self, caller: int, core: int, args: list[int]):
         return [self.create(caller)]
@@ -1094,15 +1128,11 @@ class Engine:
         return []
 
     def _abi_attest(self, caller: int, core: int, args: list[int]):
-        if args[1] != 0:
-            return self._consume_buffer(caller, ApiCall.ATTEST, args[1])
         self._check_undrained(caller)
         _, blob = self._attest(caller, _optional(args[0]))
         return [len(blob), self._issue_buffer(caller, ApiCall.ATTEST, blob)]
 
     def _abi_enumerate(self, caller: int, core: int, args: list[int]):
-        if args[1] != 0:
-            return self._consume_buffer(caller, ApiCall.ENUMERATE, args[1])
         self._check_undrained(caller)
         line, nxt = self.enumerate(caller, args[0])
         if line is None:
@@ -1150,25 +1180,6 @@ class Engine:
         self._next_token += 1
         self._buffers[token] = [caller, call, blob, 0]
         return token
-
-    def _consume_buffer(self, caller: int, call: ApiCall,
-                        token: int) -> list[int]:
-        # a token drains only for the domain whose call produced the output,
-        # and only through that call's id
-        entry = self._buffers.get(token)
-        if entry is None or entry[0] != caller or entry[1] != call:
-            raise deny(ErrorCode.BAD_CURSOR, f"token {token}")
-        blob, offset = entry[2], entry[3]
-        end = offset + 16
-        if end < len(blob):
-            entry[3] = end
-        else:
-            del self._buffers[token]
-            if end > len(blob):
-                # a short last chunk reads as if padded with zero bytes
-                chunk = blob[offset:]
-                return [len(chunk), *_CHUNK.unpack(chunk.ljust(16, b"\0"))]
-        return [16, *_CHUNK.unpack_from(blob, offset)]
 
     # ------------------------------------------------------------------
     # region derivations (engine-level wrappers)

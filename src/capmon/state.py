@@ -242,6 +242,15 @@ def load_state(dump: dict) -> Engine:
         else:
             engine.domains.held[dom.id] = dom
 
+    # a region's owner and a live domain's parent are live records; a held
+    # record's parent may be gone
+    for node in engine.tree.nodes.values():
+        if node.owner not in engine.domains:
+            raise ValueError(f"region {node.id} names no live owner")
+    for dom in engine.domains.values():
+        if dom.parent is not None and dom.parent not in engine.domains:
+            raise ValueError(f"domain {dom.id} names no live parent")
+
     # one record per core of the machine, each naming only domains that
     # have a record: a core's path decides the view it is given
     if sorted(rec["id"] for rec in dump["cores"]) != list(range(config.cores)):

@@ -2,10 +2,14 @@
 registers 1..6, results in registers 0..3, large outputs drained through a
 continuation token."""
 
+import os
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capmon import AttestationReport, Oracle, Rights
+import capmon
+from capmon import AttestationReport, Oracle, PhysRange, Rights
 from capmon.domains import (
     ALL_CALLS_MASK, ApiCall, CapKind, InterruptPolicy, PayloadCode, Visibility,
 )
@@ -14,7 +18,7 @@ from capmon.errors import ErrorCode, MonitorError
 from capmon.regions import PAGE
 from capmon.state import dump_state, load_state
 
-from support import make_child, small_engine
+from support import carve_to, make_child, small_engine
 
 A = [PAGE * (1 + k) for k in range(8)]
 
@@ -197,29 +201,32 @@ class TestAbiContinuation:
         lambda k: 16 * k)).flatmap(lambda n: st.binary(min_size=n,
                                                        max_size=n)))
     def test_drain_returns_every_byte(self, blob):
-        engine, td0 = small_engine()
-        token = engine._issue_buffer(td0, ApiCall.ATTEST, blob)
-        drains = []
-        engine.process_updates = lambda core, run=engine.process_updates: (
-            drains.append(core), run(core))
-        offsets = range(0, max(len(blob), 1), 16)
-        got = b""
-        for offset in offsets:
-            assert token in engine._buffers
-            status, n, lo, hi = call(engine, 0, ApiCall.ATTEST, 0, token)
-            chunk = blob[offset:offset + 16]
-            padded = chunk.ljust(16, b"\0")
-            assert (status, n, lo, hi) == (
-                0, len(chunk), int.from_bytes(padded[:8], "little"),
-                int.from_bytes(padded[8:], "little"))
-            got += (lo | hi << 64).to_bytes(16, "little")[:n]
-        assert got == blob
-        # every drain ran the core's pending updates, and the last one
-        # freed the token
-        assert drains == [0] * len(offsets)
-        assert token not in engine._buffers
-        assert call(engine, 0, ApiCall.ATTEST, 0, token)[0] == \
-            ErrorCode.BAD_CURSOR
+        # ATTEST and ENUMERATE drain by one rule, a length that is a
+        # multiple of 16 and one that is not alike
+        for call_id in (ApiCall.ATTEST, ApiCall.ENUMERATE):
+            engine, td0 = small_engine()
+            token = engine._issue_buffer(td0, call_id, blob)
+            drains = []
+            engine.process_updates = lambda core, run=engine.process_updates: (
+                drains.append(core), run(core))
+            offsets = range(0, max(len(blob), 1), 16)
+            got = b""
+            for offset in offsets:
+                assert token in engine._buffers
+                status, n, lo, hi = call(engine, 0, call_id, 0, token)
+                chunk = blob[offset:offset + 16]
+                padded = chunk.ljust(16, b"\0")
+                assert (status, n, lo, hi) == (
+                    0, len(chunk), int.from_bytes(padded[:8], "little"),
+                    int.from_bytes(padded[8:], "little"))
+                got += (lo | hi << 64).to_bytes(16, "little")[:n]
+            assert got == blob
+            # every drain ran the core's pending updates, and the last one
+            # freed the token
+            assert drains == [0] * len(offsets)
+            assert token not in engine._buffers
+            assert call(engine, 0, call_id, 0, token)[0] == \
+                ErrorCode.BAD_CURSOR
 
     def test_half_drained_token_survives_a_reload(self):
         engine, td0 = small_engine()
@@ -332,6 +339,108 @@ class TestAbiContinuation:
         # draining one output makes room for the next
         drain(engine, 0, ApiCall.ATTEST, token, total)
         assert call(engine, 0, ApiCall.ATTEST, 0, 0)[0] == 0
+
+
+DRAINS = pytest.mark.parametrize("call_id",
+                                 [ApiCall.ATTEST, ApiCall.ENUMERATE],
+                                 ids=("attest", "enumerate"))
+
+
+def issue(engine, core, call_id):
+    """Issue an ATTEST on the caller itself, or an ENUMERATE from cursor 0,
+    through the registers; the token the output drains through."""
+    status, _, token, _ = call(engine, core, call_id, 0, 0)
+    assert status == 0 and token in engine._buffers
+    return token
+
+
+class TestAbiDrain:
+    """A drain is decided and answered in monitor_call's own frame, after
+    the core's drain and the user_calls gate."""
+
+    @DRAINS
+    def test_a_drain_enters_three_frames(self, call_id):
+        # pins the drain's depth: no handler or buffer helper frame runs
+        # under monitor_call; the engine lock is a contextlib nullcontext
+        # in step mode, so only frames from capmon's own sources count
+        package = os.path.dirname(capmon.__file__) + os.sep
+        engine, td0 = small_engine()
+        token = issue(engine, 0, call_id)
+        assert len(engine._buffers[token][2]) > 32
+        load(engine, 0, call_id, 0, token)
+        names = []
+
+        def profile(frame, event, arg):
+            if event == "call" and \
+                    frame.f_code.co_filename.startswith(package):
+                names.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            engine.monitor_call(0)
+        finally:
+            sys.setprofile(None)
+        assert engine.domains[td0].core_regs(0)[:2] == [0, 16]
+        assert engine._buffers[token][3] == 16
+        assert names == ["monitor_call", "process_updates", "core_regs"]
+
+    @DRAINS
+    def test_user_drain_is_gated_before_its_token(self, call_id):
+        engine, td0 = small_engine()
+        # the child may make every call, but user calls stay off for it
+        dom, handle = make_child(engine, td0, seal=False)
+        carve_to(engine, td0, handle, PhysRange(A[0], A[2]))
+        engine.seal(td0, handle)
+        engine.switch(td0, 0, handle)
+        token = issue(engine, 0, call_id)
+        # its own token, and one never issued: both denied by the gate
+        for word in (token, 12345):
+            load(engine, 0, call_id, 0, word)
+            expected = dump_state(engine)
+            record = next(d for d in expected["domains"] if d["id"] == dom)
+            record["regs"]["0"][0] = int(ErrorCode.POLICY_DENIED)
+            traced = len(engine.trace.records)
+            engine.monitor_call(0, user=True)
+            assert dump_state(engine) == expected
+            assert [r.to_line() for r in engine.trace.records[traced:]] == \
+                [f"{engine.platform.now} 0 abi caller={dom} "
+                 f"call={int(call_id)} -> err=POLICY_DENIED"]
+        assert engine._buffers[token][3] == 0
+        # in kernel mode the same token drains from its start
+        assert call(engine, 0, call_id, 0, token)[:2] == (0, 16)
+        assert engine._buffers[token][3] == 16
+
+    @DRAINS
+    def test_a_marked_core_drains_before_its_drain_is_answered(self,
+                                                               call_id):
+        engine, td0 = small_engine()
+        token = issue(engine, 0, call_id)
+        blob = engine._buffers[token][2]
+        cs = engine.cores[0]
+        # a mark set by hand, and a vector td0 takes in place waiting for
+        # the core's drain to route it
+        cs.drain_pending = True
+        cs.deferred_vectors.append(0x21)
+        regs = engine.domains[td0].core_regs(0)
+        seen = []
+        engine.process_updates = lambda core, run=engine.process_updates: (
+            seen.append((core, cs.drain_pending, regs[:4])), run(core))
+        traced = len(engine.trace.records)
+        load(engine, 0, call_id, 0, token)
+        engine.monitor_call(0)
+        # the drain ran first, on the call's registers as loaded
+        assert seen == [(0, True, [int(call_id), 0, token, 0])]
+        assert not cs.drain_pending and cs.deferred_vectors == []
+        assert [(r.op, r.args, r.results) for r in
+                engine.trace.records[traced:]] == \
+            [("irq", {"vector": 0x21, "deferred": 1},
+              {"handler": td0, "delivered": "inplace"})]
+        # the answer lands in the registers of the domain the core runs
+        assert cs.current == td0
+        assert engine.domains[td0].core_regs(0)[:4] == [
+            0, 16, int.from_bytes(blob[:8], "little"),
+            int.from_bytes(blob[8:16], "little")]
+        assert engine._buffers[token][3] == 16
 
 
 class TestAbiRejections:

@@ -1,6 +1,7 @@
 """The state dump: it sees every field of the engine state, keeps its JSON
 form and key order on fuzzed states, is built in one frame, and load_state
-refuses core records that do not describe the machine's cores."""
+refuses core records that do not describe the machine's cores, and region
+owners and live domains' parents that name no live domain."""
 
 import json
 import sys
@@ -221,10 +222,9 @@ def _unrecorded_chain(dump):
     dump["cores"][0]["chain"] = [[99, [0] * NUM_REGS, False]]
 
 
-@pytest.mark.parametrize("malform", [_move_core, _drop_core,
-                                     _unrecorded_chain])
-def test_load_refuses_core_records_that_miss_the_machine(tmp_path, capsys,
-                                                         malform):
+def refused(tmp_path, capsys, malform):
+    """A boot dump of the CLI's machine, edited by `malform`, is refused by
+    load_state and makes `capmon attest` exit 2."""
     script, path = tmp_path / "boot.tyscn", tmp_path / "state.json"
     script.write_text("boot\n")
     assert run_cli("run", CONFIG, str(script), "--dump", str(path)) == 0
@@ -236,3 +236,44 @@ def test_load_refuses_core_records_that_miss_the_machine(tmp_path, capsys,
     path.write_text(json.dumps(dump))
     assert run_cli("attest", str(path), "0") == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("malform", [_move_core, _drop_core,
+                                     _unrecorded_chain])
+def test_load_refuses_core_records_that_miss_the_machine(tmp_path, capsys,
+                                                         malform):
+    refused(tmp_path, capsys, malform)
+
+
+def _unowned_region(dump):
+    dump["regions"][0]["owner"] = 99
+
+
+def _orphaned_domain(dump):
+    dump["domains"][0]["parent"] = 77
+
+
+@pytest.mark.parametrize("malform", [_unowned_region, _orphaned_domain])
+def test_load_refuses_owners_and_parents_that_are_not_live(tmp_path, capsys,
+                                                           malform):
+    refused(tmp_path, capsys, malform)
+
+
+def test_load_keeps_held_records_whose_parent_is_not_live():
+    # core 0 runs td0 -> child -> grandchild; the child is revoked and, as
+    # between a barrier round's release and the core's drain, the core has
+    # not drained, so both records are held and the grandchild's parent is
+    # the held child
+    engine, td0 = small_engine()
+    child, handle = make_child(engine, td0)
+    engine.switch(td0, 0, handle)
+    grandchild, inner = make_child(engine, child)
+    engine.switch(child, 0, inner)
+    engine.platform.barrier_update = \
+        lambda initiator, affected, publish, tag: publish()
+    engine.revoke_domain(td0, handle)
+    assert set(engine.domains.held) == {child, grandchild}
+    dump = state.dump_state(engine)
+    reloaded = state.load_state(dump)
+    assert state.dump_state(reloaded) == dump
+    assert reloaded.domains.held[grandchild].parent == child
