@@ -300,9 +300,6 @@ class CoreState:
     irq: Optional[IrqFrame] = None
     deferred_vectors: list[int] = field(default_factory=list)
     last_payload: Optional[tuple[int, int]] = None
-    # set by a publish that affects the core, cleared by the core's drain;
-    # not part of the state, as every barrier round ends with its drains
-    drain_pending: bool = False
 
     def path_domains(self) -> list[int]:
         """Root-ward path of domains this core is executing, outermost first."""

@@ -3,13 +3,13 @@
 Owns both derivation trees (memory regions and trust domains), validates and
 executes the eleven monitor calls, and routes interrupts over the domain
 tree.  A call with cross-core effects publishes them in a two-barrier round
-while the affected cores are parked, and marks each of them; a marked core's
-drain (`process_updates`) works out what changed for it from the engine's
-state, as a TLB shootdown's responder re-reads the tables: it unwinds past
-the first revoked domain on its path, installs the table of the domain it
-then runs and routes its deferred vectors.  Operations with overlapping
-targets execute one at a time; in concurrent mode the platform supplies an
-IPI-aware lock.
+while the affected cores are parked, and installs their new tables itself.
+A core's drain (`process_updates`) then reads only the engine's state, as a
+TLB shootdown's responder re-reads the tables: it is due exactly when the
+core's path names a held (revoked) record, and it unwinds past the first
+such domain, installs the table of the domain the core then runs and
+routes its deferred vectors.  Operations with overlapping targets execute
+one at a time; in concurrent mode the platform supplies an IPI-aware lock.
 """
 
 from __future__ import annotations
@@ -298,12 +298,6 @@ class Engine:
             self.platform.cores[core].local_view = \
                 self.view_cache_for(self.cores[core].current)
 
-    def _mark_drains(self, cores: set[int]):
-        """Mark each core a publish affects; its drain, under the engine
-        lock, works out from the engine's state what changed for it."""
-        for core in cores:
-            self.cores[core].drain_pending = True
-
     def domain_may_access(self, dom_id: int, addr: int, kind: str) -> bool:
         with self.platform.engine_lock:
             return view_allows(self.view_cache_for(dom_id), addr, kind)
@@ -485,7 +479,7 @@ class Engine:
                 self._patch_view(dom, rng.start, rng.end)
                 if dest is not dom:
                     self._patch_view(dest, rng.start, rng.end)
-                self._mark_drains(affected)
+                self._refresh_views(affected)
 
             affected = self._cores_running({dom.id, dest.id})
             self.platform.barrier_update(self._core_of(dom.id), affected,
@@ -612,9 +606,9 @@ class Engine:
 
     def route_interrupt(self, core: int, vector: int) -> int:
         with self.platform.engine_lock:
-            # a marked core may still run a revoked domain: drain it first,
-            # as a monitor call does; `_irq` denies a core outside the machine
-            if 0 <= core < len(self.cores) and self.cores[core].drain_pending:
+            # the core may still run a revoked domain: drain it first, as a
+            # monitor call does; `_irq` denies a core outside the machine
+            if 0 <= core < len(self.cores):
                 self.process_updates(core)
             return self._irq(core, vector)["handler"]
 
@@ -682,7 +676,7 @@ class Engine:
                 handler = self._handler_of(cs.current, vector)
                 if not self.domains[handler].policies.cores & (1 << cs.id):
                     continue
-                if cs.drain_pending:
+                if self._held_cut(cs) is not None:
                     # the core may still run a revoked domain: its drain
                     # routes the vector once the core's path is current
                     cs.deferred_vectors.append(vector)
@@ -722,12 +716,12 @@ class Engine:
         self._quantum_deadlines.pop(core, None)
 
     def check_quanta(self):
-        # a core whose drain is pending may still run a revoked domain; its
+        # a core whose drain is due may still run a revoked domain; its
         # deadline waits for the drain, and an unwind clears it
         due = [(core, dom) for core, (deadline, dom)
                in self._quantum_deadlines.items()
                if deadline <= self.platform.now
-               and not self.cores[core].drain_pending]
+               and self._held_cut(self.cores[core]) is None]
         for core, dom in due:
             self._clear_quantum(core)
             if self.cores[core].current == dom:
@@ -953,11 +947,11 @@ class Engine:
             # tables rebuilt; the revoked ones have empty tables
             for did in affected_doms - dom_ids:
                 self._patch_view(self.domains[did])
-            # 6. each affected core drains: it unwinds past a revoked
-            # domain on its path and installs its table
-            self._mark_drains(affected)
-            # 7. records are freed; one a core path still names is held
-            # until that core's unwind drains
+            # 6. each affected core gets its new table, an empty one while
+            # it still runs a revoked domain, which its drain unwinds
+            self._refresh_views(affected)
+            # 7. records are freed; one a core path still names is held,
+            # and that core's drain is due until it unwinds
             self.domains.reclaim(dom_ids, self._named_domains())
 
         self.platform.barrier_update(self._core_of(caller), affected,
@@ -970,46 +964,51 @@ class Engine:
     # per-core drain
     # ------------------------------------------------------------------
 
-    def process_updates(self, core: int):
-        """The drain point.  A core a publish marked unwinds past the first
-        revoked domain on its path and installs the table of the domain it
-        then runs; then a core not in an interrupt routes its deferred
-        vectors."""
+    def process_updates(self, core: int) -> bool:
+        """The drain point.  A publish installs the new tables of the cores
+        it affects; a core's drain is due when its path names a held record
+        (`_held_cut`), and then it unwinds past the first such domain,
+        installs the table of the domain it then runs and returns True.  A
+        core not in an interrupt then routes its deferred vectors."""
         cs = self.cores[core]
-        if cs.drain_pending:
-            cs.drain_pending = False
-            self._unwind(cs)
+        cut = self._held_cut(cs) if self.domains.held else None
+        if cut is not None:
+            self._unwind(cs, cut)
             self._refresh_views({core})
         if cs.irq is None and cs.deferred_vectors:
             self._route_deferred(core)
+        return cut is not None
 
-    def _unwind(self, cs: CoreState):
-        """Cut the core's path at its first revoked domain.  The domain
+    def _held_cut(self, cs: CoreState) -> Optional[int]:
+        """Where the core's path first names a held record, or None.  A
+        revoked domain is held exactly while a core path names it, so the
+        core's drain is due exactly when there is a cut."""
+        held = self.domains.held
+        if held:
+            for index, dom_id in enumerate(cs.path_domains()):
+                if dom_id in held:
+                    return index
+        return None
+
+    def _unwind(self, cs: CoreState, cut: int):
+        """Cut the core's path at `cut`, its first held domain.  The domain
         above the cut runs again at the registers it was suspended with and
         is told which child was revoked; its chain is what lies above it."""
-        if not self.domains.held:
-            return  # a revoked domain that a core path names is held
-        path = cs.path_domains()
-        cut = next((i for i, dom_id in enumerate(path)
-                    if dom_id not in self.domains), None)
-        if cut is None:
-            return
         assert cut >= 1, "td0 is never revoked"
         regs = self.domains[cs.current].regs.get(cs.id)
         entries = cs.chain + [
             ChainEntry(cs.current, list(regs or zero_registers()))]
         if cs.irq is not None:
             entries += cs.irq.resume
-        resumed = entries[cut - 1]
+        revoked, resumed = entries[cut].domain, entries[cut - 1]
         cs.chain = [ChainEntry(e.domain, list(e.saved_regs))
                     for e in entries[:cut - 1]]
         cs.current = resumed.domain
         cs.irq = None
         self.domains[cs.current].regs[cs.id] = list(resumed.saved_regs)
-        self._deliver_payload(cs, cs.id, PayloadCode.REVOKED_CHILD, path[cut])
+        self._deliver_payload(cs, cs.id, PayloadCode.REVOKED_CHILD, revoked)
         self._clear_quantum(cs.id)
-        if self.domains.held:
-            self.domains.release(self._named_domains())
+        self.domains.release(self._named_domains())
 
     # ------------------------------------------------------------------
     # register ABI
@@ -1023,7 +1022,8 @@ class Engine:
         code.  The whole call, register decoding included, holds the engine
         lock.  A call rejected before any monitor call traced it is traced
         as `abi`.  A core outside the machine has no registers to answer
-        in, so its call is traced and raised.
+        in, so its call is traced and raised.  A core whose drain unwinds
+        it makes no call, as its registers then hold a REVOKED_CHILD payload.
 
         Large outputs are consumed via a continuation token.  ATTEST or
         ENUMERATE with a nonzero token in register 2 is a drain, decided
@@ -1040,7 +1040,8 @@ class Engine:
                     self.platform.now, core, "abi", {}, False,
                     ErrorCode.CORE_NOT_ALLOWED.name))
                 raise deny(ErrorCode.CORE_NOT_ALLOWED, f"core {core}")
-            self.process_updates(core)
+            if self.process_updates(core):
+                return
             caller_id = self.cores[core].current
             caller = self.domains[caller_id]
             regs = caller.core_regs(core)
@@ -1209,7 +1210,7 @@ class Engine:
                 # the parent is the caller's, so only the caller's table
                 # changes, and only on rng
                 self._patch_view(dom, rng.start, rng.end)
-                self._mark_drains(affected)
+                self._refresh_views(affected)
 
             self.platform.barrier_update(self._core_of(dom.id), affected,
                                          publish, f"{op}:{new_id}")

@@ -66,6 +66,14 @@ def delivered_in_place(engine: Engine) -> list[tuple[int, int, int]]:
             and r.results.get("delivered") == "inplace"]
 
 
+def hold_drains(engine: Engine):
+    """Make each later barrier round publish without parking or draining:
+    as between a round's release and a core's drain, a core may then still
+    run a revoked domain, whose record is held."""
+    engine.platform.barrier_update = \
+        lambda initiator, affected, publish, tag: publish()
+
+
 def carve_to(engine: Engine, owner: int, dest_handle: int, rng: PhysRange,
              rights: Rights = Rights.RWX,
              attrs: AttrFlags = AttrFlags.NONE) -> int:
@@ -297,6 +305,7 @@ class FuzzDriver:
             assert not problems, \
                 f"oracle diff after {op} (step {self.steps}): {problems[:4]}"
             check_core_paths(self.engine)
+            check_capability_holders(self.engine)
             swept: dict = {}  # each node is swept once for both checks
             check_views(self.engine, swept)
             check_invariants(self.engine.tree, swept)
@@ -312,10 +321,10 @@ class _Skip(Exception):
 
 def check_core_paths(engine: Engine):
     """The chain plus current plus any pending resume is always a simple
-    root-ward path of live domains, and no core's drain is pending: every
-    barrier round ends with its drains."""
+    root-ward path of live domains, and no core's drain is due (its path
+    names no held record): every barrier round ends with its drains."""
     for cs in engine.cores:
-        assert not cs.drain_pending, f"core {cs.id}: drain still pending"
+        assert engine._held_cut(cs) is None, f"core {cs.id}: drain is due"
         path = cs.path_domains()
         assert len(set(path)) == len(path), f"core {cs.id}: cycle in {path}"
         for upper, lower in zip(path, path[1:]):
@@ -325,6 +334,22 @@ def check_core_paths(engine: Engine):
         for dom in path:
             assert engine.domains[dom].live, \
                 f"core {cs.id}: revoked domain {dom} on the path"
+
+
+def check_capability_holders(engine: Engine):
+    """Each live region is named by exactly one REGION capability, held by
+    the region's owner, and each live domain but td0 and the devices by
+    exactly one DOMAIN capability, held by its parent."""
+    holders: dict = {CapKind.REGION: {}, CapKind.DOMAIN: {}}
+    for dom in engine.domains.values():
+        for entry in dom.owned.slots:
+            if entry is not None and entry.kind is not CapKind.CHANNEL:
+                holders[entry.kind].setdefault(entry.ref, []).append(dom.id)
+    assert holders[CapKind.REGION] == {
+        rid: [node.owner] for rid, node in engine.tree.nodes.items()}
+    assert holders[CapKind.DOMAIN] == {
+        dom.id: [dom.parent] for dom in engine.domains.values()
+        if dom.parent is not None and not dom.is_device}
 
 
 def fresh_sweep(tree: RegionTree, swept: dict, region: int) -> bytes:

@@ -18,7 +18,7 @@ from capmon.errors import ErrorCode, MonitorError
 from capmon.regions import PAGE
 from capmon.state import dump_state, load_state
 
-from support import carve_to, make_child, small_engine
+from support import carve_to, hold_drains, make_child, small_engine
 
 A = [PAGE * (1 + k) for k in range(8)]
 
@@ -208,7 +208,7 @@ class TestAbiContinuation:
             token = engine._issue_buffer(td0, call_id, blob)
             drains = []
             engine.process_updates = lambda core, run=engine.process_updates: (
-                drains.append(core), run(core))
+                drains.append(core), run(core))[1]
             offsets = range(0, max(len(blob), 1), 16)
             got = b""
             for offset in offsets:
@@ -340,6 +340,21 @@ class TestAbiContinuation:
         drain(engine, 0, ApiCall.ATTEST, token, total)
         assert call(engine, 0, ApiCall.ATTEST, 0, 0)[0] == 0
 
+    def test_enumerate_past_the_last_entry_ends(self):
+        # td0's table ends in a hole once its channel is sent away
+        engine, td0 = small_engine()
+        _, handle = make_child(engine, td0, seal=False)
+        engine.send(td0, engine.getchan(td0), handle)
+        slots = engine.domains[td0].owned.slots
+        assert slots[-1] is None
+        token = engine._next_token
+        for cursor in (len(slots) - 1, len(slots)):
+            load(engine, 0, ApiCall.ENUMERATE, cursor, 0, 7)
+            engine.monitor_call(0)
+            assert engine.domains[td0].core_regs(0)[:4] == [0, len(slots),
+                                                            0, 0]
+        assert engine._buffers == {} and engine._next_token == token
+
 
 DRAINS = pytest.mark.parametrize("call_id",
                                  [ApiCall.ATTEST, ApiCall.ENUMERATE],
@@ -411,36 +426,39 @@ class TestAbiDrain:
         assert engine._buffers[token][3] == 16
 
     @DRAINS
-    def test_a_marked_core_drains_before_its_drain_is_answered(self,
-                                                               call_id):
+    def test_an_unwound_core_makes_no_call(self, call_id):
+        # td0 loads a drain of its own token on core 0 and switches to a
+        # child; the child is revoked with the core's drain held back, and a
+        # vector td0 takes in place waits for that drain
         engine, td0 = small_engine()
         token = issue(engine, 0, call_id)
-        blob = engine._buffers[token][2]
+        load(engine, 0, call_id, 0, token)
+        dom, handle = make_child(engine, td0)
+        engine.switch(td0, 0, handle)
+        hold_drains(engine)
+        engine.revoke_domain(td0, handle)
+        assert engine.route_device_interrupt(0x21) is None
         cs = engine.cores[0]
-        # a mark set by hand, and a vector td0 takes in place waiting for
-        # the core's drain to route it
-        cs.drain_pending = True
-        cs.deferred_vectors.append(0x21)
-        regs = engine.domains[td0].core_regs(0)
         seen = []
         engine.process_updates = lambda core, run=engine.process_updates: (
-            seen.append((core, cs.drain_pending, regs[:4])), run(core))
+            seen.append((core, engine._held_cut(cs))), run(core))[1]
         traced = len(engine.trace.records)
-        load(engine, 0, call_id, 0, token)
         engine.monitor_call(0)
-        # the drain ran first, on the call's registers as loaded
-        assert seen == [(0, True, [int(call_id), 0, token, 0])]
-        assert not cs.drain_pending and cs.deferred_vectors == []
+        # the drain ran first and cut the core's path at the child
+        assert seen == [(0, 1)]
+        assert engine._held_cut(cs) is None and cs.deferred_vectors == []
+        assert not engine.domains.held
         assert [(r.op, r.args, r.results) for r in
                 engine.trace.records[traced:]] == \
             [("irq", {"vector": 0x21, "deferred": 1},
               {"handler": td0, "delivered": "inplace"})]
-        # the answer lands in the registers of the domain the core runs
+        # td0 runs at the registers it switched with, under the payload, and
+        # no call decoded them: the token was not drained
         assert cs.current == td0
         assert engine.domains[td0].core_regs(0)[:4] == [
-            0, 16, int.from_bytes(blob[:8], "little"),
-            int.from_bytes(blob[8:16], "little")]
-        assert engine._buffers[token][3] == 16
+            PayloadCode.REVOKED_CHILD, dom, token, 0]
+        assert engine._buffers[token][3] == 0
+        assert call(engine, 0, call_id, 0, token)[:2] == (0, 16)
 
 
 class TestAbiRejections:

@@ -14,7 +14,7 @@ from capmon.domains import (
 from capmon.machine import LOG_KEEP, TIMER_VECTOR
 from capmon.regions import PAGE
 from capmon.scenario import ScenarioRunner, parse_script
-from capmon.state import dump_state
+from capmon.state import dump_state, load_state
 
 from support import (
     carve_to, delivered_in_place, make_child, replay_trace, small_config,
@@ -193,9 +193,11 @@ class TestConcurrentWithoutWorkers:
             engine.switch(td0, 1, handle)
             carve_to(engine, td0, handle, PhysRange(A[0], A[1]))
             engine.revoke_domain(td0, handle)
+            # core 1 drained: it unwound, and no record is held for it
             assert engine.current_domain(1) == td0
+            assert engine.cores[1].last_payload == (
+                PayloadCode.REVOKED_CHILD, dom)
             assert not engine.domains.held
-            assert not engine.cores[1].drain_pending
             dumps.append(dump_state(engine))
         assert dumps[0] == dumps[1]
 
@@ -223,7 +225,7 @@ class TestJoin:
         timer.join(timeout=5)
         assert dom not in engine.domains
         assert engine.current_domain(1) == td0
-        assert not engine.cores[1].drain_pending
+        assert engine.cores[1].last_payload == (PayloadCode.REVOKED_CHILD, dom)
         assert not engine.domains.held
 
 
@@ -306,6 +308,22 @@ class TestDrainWindow:
         # the unwind cleared R's deadline
         assert delivered_in_place(engine) == []
         assert 0 not in engine._quantum_deadlines
+
+    def test_a_dump_taken_in_the_window_reloads_and_drains(self):
+        engine, td0, dom, stall = self.revoke_and_stall(0x21)
+        try:
+            dump = dump_state(engine)
+        finally:
+            self.drain(engine, td0, dom, stall)
+        reloaded = load_state(dump)
+        assert reloaded.current_domain(0) == dom
+        assert dom in reloaded.domains.held
+        # the reload's core 0 names R's held record, so its drain is due
+        reloaded.process_updates(0)
+        assert reloaded.current_domain(0) == td0
+        assert reloaded.cores[0].last_payload == (PayloadCode.REVOKED_CHILD,
+                                                  dom)
+        assert not reloaded.domains.held
 
 
 class _CountingLock:

@@ -6,8 +6,8 @@ import pytest
 
 from capmon import AttrFlags, PhysRange, Rights, Visibility
 from capmon.domains import (
-    ALL_CALLS_MASK, ApiCall, CapEntry, CapKind, CapTable, DomainState,
-    InterruptPolicy,
+    ALL_CALLS_MASK, NUM_REGS, ApiCall, CapEntry, CapKind, CapTable,
+    DomainState, InterruptPolicy,
 )
 from capmon.engine import CAP_SLOT_QUOTA
 from capmon.errors import ErrorCode, MonitorError
@@ -700,6 +700,67 @@ class TestRevocation:
         engine.revoke_domain(td0, handle)
         assert 0 in engine.tree.nodes
         assert engine.tree.nodes[0].owner == td0
+
+
+class TestUnreachedGuards:
+    """Guards that no fuzz step and no other test reaches: each call is
+    denied with its code and leaves the state as it was."""
+
+    def denied(self, engine, code, fn, *args):
+        before = dump_state(engine)
+        expect_code(code, fn, *args)
+        assert dump_state(engine) == before
+
+    def alias_root(self, engine, td0, rng):
+        root = engine.domains[td0].owned.find(CapKind.REGION,
+                                              engine.root_region)
+        return engine.tree_alias(td0, root, rng, Rights.RW)
+
+    def test_a_region_handle_names_no_domain(self):
+        # region 1 and child A share the id 1: read as a domain handle, B's
+        # handle to region 1 would revoke A, which B never held
+        engine, td0 = small_engine()
+        a, _ = make_child(engine, td0)
+        alias = self.alias_root(engine, td0, PhysRange(A[0], A[1]))
+        assert engine.domains[td0].owned.get(alias).ref == a
+        b, b_handle = make_child(engine, td0, seal=False)
+        engine.send(td0, alias, b_handle)
+        engine.seal(td0, b_handle)
+        region = engine.domains[b].owned.find(CapKind.REGION, a)
+        self.denied(engine, ErrorCode.BAD_HANDLE,
+                    engine.revoke_domain, b, region)
+
+    def test_a_domain_handle_names_no_region(self):
+        # child A and region 1 share the id 1, and region 1 has a child: read
+        # as a region handle, td0's handle to A would revoke that child
+        engine, td0 = small_engine()
+        a, a_handle = make_child(engine, td0)
+        alias = self.alias_root(engine, td0, PhysRange(A[0], A[2]))
+        assert engine.domains[td0].owned.get(alias).ref == a
+        engine.tree_alias(td0, alias, PhysRange(A[0], A[1]), Rights.RW)
+        self.denied(engine, ErrorCode.BAD_HANDLE,
+                    engine.revoke_region, td0, a_handle, 0)
+
+    def test_readable_registers_stay_within_the_file(self):
+        engine, td0 = small_engine()
+        _, handle = make_child(engine, td0, seal=False)
+        self.denied(engine, ErrorCode.POLICY_ESCALATION,
+                    engine.set_interrupt_policy, td0, handle, 5,
+                    Visibility.DELIVER, 1 << NUM_REGS)
+
+    def test_get_policy_of_an_unknown_field(self):
+        engine, td0 = small_engine()
+        _, handle = make_child(engine, td0, seal=False)
+        self.denied(engine, ErrorCode.BAD_HANDLE,
+                    engine.get_policy, td0, handle, "interrupts")
+
+    @pytest.mark.parametrize("core", [2, -1])
+    def test_switch_on_a_core_outside_the_machine(self, core):
+        # -1 would index core 1, which td0 runs
+        engine, td0 = small_engine(cores=2)
+        _, handle = make_child(engine, td0)
+        self.denied(engine, ErrorCode.CORE_NOT_ALLOWED,
+                    engine.switch, td0, core, handle)
 
 
 class TestApiGateExhaustive:

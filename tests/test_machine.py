@@ -19,8 +19,8 @@ from capmon.regions import EXCLUSIVE_BIT, PAGE
 from capmon.state import dump_state
 
 from support import (
-    FuzzDriver, delivered_in_place, make_child, page_table, small_config,
-    small_engine,
+    FuzzDriver, delivered_in_place, hold_drains, make_child, page_table,
+    small_config, small_engine,
 )
 
 A = [PAGE * (1 + k) for k in range(8)]
@@ -431,13 +431,19 @@ class TestDevices:
         assert not engine.platform.dma_access(dev.id, A[0], "W")
 
     def test_interrupt_to_parked_core_deferred_until_release(self):
+        # core 0 still runs a revoked child, whose record is held, as
+        # between a barrier round's release and the core's drain
         engine, td0, dev = self.build()
-        engine.cores[0].drain_pending = True
+        dom, handle = make_child(engine, td0)
+        engine.switch(td0, 0, handle)
+        hold_drains(engine)
+        engine.revoke_domain(td0, handle)
+        assert engine.current_domain(0) == dom and dom in engine.domains.held
         assert engine.route_device_interrupt(dev.device_vector) is None
         assert not delivered_in_place(engine)
         engine.process_updates(0)
-        assert any(v == dev.device_vector
-                   for _, v, _ in delivered_in_place(engine))
+        assert engine.current_domain(0) == td0
+        assert delivered_in_place(engine) == [(0, dev.device_vector, td0)]
 
     def test_device_mmio_is_exclusive_carve(self):
         engine, td0, dev = self.build()

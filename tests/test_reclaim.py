@@ -13,7 +13,9 @@ from capmon.errors import ErrorCode
 from capmon.regions import PAGE
 from capmon.scenario import ScenarioRunner, parse_script
 
-from support import make_child, small_config, small_engine
+from support import (
+    carve_to, hold_drains, make_child, small_config, small_engine,
+)
 from test_engine import expect_code
 
 
@@ -141,6 +143,26 @@ class TestReclaim:
         assert not engine.domains.held
         assert isinstance(engine.domains[dom], RevokedDomain)
 
+    def test_a_publish_installs_the_tables_of_the_cores_it_affects(self):
+        # core 0 runs a child holding a page, core 1 runs td0; the child is
+        # revoked and no core drains
+        engine, td0 = small_engine()
+        dom, handle = make_child(engine, td0)
+        carve_to(engine, td0, handle, PhysRange(PAGE, 2 * PAGE))
+        engine.switch(td0, 0, handle)
+        assert engine.platform.read_mem(0, PAGE)[0]
+        assert not engine.platform.read_mem(1, PAGE)[0]
+        hold_drains(engine)
+        engine.revoke_domain(td0, handle)
+        # the revoked child, still on core 0, grants nothing; td0 has its
+        # page back on core 1
+        assert engine.current_domain(0) == dom
+        assert engine.platform.cores[0].local_view == b""
+        assert not engine.platform.read_mem(0, PAGE)[0]
+        assert engine.platform.cores[1].local_view == \
+            engine.view_cache_for(td0)
+        assert engine.platform.read_mem(1, PAGE)[0]
+
 
 class TestReclaimConcurrent:
     def test_record_waits_until_the_parked_core_drains(self):
@@ -158,8 +180,7 @@ class TestReclaimConcurrent:
 
         def observed(core):
             cs = engine.cores[1]
-            unwinding = core == 1 and cs.drain_pending and \
-                dom in cs.path_domains()
+            unwinding = core == 1 and engine._held_cut(cs) is not None
             if unwinding:
                 seen.append(("parked", engine.domains[dom],
                              dom in engine.domains, len(engine.domains)))

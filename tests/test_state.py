@@ -15,7 +15,9 @@ from capmon.domains import (
 )
 from capmon.regions import PAGE, DerivationKind, RegionStatus
 
-from support import FuzzDriver, carve_to, make_child, small_engine
+from support import (
+    FuzzDriver, carve_to, hold_drains, make_child, small_engine,
+)
 from test_abi import call
 from test_cli import CONFIG, run_cli
 
@@ -269,8 +271,7 @@ def test_load_keeps_held_records_whose_parent_is_not_live():
     engine.switch(td0, 0, handle)
     grandchild, inner = make_child(engine, child)
     engine.switch(child, 0, inner)
-    engine.platform.barrier_update = \
-        lambda initiator, affected, publish, tag: publish()
+    hold_drains(engine)
     engine.revoke_domain(td0, handle)
     assert set(engine.domains.held) == {child, grandchild}
     dump = state.dump_state(engine)
