@@ -463,7 +463,7 @@ class Engine:
                 if node.status is not RegionStatus.EXCLUSIVE:
                     raise deny(ErrorCode.HASH_ON_ALIASED,
                                "hash needs an exclusive region")
-                self._check_unmapped(node.initial_range, exclude={node.id})
+                self._check_unmapped(node.initial_range, exclude=node.id)
                 digest = hashlib.sha256(
                     self.platform.read_bytes(node.initial_range)).digest()
 
@@ -491,17 +491,13 @@ class Engine:
                    {"handle": handle, "dest": dest_handle, "attrs": bits},
                    body)
 
-    def _check_unmapped(self, rng: PhysRange, exclude: set[int]):
-        nodes = self.tree.nodes
-        for other in self.domains.values():
-            for _, entry in other.owned.entries():
-                if entry.kind is not CapKind.REGION or entry.ref in exclude:
-                    continue
-                node = nodes[entry.ref]
-                lo, hi = node._pages(rng)
-                if lo < hi and any(node._view[lo:hi]):
-                    raise deny(ErrorCode.STILL_ACCESSIBLE,
-                               f"{rng} reachable via region {entry.ref}")
+    def _check_unmapped(self, rng: PhysRange, exclude: int):
+        # each live region is held by exactly one capability, its owner's
+        for rid, node in self.tree.nodes.items():
+            lo, hi = node._pages(rng)
+            if rid != exclude and lo < hi and any(node._view[lo:hi]):
+                raise deny(ErrorCode.STILL_ACCESSIBLE,
+                           f"{rng} reachable via region {rid}")
 
     def seal(self, caller: int, handle: int):
         def body(dom):
@@ -559,15 +555,12 @@ class Engine:
                    body, core=core)
 
     def _switch_return(self, cs: CoreState, dom: DomainNode, core: int) -> dict:
-        if cs.chain:
-            entry = cs.chain.pop()
-            parent = self.domains[entry.domain]
-            parent.regs[core] = list(entry.saved_regs)
-            cs.current = parent.id
-        elif dom.parent is not None and self.domains[dom.parent].live:
-            cs.current = dom.parent
-        else:
+        # a core's path starts at td0, so only td0 has an empty chain
+        if not cs.chain:
             raise deny(ErrorCode.NO_PARENT, "nowhere to return")
+        entry = cs.chain.pop()
+        self.domains[entry.domain].regs[core] = list(entry.saved_regs)
+        cs.current = entry.domain
         self._deliver_payload(cs, core, PayloadCode.RETURNED, dom.id)
         self._clear_quantum(core)
         self._refresh_views({core})

@@ -9,6 +9,13 @@ synchronization.  A barrier round parks the affected cores, publishes, then
 releases them; each then drains under the engine lock, and the engine works
 out the drain from its own state, so a core carries no queue of updates.
 
+Concurrent mode waits on one condition, `ConcurrentPlatform._cv`, and only
+where the protocol says: a thread wanting the engine lock until its holder
+releases it, or, while its own core has an IPI pending, parked until the
+round releases it; a round's initiator until every other affected core has
+parked; an idle worker until it has an IPI, work or a stop request; and
+`join` until every work list is empty.
+
 The platform keeps two logs, each a ring of the newest LOG_KEEP entries,
 so neither grows with the length of a run.  Entries are plain tuples:
 
@@ -26,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import heapq
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -328,46 +334,51 @@ class Platform:
             self.engine.route_device_interrupt(vector)
 
 
-class _IpiRequest:
-    def __init__(self, barrier1: threading.Barrier,
-                 barrier2: threading.Barrier, tag: str):
-        self.barrier1 = barrier1
-        self.barrier2 = barrier2
-        self.tag = tag
-
-
 class _EngineLock:
-    """Reentrant engine lock whose waiters service IPIs to their own core,
-    so a parked request never deadlocks against the initiator holding it;
-    a register-ABI call holds it while running the call it decodes."""
+    """Reentrant engine lock whose waiters park for their own core's IPI,
+    so a round never deadlocks against the initiator holding the lock; a
+    core that parked drains first thing once it holds the lock."""
 
     def __init__(self, platform: "ConcurrentPlatform"):
         self._platform = platform
         self._lock = threading.RLock()
 
     def __enter__(self):
-        my_core = getattr(self._platform._thread_core, "core", None)
-        while not self._lock.acquire(timeout=0.0002):
-            if my_core is not None:
-                self._platform.service_ipi(my_core)
+        platform = self._platform
+        core = getattr(platform._thread_core, "core", None)
+        with platform._cv:
+            while not self._lock.acquire(blocking=False):
+                if core is not None and platform._ipi[core] is not None:
+                    platform._park(core)
+                else:
+                    platform._cv.wait()
+        if core is not None and platform._parked_for[core]:
+            platform._drain(core)
 
     def __exit__(self, *exc_info):
         self._lock.release()
+        if not self._lock._is_owned():
+            with self._platform._cv:
+                self._platform._cv.notify_all()
 
 
 class ConcurrentPlatform(Platform):
-    """One worker thread per core; engine ops serialize on an IPI-aware lock."""
+    """One worker thread per core; engine ops serialize on an IPI-aware
+    lock.  `_cv` guards each core's IPI tag and run state, the work lists
+    and the engine lock's hand-off, and every change to them notifies it."""
 
     def __init__(self, config: MachineConfig):
         super().__init__(config)
         self.engine_lock = _EngineLock(self)
         self._log_lock = threading.Lock()
-        self._ipi_requests: list[Optional[_IpiRequest]] = [None] * config.cores
+        self._cv = threading.Condition()
+        # the tag of the round each core must park for, or None
+        self._ipi: list[Optional[str]] = [None] * config.cores
+        # the tags of the rounds each core parked for and has not drained;
+        # only the core's own thread uses its list
+        self._parked_for: list[list[str]] = [[] for _ in range(config.cores)]
+        # each core's statements; the running one stays at the head
         self._work: list[list] = [[] for _ in range(config.cores)]
-        self._work_cv = [threading.Condition() for _ in range(config.cores)]
-        # whether each core's worker is running a statement; set and
-        # cleared under the core's work condition
-        self._busy = [False] * config.cores
         self._threads: list[threading.Thread] = []
         self._stop = False
         self._errors: list[BaseException] = []
@@ -385,21 +396,27 @@ class ConcurrentPlatform(Platform):
         with self._log_lock:
             super()._log_phase(phase, core, tag)
 
-    # -- IPI servicing ------------------------------------------------------
+    # -- the barrier round --------------------------------------------------
 
-    def service_ipi(self, core: int):
-        req = self._ipi_requests[core]
-        if req is None:
-            return
-        self._ipi_requests[core] = None
+    def _park(self, core: int):
+        """Park `core` for the round its IPI names until the initiator
+        releases it; called holding `_cv`."""
+        tag, self._ipi[core] = self._ipi[core], None
+        self._parked_for[core].append(tag)
         self.cores[core].run_state = CoreRunState.PARKED
-        self._log_phase("park", core, req.tag)
-        req.barrier1.wait()
-        req.barrier2.wait()
-        self.cores[core].run_state = CoreRunState.RUNNING
-        with self.engine_lock:
-            self.engine.process_updates(core)
-        self._log_phase("drain", core, req.tag)
+        self._log_phase("park", core, tag)
+        self._cv.notify_all()
+        self._cv.wait_for(
+            lambda: self.cores[core].run_state == CoreRunState.RUNNING)
+
+    def _drain(self, core: int):
+        """Drain a core that parked, holding the engine lock.  The engine
+        works out the drain from its own state, so one drain serves every
+        round the core parked for; each round logs its own."""
+        self.engine.process_updates(core)
+        for tag in self._parked_for[core]:
+            self._log_phase("drain", core, tag)
+        self._parked_for[core].clear()
 
     def barrier_update(self, initiator: Optional[int], affected: set[int],
                        publish: Callable[[], None], tag: str):
@@ -408,19 +425,21 @@ class ConcurrentPlatform(Platform):
             # inline, as the single-context platform does
             return super().barrier_update(initiator, affected, publish, tag)
         initiator = getattr(self._thread_core, "core", None)
-        others = sorted(c for c in affected if c != initiator)
-        barrier1 = threading.Barrier(len(others) + 1)
-        barrier2 = threading.Barrier(len(others) + 1)
-        for core in others:
-            self._log_phase("ipi", core, tag)
-            self._ipi_requests[core] = _IpiRequest(barrier1, barrier2, tag)
-            with self._work_cv[core]:
-                self._work_cv[core].notify()
-        barrier1.wait()
+        others = [self.cores[c] for c in sorted(affected) if c != initiator]
+        with self._cv:
+            for sim in others:
+                self._log_phase("ipi", sim.id, tag)
+                self._ipi[sim.id] = tag
+            self._cv.notify_all()
+            self._cv.wait_for(lambda: all(
+                sim.run_state == CoreRunState.PARKED for sim in others))
         self._log_phase("publish", initiator, tag)
         publish()
         self._log_phase("release", initiator, tag)
-        barrier2.wait()
+        with self._cv:
+            for sim in others:
+                sim.run_state = CoreRunState.RUNNING
+            self._cv.notify_all()
         if initiator is not None and initiator in affected:
             self.engine.process_updates(initiator)
             self._log_phase("drain", initiator, tag)
@@ -437,53 +456,46 @@ class ConcurrentPlatform(Platform):
             thread.start()
 
     def submit(self, core: int, fn: Callable[[], None]):
-        with self._work_cv[core]:
+        with self._cv:
             self._work[core].append(fn)
-            self._work_cv[core].notify()
+            self._cv.notify_all()
 
     def _worker(self, core: int):
         self._thread_core.core = core
+        work = self._work[core]
         while True:
-            self.service_ipi(core)
-            fn = None
-            with self._work_cv[core]:
-                if self._work[core]:
-                    fn = self._work[core].pop(0)
-                    self._busy[core] = True
-                elif self._stop:
+            with self._cv:
+                self._cv.wait_for(lambda: self._ipi[core] is not None
+                                  or work or self._stop)
+                if self._ipi[core] is not None:
+                    self._park(core)
+                elif not work:
                     return
-                else:
-                    self._work_cv[core].wait(timeout=0.0005)
-            if fn is not None:
-                try:
-                    fn()
-                except MonitorError:
+            if self._parked_for[core]:
+                with self.engine_lock:  # taking it drains the core
                     pass
-                except BaseException as exc:  # surfaced by join()
-                    self._errors.append(exc)
-                finally:
-                    with self._work_cv[core]:
-                        self._busy[core] = False
-
-    def _idle(self, core: int) -> bool:
-        with self._work_cv[core]:
-            return not (self._work[core] or self._busy[core])
+                continue
+            try:
+                work[0]()
+            except MonitorError:
+                pass
+            except BaseException as exc:  # surfaced by join()
+                self._errors.append(exc)
+            with self._cv:
+                work.pop(0)
+                self._cv.notify_all()
 
     def join(self, timeout: float = 60.0):
         """Stop the workers once every core has run all its work, so no
         statement is still running when they stop: one that is would find
-        the other cores no longer servicing its barrier rounds."""
-        deadline = time.monotonic() + timeout
-        while not all(self._idle(c) for c in range(self.ncores)):
-            if time.monotonic() > deadline:
+        the other cores no longer parking for its barrier rounds."""
+        with self._cv:
+            if not self._cv.wait_for(lambda: not any(self._work), timeout):
                 raise TimeoutError("cores did not drain their work queues")
-            time.sleep(0.001)
-        self._stop = True
-        for cv in self._work_cv:
-            with cv:
-                cv.notify_all()
+            self._stop = True
+            self._cv.notify_all()
         for thread in self._threads:
-            thread.join(timeout=5)
+            thread.join()
         self._threads.clear()
         if self._errors:
             raise self._errors[0]

@@ -251,7 +251,7 @@ def load_state(dump: dict) -> Engine:
         if dom.parent is not None and dom.parent not in engine.domains:
             raise ValueError(f"domain {dom.id} names no live parent")
 
-    # one record per core of the machine, each naming only domains that
+    # one record per core, each a path from td0 naming only domains that
     # have a record: a core's path decides the view it is given
     if sorted(rec["id"] for rec in dump["cores"]) != list(range(config.cores)):
         raise ValueError(f"core records must be 0..{config.cores - 1}, "
@@ -266,8 +266,12 @@ def load_state(dump: dict) -> Engine:
                               [ChainEntry(d, list(r), p)
                                for d, r, p in rec["irq"]["resume"]])
         cs.deferred_vectors = list(rec["deferred"])
-        if not recorded.issuperset(cs.path_domains()):
+        path = cs.path_domains()
+        if not recorded.issuperset(path):
             raise ValueError(f"core {cs.id} names a domain with no record")
+        root = engine.domains.get(path[0])
+        if root is None or root.parent is not None:
+            raise ValueError(f"core {cs.id}'s path does not start at td0")
     engine._build_views()
     return engine
 

@@ -321,11 +321,14 @@ class _Skip(Exception):
 
 def check_core_paths(engine: Engine):
     """The chain plus current plus any pending resume is always a simple
-    root-ward path of live domains, and no core's drain is due (its path
-    names no held record): every barrier round ends with its drains."""
+    root-ward path of live domains from td0, and no core's drain is due
+    (its path names no held record): every barrier round ends with its
+    drains."""
     for cs in engine.cores:
         assert engine._held_cut(cs) is None, f"core {cs.id}: drain is due"
         path = cs.path_domains()
+        assert engine.domains[path[0]].parent is None, \
+            f"core {cs.id}: {path} does not start at td0"
         assert len(set(path)) == len(path), f"core {cs.id}: cycle in {path}"
         for upper, lower in zip(path, path[1:]):
             node = engine.domains[lower]

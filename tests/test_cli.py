@@ -39,6 +39,38 @@ QUANTUM_SCRIPT = ("boot\n"
                   "expect current td0\n"
                   "expect payload interrupt:32\n")
 
+# td0 reads a sealed child's policies and enumerates its own table; a vector
+# the child reports then preempts it on core 0, and td0, its handler, may
+# read the one register the child made readable for that vector
+READ_SCRIPT = ("boot\n"
+               "create a\n"
+               "set a cores 0b11\n"
+               "set a mon_api 0b11111111111\n"
+               "set a intr 40 report 0x10000\n"
+               "set a reg 0 pc 0x40\n"
+               "seal a\n"
+               "get a cores\n"
+               "get a bogus\n"
+               "get a reg 0 pc\n"
+               "enumerate\n"
+               "switch a\n"
+               "irq 40\n"
+               "expect handler td0\n"
+               "get a reg 0 pc\n"
+               "get a reg 0 sw\n")
+READ_TRACE = [
+    "7 0 get_policy caller=0 handle=1 field=cores -> ok value=3",
+    "8 0 get_policy caller=0 handle=1 field=bogus -> err=BAD_HANDLE",
+    "9 0 get_reg caller=0 handle=1 core=0 index=0x10 -> err=REGISTER_HIDDEN",
+    "10 0 enumerate caller=0 cursor=0 -> ok next=1 "
+    "entry=region~exclusive~0x100000~0x200000~RWX",
+    "10 0 enumerate caller=0 cursor=1 -> ok next=2 entry=domain~sealed",
+    "10 0 enumerate caller=0 cursor=2 -> ok next=2 entry=end",
+    "12 0 irq vector=0x28 -> ok handler=0",
+    "14 0 get_reg caller=0 handle=1 core=0 index=0x10 -> ok value=0x40",
+    "15 0 get_reg caller=0 handle=1 core=0 index=0x11 -> err=REGISTER_HIDDEN",
+]
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -188,6 +220,19 @@ class TestRun:
                 if " irq " in line]
         assert irqs == ["8 0 irq vector=0x21 device=1 -> ok handler=0 "
                         "delivered=inplace"]
+
+    @pytest.mark.parametrize("mode", ["step", "concurrent"])
+    def test_get_enumerate_and_irq_trace_their_calls(self, tmp_path, mode):
+        script, trace = tmp_path / "read.tyscn", tmp_path / "out.trace"
+        script.write_text(READ_SCRIPT)
+        assert run_cli("run", CONFIG, str(script), "--mode", mode,
+                       "--trace", str(trace)) == 0
+        assert [line for line in trace.read_text().splitlines()
+                if line.split()[2] in ("get_policy", "get_reg", "enumerate",
+                                       "irq")] == READ_TRACE
+        # the routed vector's handler is what `expect handler` checks
+        script.write_text(READ_SCRIPT + "expect handler a\n")
+        assert run_cli("run", CONFIG, str(script), "--mode", mode) == 1
 
     @pytest.mark.parametrize("prefix", ["@7", "@2", "@-1"])
     def test_core_outside_the_machine_exits_two(self, tmp_path, prefix):

@@ -4,6 +4,7 @@ windows and linearizability against a deterministic replay."""
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -377,6 +378,46 @@ class TestLogLock:
         assert len(platform.access_log) - logged == 4 * self.ACCESSES
 
 
+class _CountingAcquire:
+    """Stands in for the engine lock's reentrant lock and counts the
+    attempts core 1's worker makes to take it."""
+
+    def __init__(self, lock):
+        self.lock = lock
+        self.attempts = 0
+        self.tried = threading.Event()
+
+    def acquire(self, *args, **kwargs):
+        taken = self.lock.acquire(*args, **kwargs)
+        if threading.current_thread().name == "core1":
+            self.attempts += 1
+            self.tried.set()
+        return taken
+
+    def release(self):
+        self.lock.release()
+
+    def _is_owned(self):
+        return self.lock._is_owned()
+
+
+class TestLockWait:
+    def test_a_waiting_core_tries_the_lock_only_when_it_is_released(self):
+        # core 1's worker waits 50 ms for the lock the main thread holds; a
+        # waiter that polled would try it many times over
+        engine, td0, _ = build_concurrent(cores=2, pages=32)
+        platform = engine.platform
+        lock = platform.engine_lock._lock = _CountingAcquire(
+            platform.engine_lock._lock)
+        platform.start_cores()
+        with platform.engine_lock:
+            platform.submit(1, engine.page_access_map)
+            assert lock.tried.wait(5)
+            time.sleep(0.05)
+        platform.join()
+        assert 2 <= lock.attempts <= 3, lock.attempts
+
+
 class TestConcurrentAbi:
     CYCLES = 20
 
@@ -550,3 +591,12 @@ class TestConcurrentStress:
         # 3. the final state equals the deterministic replay of the trace
         replayed = replay_trace(engine.trace.records, config)
         assert dump_state(replayed) == dump_state(engine)
+
+    def test_atomicity_and_linearizability_with_fast_switching(self):
+        # a thread switch every microsecond, as TestConcurrentAbi runs
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.test_atomicity_and_linearizability()
+        finally:
+            sys.setswitchinterval(interval)

@@ -224,6 +224,13 @@ def _unrecorded_chain(dump):
     dump["cores"][0]["chain"] = [[99, [0] * NUM_REGS, False]]
 
 
+def _path_not_from_td0(dump):
+    # core 0 runs a child of td0 with nothing below it on its path
+    dump["domains"].append(dict(dump["domains"][0], id=1, parent=0, owned=[]))
+    dump["next_domain"] = 2
+    dump["cores"][0]["current"] = 1
+
+
 def refused(tmp_path, capsys, malform):
     """A boot dump of the CLI's machine, edited by `malform`, is refused by
     load_state and makes `capmon attest` exit 2."""
@@ -241,7 +248,7 @@ def refused(tmp_path, capsys, malform):
 
 
 @pytest.mark.parametrize("malform", [_move_core, _drop_core,
-                                     _unrecorded_chain])
+                                     _unrecorded_chain, _path_not_from_td0])
 def test_load_refuses_core_records_that_miss_the_machine(tmp_path, capsys,
                                                          malform):
     refused(tmp_path, capsys, malform)
