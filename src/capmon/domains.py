@@ -99,9 +99,6 @@ class Policies:
     def interrupt(self, vector: int) -> InterruptPolicy:
         return self.interrupts.get(vector, self.interrupt_default)
 
-    def allows(self, call: ApiCall) -> bool:
-        return bool(self.mon_api & (1 << call))
-
 
 def undeliverable_vectors(path: Iterable[Policies]) -> set[int]:
     """The vectors that no policy on a domain's path delivers.

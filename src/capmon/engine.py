@@ -46,6 +46,11 @@ _WORD_MASK = (1 << 64) - 1
 _CHUNK = struct.Struct("<QQ")
 # the call ids whose register 2, when nonzero, names a token to drain
 _DRAIN_CALLS = frozenset({int(ApiCall.ATTEST), int(ApiCall.ENUMERATE)})
+# members the call gate and the fault path test, read as module names: on
+# CPython 3.11 reading an enum member off its class costs about 0.15 us
+_REVOKED = DomainState.REVOKED
+_DELIVER = Visibility.DELIVER
+_REPORT = Visibility.REPORT
 
 
 class Engine:
@@ -71,30 +76,37 @@ class Engine:
 
     def _call(self, call: ApiCall, op: str, caller: int, args: dict, body,
               core: Optional[int] = None) -> dict:
-        """Run one monitor call under the engine lock and trace it.
-
-        Inside the traced region the caller must be a live domain whose
-        policy allows `call`; `body` then runs with the caller's node.  The
-        trace's arguments are the caller, then `args`.  It names `core`, or
-        else the core the caller runs on (-1 if none), read only once the
-        lock is held.
+        """Run one monitor call under the engine lock, gated and traced by
+        `_record`.  The trace's arguments are the caller, then `args`.  It
+        names `core`, or else the core the caller runs on (-1 if none),
+        read only once the lock is held.
         """
-        def gated():
-            dom = self.domain(caller)
-            if not dom.live:
-                raise deny(ErrorCode.DOMAIN_REVOKED, f"caller {caller}")
-            if not dom.policies.allows(call):
-                raise deny(ErrorCode.POLICY_DENIED, f"{call.name} bit clear")
-            return body(dom)
-
         with self.platform.engine_lock:
             if core is None:
                 core = self._core_of(caller)
-            return self._record(op, core, {"caller": caller, **args}, gated)
+            return self._record(op, core, {"caller": caller, **args}, body,
+                                caller, call)
 
-    def _record(self, op: str, core: int, args: dict, fn):
+    def _record(self, op: str, core: int, args: dict, fn,
+                caller: Optional[int] = None,
+                call: Optional[ApiCall] = None):
+        """Run `fn` and trace it as `op` on `core`, accepted or rejected.
+
+        Given a caller, the call is gated first: the caller must be a live
+        domain whose policy allows `call`, and `fn` then runs with the
+        caller's node.
+        """
         try:
-            results = fn()
+            if caller is None:
+                results = fn()
+            else:
+                dom = self.domain(caller)
+                if dom.state is _REVOKED:
+                    raise deny(ErrorCode.DOMAIN_REVOKED, f"caller {caller}")
+                if not dom.policies.mon_api >> call & 1:
+                    raise deny(ErrorCode.POLICY_DENIED,
+                               f"{call.name} bit clear")
+                results = fn(dom)
         except MonitorError as exc:
             self.trace.record(OpRecord(self.platform.now, core, op, args,
                                        False, exc.code.name))
@@ -203,7 +215,7 @@ class Engine:
             raise deny(ErrorCode.CHANNEL_NO_CONTROL,
                        "channels cannot schedule, configure, or revoke")
         target = self.domain(entry.ref)
-        if not target.live:
+        if target.state is _REVOKED:
             raise deny(ErrorCode.DOMAIN_REVOKED, f"domain {target.id}")
         return target
 
@@ -535,9 +547,14 @@ class Engine:
                         cs.irq.resume[0].domain:
                     raise deny(ErrorCode.IRQ_RESUME_REQUIRED,
                                "must resume the preempted chain")
-                return self._resume_step(cs, dom.id, core)
+                return self._resume_step(cs, dom)
             if handle is None:
-                return self._switch_return(cs, dom, core)
+                # a core's path starts at td0, so only td0 has an empty chain
+                if not cs.chain:
+                    raise deny(ErrorCode.NO_PARENT, "nowhere to return")
+                self._transfer(cs, cs.chain.pop(), PayloadCode.RETURNED,
+                               dom.id)
+                return {"to": cs.current, "payload": "returned"}
             target = self._resolve_td(dom, handle)
             if target.state is DomainState.UNSEALED:
                 raise deny(ErrorCode.NOT_SEALED, f"domain {target.id}")
@@ -554,48 +571,46 @@ class Engine:
                    {"core": core, "target": "ret" if handle is None else handle},
                    body, core=core)
 
-    def _switch_return(self, cs: CoreState, dom: DomainNode, core: int) -> dict:
-        # a core's path starts at td0, so only td0 has an empty chain
-        if not cs.chain:
-            raise deny(ErrorCode.NO_PARENT, "nowhere to return")
-        entry = cs.chain.pop()
-        self.domains[entry.domain].regs[core] = list(entry.saved_regs)
-        cs.current = entry.domain
-        self._deliver_payload(cs, core, PayloadCode.RETURNED, dom.id)
-        self._clear_quantum(core)
-        self._refresh_views({core})
-        return {"to": cs.current, "payload": "returned"}
-
-    def _resume_step(self, cs: CoreState, caller: int, core: int) -> dict:
-        vector = cs.irq.vector
-        cs.chain.append(ChainEntry(
-            caller, list(self.domains[caller].core_regs(core))))
+    def _resume_step(self, cs: CoreState, dom: DomainNode) -> dict:
+        """One step down an interrupted chain by its handler or an observer,
+        `dom`: it and each entry that does not observe the vector are
+        suspended on the chain until one that does runs with the vector as
+        its payload, or the preempted domain resumes with no payload."""
+        core, irq = cs.id, cs.irq
+        cs.chain.append(ChainEntry(dom.id, list(dom.core_regs(core))))
         while True:
-            entry = cs.irq.resume.pop(0)
-            if not cs.irq.resume:
-                # the preempted domain resumes at its snapshot, no payload
-                self.domains[entry.domain].regs[core] = list(entry.saved_regs)
-                cs.current = entry.domain
+            entry = irq.resume.pop(0)
+            if not irq.resume:
                 cs.irq = None
-                cs.last_payload = None
-                self._refresh_views({core})
-                self._route_deferred(core)
+                self._transfer(cs, entry)
+                if cs.deferred_vectors:
+                    self._route_deferred(core)
                 return {"to": entry.domain, "payload": "resumed"}
             if entry.pending_observation:
-                self.domains[entry.domain].regs[core] = list(entry.saved_regs)
-                cs.current = entry.domain
-                self._deliver_payload(cs, core, PayloadCode.INTERRUPT, vector)
-                self._refresh_views({core})
-                return {"to": entry.domain, "payload": f"interrupt:{vector}"}
-            # Not-report domains are skipped silently and stay suspended
+                self._transfer(cs, entry, PayloadCode.INTERRUPT, irq.vector)
+                return {"to": entry.domain,
+                        "payload": f"interrupt:{irq.vector}"}
             cs.chain.append(entry)
 
-    def _deliver_payload(self, cs: CoreState, core: int,
-                         code: PayloadCode, detail: int):
-        regs = self.domains[cs.current].core_regs(core)
-        regs[0] = int(code)
-        regs[1] = detail
-        cs.last_payload = (int(code), detail)
+    def _transfer(self, cs: CoreState, entry: ChainEntry,
+                  code: Optional[PayloadCode] = None, detail: int = 0):
+        """The one control transfer to a suspended domain: `entry`'s domain
+        runs again at the registers it was suspended with, is made current,
+        gets `code` and `detail` in registers 0 and 1 as its payload (or
+        none), and the core installs its table.  It ends the core's switch
+        quantum, which only a switch down to a new domain arms."""
+        core = cs.id
+        dom = self.domains[entry.domain]
+        regs = dom.regs[core] = list(entry.saved_regs)
+        cs.current = entry.domain
+        if code is None:
+            cs.last_payload = None
+        else:
+            regs[0] = code = int(code)
+            regs[1] = detail
+            cs.last_payload = (code, detail)
+        self._quantum_deadlines.pop(core, None)
+        self.platform.cores[core].local_view = dom.owned.view
 
     def route_interrupt(self, core: int, vector: int) -> int:
         with self.platform.engine_lock:
@@ -614,45 +629,29 @@ class Engine:
             if not 0 <= vector < NUM_VECTORS:
                 raise deny(ErrorCode.BAD_HANDLE, f"vector {vector}")
             cs = self.cores[core]
-            current = cs.current
-            handler = self._handler_of(current, vector)
-            if handler == current:
+            walk = self._handler_of(cs.current, vector)
+            handler = walk[-1][0].id
+            if len(walk) == 1:
                 # delivered in place, no preemption
-                return {"handler": current, "delivered": "inplace"}
+                return {"handler": handler, "delivered": "inplace"}
             if cs.irq is not None:
                 # nested routing is deferred until the active chain resumes
                 cs.deferred_vectors.append(vector)
                 return {"handler": -1, "deferred": 1}
-            assert handler is not None, \
-                "td0 delivers every vector, so a handler always exists"
-            below = []      # the path from under the handler down to current
-            walker = current
-            while walker != handler:
-                below.append(walker)
-                walker = self.domains[walker].parent
-            below.reverse()
-
-            chain_map = {e.domain: e for e in cs.chain}
-            resume = []
-            for dom_id in below:
-                # current is never on its own core's chain
-                entry = chain_map.get(dom_id) or ChainEntry(
-                    dom_id, list(self.domains[dom_id].core_regs(core)))
-                policy = self.domains[dom_id].policies.interrupt(vector)
-                entry.pending_observation = policy.visibility is Visibility.REPORT
-                resume.append(entry)
-            # the chain is the core's path above current: keep what is above
-            # the handler
-            handler_entry = chain_map.get(handler)
-            dropped = set(below) | {handler}
-            cs.chain = [e for e in cs.chain if e.domain not in dropped]
-            if handler_entry is not None:
-                self.domains[handler].regs[core] = list(handler_entry.saved_regs)
-            cs.current = handler
+            # the core's path is a parent chain from td0: the walk's domains
+            # above current are the chain's last entries, the handler's
+            # first; those under it, current last, wait to resume
+            cut = len(cs.chain) + 1 - len(walk)
+            handler_entry, resume = cs.chain[cut], cs.chain[cut + 1:]
+            assert handler_entry.domain == handler
+            current = walk[0][0]
+            resume.append(ChainEntry(current.id,
+                                     list(current.core_regs(core))))
+            for entry, (_, visibility) in zip(reversed(resume), walk):
+                entry.pending_observation = visibility is _REPORT
+            del cs.chain[cut:]
             cs.irq = IrqFrame(vector, resume)
-            self._deliver_payload(cs, core, PayloadCode.INTERRUPT, vector)
-            self._clear_quantum(core)
-            self._refresh_views({core})
+            self._transfer(cs, handler_entry, PayloadCode.INTERRUPT, vector)
             return {"handler": handler}
 
         return self._record("irq", core, {"vector": vector, **flags}, body)
@@ -663,19 +662,18 @@ class Engine:
             self._irq(core, cs.deferred_vectors.pop(0), deferred=1)
 
     def route_device_interrupt(self, vector: int) -> Optional[int]:
-        """Route a device interrupt on the lowest core the handler may use."""
+        """Route a device interrupt on core 0.  Every domain on a core's
+        path may run on that core (a child's cores are a subset of its
+        parent's, and a switch checks the core), so the first core's
+        handler always may take it."""
         with self.platform.engine_lock:
-            for cs in self.cores:
-                handler = self._handler_of(cs.current, vector)
-                if not self.domains[handler].policies.cores & (1 << cs.id):
-                    continue
-                if self._held_cut(cs) is not None:
-                    # the core may still run a revoked domain: its drain
-                    # routes the vector once the core's path is current
-                    cs.deferred_vectors.append(vector)
-                    return None
-                return self._irq(cs.id, vector, device=1)["handler"]
-            raise AssertionError("td0 runs everywhere and delivers everything")
+            cs = self.cores[0]
+            if self._held_cut(cs) is not None:
+                # the core may still run a revoked domain: its drain routes
+                # the vector once the core's path is current
+                cs.deferred_vectors.append(vector)
+                return None
+            return self._irq(0, vector, device=1)["handler"]
 
     def _policies_from_root(self, dom: DomainNode) -> list[Policies]:
         """The policies of dom and each of its ancestors, td0's first: td0's
@@ -686,14 +684,20 @@ class Engine:
             path.append(dom.policies)
         return path[::-1]
 
-    def _handler_of(self, dom_id: Optional[int], vector: int) -> Optional[int]:
-        """The nearest domain at or above dom_id that delivers the vector."""
-        while dom_id is not None:
+    def _handler_of(self, dom_id: int, vector: int) -> list:
+        """The one handler walk: each domain from dom_id up to the nearest
+        one that delivers the vector, dom_id's first and that handler's
+        last, as (node, its visibility for the vector)."""
+        walk = []
+        while True:
             dom = self.domains[dom_id]
-            if dom.policies.interrupt(vector).visibility is Visibility.DELIVER:
-                return dom_id
+            visibility = dom.policies.interrupt(vector).visibility
+            walk.append((dom, visibility))
+            if visibility is _DELIVER:
+                return walk
             dom_id = dom.parent
-        return None
+            assert dom_id is not None, \
+                "td0 delivers every vector, so a handler always exists"
 
     # -- switch quantum (experimental) ----------------------------------
 
@@ -705,9 +709,6 @@ class Engine:
             self._quantum_deadlines[core] = (self.platform.now + self.quantum,
                                              dom_id)
 
-    def _clear_quantum(self, core: int):
-        self._quantum_deadlines.pop(core, None)
-
     def check_quanta(self):
         # a core whose drain is due may still run a revoked domain; its
         # deadline waits for the drain, and an unwind clears it
@@ -716,7 +717,7 @@ class Engine:
                if deadline <= self.platform.now
                and self._held_cut(self.cores[core]) is None]
         for core, dom in due:
-            self._clear_quantum(core)
+            del self._quantum_deadlines[core]
             if self.cores[core].current == dom:
                 self._irq(core, TIMER_VECTOR, quantum=1)
 
@@ -967,7 +968,6 @@ class Engine:
         cut = self._held_cut(cs) if self.domains.held else None
         if cut is not None:
             self._unwind(cs, cut)
-            self._refresh_views({core})
         if cs.irq is None and cs.deferred_vectors:
             self._route_deferred(core)
         return cut is not None
@@ -996,11 +996,8 @@ class Engine:
         revoked, resumed = entries[cut].domain, entries[cut - 1]
         cs.chain = [ChainEntry(e.domain, list(e.saved_regs))
                     for e in entries[:cut - 1]]
-        cs.current = resumed.domain
         cs.irq = None
-        self.domains[cs.current].regs[cs.id] = list(resumed.saved_regs)
-        self._deliver_payload(cs, cs.id, PayloadCode.REVOKED_CHILD, revoked)
-        self._clear_quantum(cs.id)
+        self._transfer(cs, resumed, PayloadCode.REVOKED_CHILD, revoked)
         self.domains.release(self._named_domains())
 
     # ------------------------------------------------------------------

@@ -251,8 +251,9 @@ def load_state(dump: dict) -> Engine:
         if dom.parent is not None and dom.parent not in engine.domains:
             raise ValueError(f"domain {dom.id} names no live parent")
 
-    # one record per core, each a path from td0 naming only domains that
-    # have a record: a core's path decides the view it is given
+    # one record per core, each a path from td0 down the domain tree,
+    # naming only domains that have a record and may run on the core: a
+    # core's path decides the view it is given and where its vectors go
     if sorted(rec["id"] for rec in dump["cores"]) != list(range(config.cores)):
         raise ValueError(f"core records must be 0..{config.cores - 1}, "
                          "once each")
@@ -272,6 +273,14 @@ def load_state(dump: dict) -> Engine:
         root = engine.domains.get(path[0])
         if root is None or root.parent is not None:
             raise ValueError(f"core {cs.id}'s path does not start at td0")
+        for upper, lower in zip(path, path[1:]):
+            if engine.domains[lower].parent != upper:
+                raise ValueError(f"core {cs.id}'s path leaves the domain "
+                                 f"tree at {lower}")
+        for dom_id in path:
+            if not engine.domains[dom_id].policies.cores >> cs.id & 1:
+                raise ValueError(f"core {cs.id} runs domain {dom_id}, "
+                                 "which may not run on it")
     engine._build_views()
     return engine
 

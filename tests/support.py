@@ -321,9 +321,9 @@ class _Skip(Exception):
 
 def check_core_paths(engine: Engine):
     """The chain plus current plus any pending resume is always a simple
-    root-ward path of live domains from td0, and no core's drain is due
-    (its path names no held record): every barrier round ends with its
-    drains."""
+    root-ward path of live domains from td0, each of which may run on the
+    core, and no core's drain is due (its path names no held record):
+    every barrier round ends with its drains."""
     for cs in engine.cores:
         assert engine._held_cut(cs) is None, f"core {cs.id}: drain is due"
         path = cs.path_domains()
@@ -337,6 +337,8 @@ def check_core_paths(engine: Engine):
         for dom in path:
             assert engine.domains[dom].live, \
                 f"core {cs.id}: revoked domain {dom} on the path"
+            assert engine.domains[dom].policies.cores >> cs.id & 1, \
+                f"core {cs.id}: domain {dom} may not run on it"
 
 
 def check_capability_holders(engine: Engine):
@@ -522,17 +524,23 @@ def build_policy_tree(seed: int, vectors=(5, 33), max_domains: int = 6):
     return engine, oracle, current, handles
 
 
+def resume_step(engine: Engine, core: int):
+    """After a routed interrupt, switch one step back down: the running
+    handler or observer resumes the head of the core's resume entries."""
+    cs = engine.cores[core]
+    controller = cs.current
+    head = cs.irq.resume[0].domain
+    handle = engine.domains[controller].owned.find(CapKind.DOMAIN, head)
+    assert handle is not None, "controller must own its chain child"
+    engine.switch(controller, core, handle)
+
+
 def drive_resume(engine: Engine, core: int) -> list[int]:
     """After a routed interrupt, switch back down; returns the domains that
     observed the interrupt payload, in visit order."""
     observers = []
     while engine.cores[core].irq is not None:
-        cs = engine.cores[core]
-        controller = cs.current
-        head = cs.irq.resume[0].domain
-        handle = engine.domains[controller].owned.find(CapKind.DOMAIN, head)
-        assert handle is not None, "controller must own its chain child"
-        engine.switch(controller, core, handle)
+        resume_step(engine, core)
         if engine.cores[core].irq is not None:
             observers.append(engine.cores[core].current)
     return observers

@@ -229,6 +229,23 @@ class TestJoin:
         assert engine.cores[1].last_payload == (PayloadCode.REVOKED_CHILD, dom)
         assert not engine.domains.held
 
+    def test_a_denied_call_leaves_its_core_running(self):
+        # the worker swallows a denial: it is traced, the core's next
+        # statement still runs, and join raises nothing
+        engine, td0, _ = boot(small_config(pages=32, cores=2),
+                              concurrent=True)
+        platform = engine.platform
+        unheld = 40
+        assert engine.domains[td0].owned.get(unheld) is None
+        platform.start_cores()
+        platform.submit(1, lambda: engine.seal(td0, unheld))
+        platform.submit(1, lambda: engine.create(td0))
+        platform.join()
+        denied, created = engine.trace.lines()[-2:]
+        assert denied.endswith(
+            " seal caller=0 handle=0x28 -> err=BAD_HANDLE")
+        assert " create caller=0 -> ok " in created
+
 
 class _DrainStall:
     """Stands in for the engine lock.  Core 0's worker, the first time it

@@ -1,23 +1,28 @@
 """Switch call-return, interrupt routing over the domain tree, the
 report/no-report return path, and revocation-forced control transfers."""
 
+import os
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capmon
 from capmon import PhysRange, Visibility
 from capmon import engine as engine_mod
 from capmon.domains import (
-    NUM_VECTORS, InterruptPolicy, PayloadCode, Policies,
+    NUM_VECTORS, ApiCall, InterruptPolicy, PayloadCode, Policies,
     undeliverable_vectors,
 )
 from capmon.errors import ErrorCode, MonitorError
 from capmon.machine import FAULT_VECTOR, TIMER_VECTOR
+from capmon.regions import PAGE
 from capmon.state import dump_state
 
 from support import (
-    build_policy_tree, delivered_in_place, drive_resume, make_child,
-    small_engine,
+    build_policy_tree, carve_to, delivered_in_place, drive_resume,
+    make_child, resume_step, small_engine,
 )
 
 
@@ -194,6 +199,36 @@ class TestRouting:
         assert engine.cores[0].last_payload == (PayloadCode.INTERRUPT,
                                                 FAULT_VECTOR)
 
+    def test_a_fault_and_its_resume_enter_25_frames(self):
+        # pins the fault path's depth: a denied guest read routes the fault
+        # vector to td0 with one handler walk and one control transfer, and
+        # td0's resuming switch makes one more transfer; the engine lock is
+        # a contextlib nullcontext in step mode, so only frames from
+        # capmon's own sources count
+        package = os.path.dirname(capmon.__file__) + os.sep
+        engine, td0 = small_engine()
+        dom, handle = make_child(engine, td0, mon_api=1 << ApiCall.SWITCH)
+        carve_to(engine, td0, handle, PhysRange(2 * PAGE, 3 * PAGE))
+        engine.switch(td0, 0, handle)
+        names = []
+
+        def profile(frame, event, arg):
+            if event == "call" and \
+                    frame.f_code.co_filename.startswith(package):
+                names.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            ok, _ = engine.domain_read(0, 5 * PAGE)
+            engine.switch(td0, 0, handle)
+        finally:
+            sys.setprofile(None)
+        assert not ok and engine.current_domain(0) == dom
+        assert engine.cores[0].irq is None
+        assert [line.split(" -> ")[1] for line in engine.trace.lines()[-2:]] \
+            == ["ok handler=0", "ok to=1 payload=resumed"]
+        assert len(names) == 25, names
+
 
 class TestRegisterVisibility:
     def build(self, readable):
@@ -246,29 +281,87 @@ class TestRegisterVisibility:
         assert engine.current_domain(0) == leaf
 
 
+def core_state(engine, core):
+    """What a routing and each resume step leave on a core: the chain as
+    (domain, saved registers), the resume entries as (domain, saved
+    registers, pending observation) or None without a routed interrupt,
+    the current domain, its registers and the last payload."""
+    cs = engine.cores[core]
+    resume = None if cs.irq is None else [
+        (e.domain, e.saved_regs, e.pending_observation)
+        for e in cs.irq.resume]
+    return ([(e.domain, e.saved_regs) for e in cs.chain], resume,
+            cs.current, engine.domains[cs.current].regs[core],
+            cs.last_payload)
+
+
 class TestRandomRoutingAgainstOracle:
     def test_handler_matches_oracle_and_return_path(self):
         for seed in range(150):
             engine, oracle, preempted, handles = build_policy_tree(seed)
             vector = 5 if seed % 2 == 0 else 33
             expected = oracle.handler_of(preempted, vector)
+            cs = engine.cores[0]
+            # mark each register file on the path, so that every restore
+            # shows where its registers came from
+            for k, entry in enumerate(cs.chain):
+                entry.saved_regs[4:6] = [seed, 0x100 + k]
+            engine.domains[preempted].core_regs(0)[4:6] = [seed, 0x1ff]
+            before = list(cs.chain)
+            path = [e.domain for e in before] + [preempted]
+            saved = [list(e.saved_regs) for e in before] + \
+                [list(engine.domains[preempted].regs[0])]
             handler = engine.route_interrupt(0, vector)
             assert handler == expected, f"seed {seed}"
-            if engine.cores[0].irq is None:
+            if cs.irq is None:
                 assert handler == preempted
                 continue
+            # the chain keeps the very entries above the handler; the
+            # handler runs at its chain entry's registers with the vector
+            # as its payload; each domain under it waits at the registers
+            # it had before the fault, observing if it reports the vector
+            cut = path.index(handler)
+            assert all(a is b for a, b in zip(cs.chain, before[:cut]))
+            interrupt = (PayloadCode.INTERRUPT, vector)
+            chain = list(zip(path[:cut], saved[:cut]))
+            resume = [(d, regs, oracle.domains[d].visibility(vector)
+                       == "report")
+                      for d, regs in zip(path[cut + 1:], saved[cut + 1:])]
+            current, regs = handler, [*interrupt, *saved[cut][2:]]
+            payload = interrupt
+            observers = []
+            while True:
+                assert core_state(engine, 0) == \
+                    (chain, resume, current, regs, payload), f"seed {seed}"
+                if resume is None:
+                    break
+                resume_step(engine, 0)
+                # the running domain is suspended; entries that do not
+                # observe follow it onto the chain, up to one that does;
+                # the last entry resumes with no payload
+                chain.append((current, regs))
+                while True:
+                    current, regs, observes = resume.pop(0)
+                    if not resume:
+                        resume = payload = None
+                        break
+                    if observes:
+                        regs = [*interrupt, *regs[2:]]
+                        payload = interrupt
+                        observers.append(current)
+                        break
+                    chain.append((current, regs))
             # expected observers: Report-marked domains strictly between
             # the handler and the preempted leaf, in root-to-leaf order
-            chain = []
+            below = []
             walker = preempted
             while walker != handler:
-                chain.append(walker)
+                below.append(walker)
                 walker = oracle.domains[walker].parent
-            chain.reverse()
-            expected_observers = [d for d in chain[:-1]
+            below.reverse()
+            expected_observers = [d for d in below[:-1]
                                   if oracle.domains[d].visibility(vector)
                                   == "report"]
-            observers = drive_resume(engine, 0)
             assert observers == expected_observers, f"seed {seed}"
             assert engine.current_domain(0) == preempted, f"seed {seed}"
 

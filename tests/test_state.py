@@ -231,6 +231,30 @@ def _path_not_from_td0(dump):
     dump["cores"][0]["current"] = 1
 
 
+def _child_of_td0(dump, dom_id, cores):
+    """A record for a child of td0 that may run on the cores in `cores`."""
+    policies = dict(dump["domains"][0]["policies"], cores=cores)
+    dump["domains"].append(dict(dump["domains"][0], id=dom_id, parent=0,
+                                owned=[], policies=policies))
+    dump["next_domain"] = dom_id + 1
+
+
+def _path_not_a_parent_chain(dump):
+    # core 0's path is td0, 1, 2, and 2 is a child of td0, not of 1
+    _child_of_td0(dump, 1, 0b11)
+    _child_of_td0(dump, 2, 0b11)
+    dump["cores"][0]["chain"] = [[0, [0] * NUM_REGS, False],
+                                 [1, [0] * NUM_REGS, False]]
+    dump["cores"][0]["current"] = 2
+
+
+def _runs_where_not_allowed(dump):
+    # core 1 runs a child of td0 that may run on core 0 only
+    _child_of_td0(dump, 1, 0b01)
+    dump["cores"][1]["chain"] = [[0, [0] * NUM_REGS, False]]
+    dump["cores"][1]["current"] = 1
+
+
 def refused(tmp_path, capsys, malform):
     """A boot dump of the CLI's machine, edited by `malform`, is refused by
     load_state and makes `capmon attest` exit 2."""
@@ -248,7 +272,9 @@ def refused(tmp_path, capsys, malform):
 
 
 @pytest.mark.parametrize("malform", [_move_core, _drop_core,
-                                     _unrecorded_chain, _path_not_from_td0])
+                                     _unrecorded_chain, _path_not_from_td0,
+                                     _path_not_a_parent_chain,
+                                     _runs_where_not_allowed])
 def test_load_refuses_core_records_that_miss_the_machine(tmp_path, capsys,
                                                          malform):
     refused(tmp_path, capsys, malform)
