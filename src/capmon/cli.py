@@ -12,7 +12,7 @@ import sys
 
 from . import attest as attest_mod
 from . import state as state_mod
-from .errors import ErrorCode, MonitorError
+from .errors import MonitorError
 from .machine import parse_config
 from .scenario import ScenarioRunner, ScriptError, parse_script
 
@@ -93,14 +93,10 @@ def cmd_run(args) -> int:
             config = parse_config(fh.read())
         with open(args.script) as fh:
             statements = parse_script(fh.read())
-    except (OSError, ScriptError) as exc:
+    except (OSError, ScriptError, MonitorError) as exc:
+        # parse_config raises no MonitorError but BAD_CONFIG
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except MonitorError as exc:
-        if exc.code is ErrorCode.BAD_CONFIG:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        raise
 
     runner = ScenarioRunner(config, seed=args.seed,
                             concurrent=args.mode == "concurrent",

@@ -78,10 +78,13 @@ class Engine:
               core: Optional[int] = None) -> dict:
         """Run one monitor call under the engine lock, gated and traced by
         `_record`.  The trace's arguments are the caller, then `args`.  It
-        names `core`, or else the core the caller runs on (-1 if none),
-        read only once the lock is held.
+        names `core`, or else the core whose worker makes the call, or else
+        the lowest core the caller runs on (-1 if none), read only once the
+        lock is held.
         """
         with self.platform.engine_lock:
+            if core is None:
+                core = self.platform.worker_core()
             if core is None:
                 core = self._core_of(caller)
             return self._record(op, core, {"caller": caller, **args}, body,
@@ -205,6 +208,13 @@ class Engine:
         if entry is None:
             raise deny(ErrorCode.BAD_HANDLE, f"handle {handle}")
         return entry
+
+    def _resolve_region(self, dom: DomainNode, handle: int) -> int:
+        """The id of the region a handle names; any other kind is denied."""
+        entry = self._resolve(dom, handle)
+        if entry.kind is not CapKind.REGION:
+            raise deny(ErrorCode.BAD_HANDLE, "expected a region capability")
+        return entry.ref
 
     def _resolve_td(self, dom: DomainNode, handle: int,
                     allow_channel: bool = False) -> DomainNode:
@@ -813,10 +823,7 @@ class Engine:
 
     def revoke_region(self, caller: int, handle: int, child_index: int):
         def body(dom):
-            entry = self._resolve(dom, handle)
-            if entry.kind is not CapKind.REGION:
-                raise deny(ErrorCode.BAD_HANDLE, "expected a region capability")
-            parent = self.tree.get(entry.ref)
+            parent = self.tree.get(self._resolve_region(dom, handle))
             if not 0 <= child_index < len(parent.children):
                 raise deny(ErrorCode.NOT_A_CHILD, f"child index {child_index}")
             child_id = parent.children[child_index]
@@ -1188,11 +1195,9 @@ class Engine:
                 rights: Rights) -> int:
         """ALIAS or CARVE, as `op` names: the call and the tree method."""
         def body(dom):
-            entry = self._resolve(dom, handle)
-            if entry.kind is not CapKind.REGION:
-                raise deny(ErrorCode.BAD_HANDLE, "expected a region capability")
+            parent_id = self._resolve_region(dom, handle)
             self._check_room(dom)
-            new_id = getattr(self.tree, op)(dom.id, entry.ref, rng, rights)
+            new_id = getattr(self.tree, op)(dom.id, parent_id, rng, rights)
             new_handle = dom.owned.insert(CapEntry(CapKind.REGION, new_id))
             affected = self._cores_running({dom.id})
 
@@ -1205,7 +1210,7 @@ class Engine:
             self.platform.barrier_update(self._core_of(dom.id), affected,
                                          publish, f"{op}:{new_id}")
             return {"region": new_id, "handle": new_handle,
-                    "parent": entry.ref,
+                    "parent": parent_id,
                     "status": self.tree.nodes[new_id].status.value}
 
         return self._call(ApiCall[op.upper()], op, caller,

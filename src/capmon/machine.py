@@ -217,6 +217,11 @@ class Platform:
     def ncores(self) -> int:
         return self.config.cores
 
+    def worker_core(self) -> Optional[int]:
+        """The core whose worker thread runs this code: none, as one
+        context runs everything here."""
+        return None
+
     def _log_phase(self, phase: str, core: Optional[int], tag: str):
         """Log one phase of a barrier round; no core (None) logs as -1."""
         self._seq += 1
@@ -345,7 +350,7 @@ class _EngineLock:
 
     def __enter__(self):
         platform = self._platform
-        core = getattr(platform._thread_core, "core", None)
+        core = platform.worker_core()
         with platform._cv:
             while not self._lock.acquire(blocking=False):
                 if core is not None and platform._ipi[core] is not None:
@@ -383,6 +388,10 @@ class ConcurrentPlatform(Platform):
         self._stop = False
         self._errors: list[BaseException] = []
         self._thread_core = threading.local()
+
+    def worker_core(self) -> Optional[int]:
+        """The core whose worker thread runs this code, or None."""
+        return getattr(self._thread_core, "core", None)
 
     def log_access(self, *event):
         with self._log_lock:
@@ -424,7 +433,7 @@ class ConcurrentPlatform(Platform):
             # no worker would drain another core: run the protocol
             # inline, as the single-context platform does
             return super().barrier_update(initiator, affected, publish, tag)
-        initiator = getattr(self._thread_core, "core", None)
+        initiator = self.worker_core()
         others = [self.cores[c] for c in sorted(affected) if c != initiator]
         with self._cv:
             for sim in others:

@@ -38,11 +38,9 @@ def _page_map(view: bytes) -> dict[int, tuple[int, bool]]:
     return {page: _DECODE[byte] for page, byte in enumerate(view) if byte}
 
 
-def _rights_value(text) -> int:
-    if isinstance(text, int):
-        return text
+def _rights_value(text: str) -> int:
     value = 0
-    for ch in str(text):
+    for ch in text:
         value |= _RIGHT_BITS.get(ch, 0)
     return value
 

@@ -76,13 +76,16 @@ _STATEMENT_OPS = {
     "read-mem", "irq", "devirq", "step", "expect",
 }
 
-# Every other statement runs in one engine-lock scope, so the handles it
-# resolves from engine state still name the same objects when the call they
-# feed runs.  Memory statements run unlocked, as a guest's loads and stores
-# do (a fault takes the lock to route), and `expect` locks per kind.
-_UNLOCKED_OPS = {"write-mem", "read-mem", "expect"}
-# `expect error` runs its statement through `execute`, which locks it
-_UNLOCKED_EXPECTS = {"read", "zero", "error"}
+# Memory statements run unlocked, as a guest's loads and stores do (a fault
+# takes the lock to route), and so does `expect error`, whose statement
+# locks itself.  Every other statement runs in one engine-lock scope, so the
+# handles it resolves from engine state still name the same objects when the
+# call they feed runs.
+_UNLOCKED = {"write-mem", "read-mem", "expect read", "expect zero",
+             "expect error"}
+# switch, send's destination, getchan and attest name a domain by a domain
+# capability or else a channel; seal, set, get and revoke take only the first
+_DOMAIN_OR_CHANNEL = (CapKind.DOMAIN, CapKind.CHANNEL)
 
 
 class ScenarioRunner:
@@ -136,24 +139,22 @@ class ScenarioRunner:
     def _caller(self, core: int) -> int:
         return self.engine.current_domain(core)
 
-    def _handle_for_domain(self, caller: int, dom_id: int,
-                           channels_ok: bool = True) -> int:
+    def _handle(self, caller: int, ref: int, *kinds: CapKind) -> int:
+        """The caller's handle to `ref` of the first of `kinds` it holds."""
         table = self.engine.domains[caller].owned
-        handle = table.find(CapKind.DOMAIN, dom_id)
-        if handle is None and channels_ok:
-            handle = table.find(CapKind.CHANNEL, dom_id)
-        if handle is None:
-            raise deny(ErrorCode.BAD_HANDLE,
-                       f"caller {caller} holds no capability for domain {dom_id}")
-        return handle
+        for kind in kinds:
+            handle = table.find(kind, ref)
+            if handle is not None:
+                return handle
+        raise deny(ErrorCode.BAD_HANDLE, f"caller {caller} holds no "
+                   f"{'/'.join(k.value for k in kinds)} capability for {ref}")
 
-    def _handle_for_region(self, caller: int, region_id: int) -> int:
-        handle = self.engine.domains[caller].owned.find(
-            CapKind.REGION, region_id)
-        if handle is None:
-            raise deny(ErrorCode.BAD_HANDLE,
-                       f"caller {caller} holds no capability for region {region_id}")
-        return handle
+    def _subject(self, caller: int, name: str) -> tuple[Optional[int], int]:
+        """The handle (None for `self`) and domain a getchan or attest names."""
+        if name == "self":
+            return None, caller
+        _, dom_id = self._lookup(name, ("dom", "dev"))
+        return self._handle(caller, dom_id, *_DOMAIN_OR_CHANNEL), dom_id
 
     # -- execution ------------------------------------------------------------
 
@@ -186,7 +187,9 @@ class ScenarioRunner:
         a bad number, rights or attribute token) are a ScriptError."""
         handler = getattr(self, "_stmt_" + stmt.op.replace("-", "_"))
         try:
-            if stmt.op in _UNLOCKED_OPS:
+            scope = f"expect {stmt.args[0]}" if stmt.op == "expect" \
+                else stmt.op
+            if scope in _UNLOCKED:
                 handler(stmt)
             else:
                 with self.engine.platform.engine_lock:
@@ -213,7 +216,7 @@ class ScenarioRunner:
         name, fname = stmt.args[0], stmt.args[1]
         caller = self._caller(stmt.core)
         _, dom_id = self._lookup(name, ("dom",))
-        handle = self._handle_for_domain(caller, dom_id, channels_ok=False)
+        handle = self._handle(caller, dom_id, CapKind.DOMAIN)
         kind = POLICY_FIELDS.get(fname)
         if kind is int:
             self.engine.set_policy(caller, handle, fname,
@@ -243,7 +246,7 @@ class ScenarioRunner:
         name, fname = stmt.args[0], stmt.args[1]
         caller = self._caller(stmt.core)
         _, dom_id = self._lookup(name, ("dom",))
-        handle = self._handle_for_domain(caller, dom_id, channels_ok=False)
+        handle = self._handle(caller, dom_id, CapKind.DOMAIN)
         if fname == "reg":
             core, index = self._value(stmt.args[2]), self._reg(stmt.args[3])
             self.engine.get_register(caller, handle, core, index)
@@ -276,7 +279,7 @@ class ScenarioRunner:
         new_name, parent_name, start, end, rights = stmt.args
         caller = self._caller(stmt.core)
         _, parent_id = self._lookup(parent_name, ("region",))
-        handle = self._handle_for_region(caller, parent_id)
+        handle = self._handle(caller, parent_id, CapKind.REGION)
         rng = PhysRange(self._value(start), self._value(end))
         fn = self.engine.tree_carve if carve else self.engine.tree_alias
         new_handle = fn(caller, handle, rng, Rights.parse(rights))
@@ -289,23 +292,16 @@ class ScenarioRunner:
             else AttrFlags.NONE
         caller = self._caller(stmt.core)
         kind, ref = self._lookup(cap_name, ("region", "channel"))
-        if kind == "region":
-            handle = self._handle_for_region(caller, ref)
-        else:
-            handle = self.engine.domains[caller].owned.find(
-                CapKind.CHANNEL, ref)
-            if handle is None:
-                raise deny(ErrorCode.BAD_HANDLE,
-                           f"caller {caller} holds no channel to {ref}")
+        handle = self._handle(caller, ref, CapKind(kind))
         _, dest_id = self._lookup(dest_name, ("dom", "dev"))
-        dest_handle = self._handle_for_domain(caller, dest_id)
+        dest_handle = self._handle(caller, dest_id, *_DOMAIN_OR_CHANNEL)
         self.engine.send(caller, handle, dest_handle, attrs)
 
     def _stmt_seal(self, stmt: Statement):
         (name,) = stmt.args
         caller = self._caller(stmt.core)
         _, dom_id = self._lookup(name, ("dom",))
-        handle = self._handle_for_domain(caller, dom_id, channels_ok=False)
+        handle = self._handle(caller, dom_id, CapKind.DOMAIN)
         self.engine.seal(caller, handle)
 
     def _stmt_switch(self, stmt: Statement):
@@ -315,19 +311,13 @@ class ScenarioRunner:
             self.engine.switch(caller, stmt.core, None)
         else:
             _, dom_id = self._lookup(target, ("dom",))
-            handle = self._handle_for_domain(caller, dom_id,
-                                             channels_ok=True)
+            handle = self._handle(caller, dom_id, *_DOMAIN_OR_CHANNEL)
             self.engine.switch(caller, stmt.core, handle)
 
     def _stmt_getchan(self, stmt: Statement):
         new_name, source = stmt.args
         caller = self._caller(stmt.core)
-        if source == "self":
-            handle = None
-            target_id = caller
-        else:
-            _, target_id = self._lookup(source, ("dom", "dev"))
-            handle = self._handle_for_domain(caller, target_id)
+        handle, target_id = self._subject(caller, source)
         self.engine.getchan(caller, handle)
         self._bind(new_name, "channel", target_id)
 
@@ -335,12 +325,7 @@ class ScenarioRunner:
         rname, subject = stmt.args[0], stmt.args[1]
         nonce = bytes.fromhex(stmt.args[2]) if len(stmt.args) > 2 else None
         caller = self._caller(stmt.core)
-        if subject == "self":
-            handle = None
-            subject_id = caller
-        else:
-            _, subject_id = self._lookup(subject, ("dom", "dev"))
-            handle = self._handle_for_domain(caller, subject_id)
+        handle, _ = self._subject(caller, subject)
         report = self.engine.attest(caller, handle, nonce=nonce)
         with self._lock:
             self.reports[rname] = report
@@ -358,14 +343,13 @@ class ScenarioRunner:
         caller = self._caller(stmt.core)
         kind, ref = self._lookup(target, ("dom", "region"))
         if kind == "dom":
-            handle = self._handle_for_domain(caller, ref, channels_ok=False)
-            self.engine.revoke_domain(caller, handle)
+            self.engine.revoke_domain(caller, self._handle(caller, ref,
+                                                           CapKind.DOMAIN))
         else:
-            node = self.engine.tree.get(ref)
-            parent_id = node.parent
+            parent_id = self.engine.tree.get(ref).parent
             if parent_id is None:
                 raise deny(ErrorCode.NOT_A_CHILD, "cannot revoke the root")
-            parent_handle = self._handle_for_region(caller, parent_id)
+            parent_handle = self._handle(caller, parent_id, CapKind.REGION)
             index = self.engine.tree.nodes[parent_id].children.index(ref)
             self.engine.revoke_region(caller, parent_handle, index)
 
@@ -401,14 +385,10 @@ class ScenarioRunner:
 
     def _stmt_expect(self, stmt: Statement):
         kind = stmt.args[0]
-        handler = getattr(self, "_expect_" + kind.replace("-", "_"), None)
+        handler = getattr(self, "_expect_" + kind, None)
         if handler is None:
             raise ScriptError(stmt.lineno, f"unknown expect {kind!r}")
-        if kind in _UNLOCKED_EXPECTS:
-            handler(stmt, stmt.args[1:])
-        else:
-            with self.engine.platform.engine_lock:
-                handler(stmt, stmt.args[1:])
+        handler(stmt, stmt.args[1:])
 
     def _expect_error(self, stmt: Statement, args: list[str]):
         code_name = args[0]

@@ -4,9 +4,14 @@ for interrupt routing, and a trace replayer for linearizability checks."""
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 from typing import Optional
 
+import pytest
+
+import capmon
 from capmon import (
     AttrFlags,
     Engine,
@@ -36,6 +41,35 @@ def small_config(pages: int = 32, cores: int = 2,
 def small_engine(pages: int = 32, cores: int = 2, **kw):
     engine, td0, measurement = boot(small_config(pages, cores, **kw))
     return engine, td0
+
+
+def expect_code(code, fn, *args, **kw):
+    """Run fn(*args, **kw), which must be denied with `code`; returns the
+    MonitorError."""
+    with pytest.raises(MonitorError) as err:
+        fn(*args, **kw)
+    assert err.value.code is code, f"{err.value.code.name} != {code.name}"
+    return err.value
+
+
+def frames_entered(fn, *args, capmon_only: bool = False):
+    """fn(*args)'s result and the names of the frames entered while it ran,
+    in order: every Python frame, or with `capmon_only` only those from
+    capmon's own sources."""
+    package = os.path.dirname(capmon.__file__) + os.sep
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call" and (not capmon_only or
+                                frame.f_code.co_filename.startswith(package)):
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, names
 
 
 def make_child(engine: Engine, parent: int, cores: int = None,
@@ -94,13 +128,12 @@ class FuzzDriver:
     REGION_BUDGET = 48
 
     def __init__(self, seed: int, pages: int = 16, cores: int = 2,
-                 check_every: int = 1, devices=()):
+                 devices=()):
         self.rng = random.Random(seed)
         self.engine, self.td0 = small_engine(pages=pages, cores=cores,
                                              pool=24, devices=devices)
         self.oracle = Oracle()
         self._replay_pos = 0
-        self.check_every = check_every
         self.accepted = 0
         self.rejected = 0
         self.steps = 0
@@ -300,15 +333,14 @@ class FuzzDriver:
         else:
             self.accepted += 1
         self._sync()
-        if self.steps % self.check_every == 0:
-            problems = self.oracle.diff(self.engine)
-            assert not problems, \
-                f"oracle diff after {op} (step {self.steps}): {problems[:4]}"
-            check_core_paths(self.engine)
-            check_capability_holders(self.engine)
-            swept: dict = {}  # each node is swept once for both checks
-            check_views(self.engine, swept)
-            check_invariants(self.engine.tree, swept)
+        problems = self.oracle.diff(self.engine)
+        assert not problems, \
+            f"oracle diff after {op} (step {self.steps}): {problems[:4]}"
+        check_core_paths(self.engine)
+        check_capability_holders(self.engine)
+        swept: dict = {}  # each node is swept once for both checks
+        check_views(self.engine, swept)
+        check_invariants(self.engine.tree, swept)
 
     def run(self, n: int):
         for _ in range(n):

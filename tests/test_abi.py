@@ -2,13 +2,9 @@
 registers 1..6, results in registers 0..3, large outputs drained through a
 continuation token."""
 
-import os
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import capmon
 from capmon import AttestationReport, Oracle, PhysRange, Rights
 from capmon.domains import (
     ALL_CALLS_MASK, ApiCall, CapKind, InterruptPolicy, PayloadCode, Visibility,
@@ -18,7 +14,9 @@ from capmon.errors import ErrorCode, MonitorError
 from capmon.regions import PAGE
 from capmon.state import dump_state, load_state
 
-from support import carve_to, hold_drains, make_child, small_engine
+from support import (
+    carve_to, frames_entered, hold_drains, make_child, small_engine,
+)
 
 A = [PAGE * (1 + k) for k in range(8)]
 
@@ -378,23 +376,11 @@ class TestAbiDrain:
         # pins the drain's depth: no handler or buffer helper frame runs
         # under monitor_call; the engine lock is a contextlib nullcontext
         # in step mode, so only frames from capmon's own sources count
-        package = os.path.dirname(capmon.__file__) + os.sep
         engine, td0 = small_engine()
         token = issue(engine, 0, call_id)
         assert len(engine._buffers[token][2]) > 32
         load(engine, 0, call_id, 0, token)
-        names = []
-
-        def profile(frame, event, arg):
-            if event == "call" and \
-                    frame.f_code.co_filename.startswith(package):
-                names.append(frame.f_code.co_name)
-
-        sys.setprofile(profile)
-        try:
-            engine.monitor_call(0)
-        finally:
-            sys.setprofile(None)
+        _, names = frames_entered(engine.monitor_call, 0, capmon_only=True)
         assert engine.domains[td0].core_regs(0)[:2] == [0, 16]
         assert engine._buffers[token][3] == 16
         assert names == ["monitor_call", "process_updates", "core_regs"]

@@ -71,6 +71,84 @@ READ_TRACE = [
     "15 0 get_reg caller=0 handle=1 core=0 index=0x11 -> err=REGISTER_HIDDEN",
 ]
 
+# td0 hands b a channel to a and runs b on core 0: b names a only by that
+# channel
+CHANNEL_ONLY = ("boot\n"
+                "create a\n"
+                "set a cores 0b11\n"
+                "set a mon_api 0b11111111111\n"
+                "set a receive on\n"
+                "seal a\n"
+                "getchan c a\n"
+                "create b\n"
+                "set b cores 0b11\n"
+                "set b mon_api 0b11111111111\n"
+                "send c b\n"
+                "seal b\n"
+                "switch b\n")
+# a sealed child td0 may switch to on either core
+SEALED_A = ("create a\n"
+            "set a cores 0b11\n"
+            "set a mon_api 0b11111111111\n"
+            "seal a\n")
+# each row: statements run after `boot`, the exit status and a substring of
+# stderr; a denial the runner itself makes shows as the code `expect error`
+# checks
+SCRIPT_ROWS = [
+    # parse errors
+    ("@x create a", 2, "line 2: bad core prefix '@x'"),
+    ("@1", 2, "line 2: core prefix without a statement"),
+    ("expect bogus", 2, "line 2: unknown expect 'bogus'"),
+    ("create a\nseal a b", 2, "line 3: 'seal a b': bad arguments"),
+    (SEALED_A + "switch a\nswitch ret\nexpect payload bogus", 2,
+     "line 8: bad payload spec 'bogus'"),
+    # each expect kind failing
+    ("expect error SEALED seal td0", 1, "expected SEALED, got BAD_HANDLE"),
+    ("expect view root X:0x100000:0x101000", 1, "view of root is"),
+    ("carve r root 0x101000 0x102000 RW_\nrevoke r\nexpect owner r td0", 1,
+     "region r was destroyed"),
+    ("create a\ncarve r root 0x101000 0x102000 RW_\nsend r a\n"
+     "expect owner r td0", 1, "region r owned by 1, expected 0"),
+    ("carve r root 0x101000 0x102000 RW_\nexpect gone r", 1,
+     "region r still exists"),
+    ("create a\nexpect current a", 1, "core 0 runs domain 0, expected 1"),
+    ("expect payload returned", 1, "no payload delivered"),
+    (SEALED_A + "switch a\nswitch ret\nexpect payload revoked", 1,
+     "expected revoked"),
+    (SEALED_A + "@1 switch a\nrevoke a\n@1 expect payload revoked\n"
+     "@1 expect payload revoked:a", 0, ""),
+    (SEALED_A + "@1 switch a\nrevoke a\n@1 expect payload revoked:td0", 1,
+     "payload is (2, 1), expected revoked:td0"),
+    ("expect read 0x0 allow", 1, "read 0x0 denied, expected allow"),
+    ("write-mem 0x100000 7\nexpect zero 0x100000 0x100001", 1,
+     "[0x100000,0x100001) is not all zero"),
+    ("expect delivered 40 td0", 1,
+     "vector 40 never delivered in place to domain 0"),
+    ("expect confidential nope td0 true", 1, "no report named 'nope'"),
+    ("create a\nattest rep a\ncreate b\nexpect confidential rep b true", 1,
+     "domain not visible in the report"),
+    (SEALED_A + "attest rep a\nexpect confidential rep a true", 1,
+     "predicate is False (exclusive-region=False;"),
+    # script forms no bundled scenario uses
+    ("getchan me self\nexpect error ATTRIBUTES_ON_CHANNEL send me td0 CLEAN",
+     0, ""),
+    ("create a\ngetchan c a\ncreate b\nsend c b\n"
+     "expect error BAD_HANDLE send c b", 0, ""),
+    ("create a\nset a cores 0b11\nset a mon_api 0b11111111111\n"
+     "set a intr all deliver\nset a intr 3-5 report\nseal a\nswitch a\n"
+     "irq 6\nexpect handler a\nirq 5\nexpect handler td0", 0, ""),
+    ("create a\nset a reg 0 0x11 0x40\n"
+     "expect error BAD_HANDLE set a reg 0 18 0", 0, ""),
+    # the runner's own denials
+    ("expect error BAD_HANDLE seal nobody", 0, ""),
+    ("create a\nexpect error BAD_HANDLE create a", 0, ""),
+    ("expect error BAD_HANDLE seal root", 0, ""),
+    ("expect error BAD_HANDLE write-mem zz 1", 0, ""),
+    ("create a\nexpect error BAD_HANDLE set a intr 3 bogus", 0, ""),
+    ("create a\nexpect error BAD_HANDLE set a bogus 1", 0, ""),
+    ("expect error NOT_A_CHILD revoke root", 0, ""),
+]
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -256,6 +334,34 @@ class TestRun:
         script.write_text(f"boot\n{statement}\n")
         assert run_cli("run", CONFIG, str(script), "--mode", mode) == 2
         assert "parse error: line 2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("script, status, err", SCRIPT_ROWS)
+    def test_script_forms_and_denials(self, tmp_path, capsys, script, status,
+                                      err):
+        path = tmp_path / "rows.tyscn"
+        path.write_text(f"boot\n{script}\n")
+        assert run_cli("run", CONFIG, str(path)) == status
+        assert err in capsys.readouterr().err
+
+    @pytest.mark.parametrize("statements", [
+        # seal, set, get and revoke take only a domain capability: the
+        # runner denies them before the engine's CHANNEL_NO_CONTROL could
+        "expect error BAD_HANDLE seal a",
+        "expect error BAD_HANDLE set a cores 0b1",
+        "expect error BAD_HANDLE get a cores",
+        "expect error BAD_HANDLE revoke a",
+        # switch, send's destination, getchan and attest fall back to the
+        # channel; the engine then decides
+        "expect error CHANNEL_NO_CONTROL switch a",
+        "expect error ATTRIBUTES_ON_CHANNEL send c a CLEAN",
+        "getchan d a\nexpect error ATTRIBUTES_ON_CHANNEL send d a CLEAN",
+        "attest rep a\nexpect confidential rep a false",
+    ])
+    def test_a_name_resolves_to_the_kinds_its_statement_takes(
+            self, tmp_path, statements):
+        script = tmp_path / "names.tyscn"
+        script.write_text(CHANNEL_ONLY + statements + "\n")
+        assert run_cli("run", CONFIG, str(script)) == 0
 
     def test_core_outside_the_machine_runs_nothing(self):
         from capmon import parse_config

@@ -231,7 +231,9 @@ class TestJoin:
 
     def test_a_denied_call_leaves_its_core_running(self):
         # the worker swallows a denial: it is traced, the core's next
-        # statement still runs, and join raises nothing
+        # statement still runs, and join raises nothing; both calls are
+        # traced on core 1, whose worker made them, though td0 runs on
+        # core 0 too
         engine, td0, _ = boot(small_config(pages=32, cores=2),
                               concurrent=True)
         platform = engine.platform
@@ -243,8 +245,8 @@ class TestJoin:
         platform.join()
         denied, created = engine.trace.lines()[-2:]
         assert denied.endswith(
-            " seal caller=0 handle=0x28 -> err=BAD_HANDLE")
-        assert " create caller=0 -> ok " in created
+            " 1 seal caller=0 handle=0x28 -> err=BAD_HANDLE")
+        assert " 1 create caller=0 -> ok " in created
 
 
 class _DrainStall:

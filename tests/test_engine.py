@@ -14,16 +14,9 @@ from capmon.errors import ErrorCode, MonitorError
 from capmon.regions import PAGE
 from capmon.state import dump_state
 
-from support import make_child, small_engine
+from support import expect_code, make_child, small_engine
 
 A = [PAGE * (1 + k) for k in range(8)]
-
-
-def expect_code(code, fn, *args, **kw):
-    with pytest.raises(MonitorError) as err:
-        fn(*args, **kw)
-    assert err.value.code is code, f"{err.value.code.name} != {code.name}"
-    return err.value
 
 
 class TestCreate:
@@ -732,7 +725,8 @@ class TestUnreachedGuards:
 
     def test_a_domain_handle_names_no_region(self):
         # child A and region 1 share the id 1, and region 1 has a child: read
-        # as a region handle, td0's handle to A would revoke that child
+        # as a region handle, td0's handle to A would revoke that child, or
+        # alias or carve from region 1
         engine, td0 = small_engine()
         a, a_handle = make_child(engine, td0)
         alias = self.alias_root(engine, td0, PhysRange(A[0], A[2]))
@@ -740,6 +734,9 @@ class TestUnreachedGuards:
         engine.tree_alias(td0, alias, PhysRange(A[0], A[1]), Rights.RW)
         self.denied(engine, ErrorCode.BAD_HANDLE,
                     engine.revoke_region, td0, a_handle, 0)
+        for derive in (engine.tree_alias, engine.tree_carve):
+            self.denied(engine, ErrorCode.BAD_HANDLE, derive, td0, a_handle,
+                        PhysRange(A[1], A[2]), Rights.R)
 
     def test_readable_registers_stay_within_the_file(self):
         engine, td0 = small_engine()

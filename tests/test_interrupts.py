@@ -1,36 +1,25 @@
 """Switch call-return, interrupt routing over the domain tree, the
 report/no-report return path, and revocation-forced control transfers."""
 
-import os
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import capmon
 from capmon import PhysRange, Visibility
 from capmon import engine as engine_mod
 from capmon.domains import (
     NUM_VECTORS, ApiCall, InterruptPolicy, PayloadCode, Policies,
     undeliverable_vectors,
 )
-from capmon.errors import ErrorCode, MonitorError
+from capmon.errors import ErrorCode
 from capmon.machine import FAULT_VECTOR, TIMER_VECTOR
 from capmon.regions import PAGE
 from capmon.state import dump_state
 
 from support import (
     build_policy_tree, carve_to, delivered_in_place, drive_resume,
-    make_child, resume_step, small_engine,
+    expect_code, frames_entered, make_child, resume_step, small_engine,
 )
-
-
-def expect_code(code, fn, *args, **kw):
-    with pytest.raises(MonitorError) as err:
-        fn(*args, **kw)
-    assert err.value.code is code
-    return err.value
 
 
 class TestSwitch:
@@ -205,24 +194,17 @@ class TestRouting:
         # td0's resuming switch makes one more transfer; the engine lock is
         # a contextlib nullcontext in step mode, so only frames from
         # capmon's own sources count
-        package = os.path.dirname(capmon.__file__) + os.sep
         engine, td0 = small_engine()
         dom, handle = make_child(engine, td0, mon_api=1 << ApiCall.SWITCH)
         carve_to(engine, td0, handle, PhysRange(2 * PAGE, 3 * PAGE))
         engine.switch(td0, 0, handle)
-        names = []
 
-        def profile(frame, event, arg):
-            if event == "call" and \
-                    frame.f_code.co_filename.startswith(package):
-                names.append(frame.f_code.co_name)
-
-        sys.setprofile(profile)
-        try:
+        def fault_and_resume():
             ok, _ = engine.domain_read(0, 5 * PAGE)
             engine.switch(td0, 0, handle)
-        finally:
-            sys.setprofile(None)
+            return ok
+
+        ok, names = frames_entered(fault_and_resume, capmon_only=True)
         assert not ok and engine.current_domain(0) == dom
         assert engine.cores[0].irq is None
         assert [line.split(" -> ")[1] for line in engine.trace.lines()[-2:]] \

@@ -1,7 +1,6 @@
 """Simulated machine: config parsing, boot state, access interposition,
 update protocol ordering, bounded logs, and device modeling."""
 
-import sys
 import tracemalloc
 
 import pytest
@@ -9,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmon import (
-    DeviceConfig, MachineConfig, MonitorError, PhysRange, Rights, boot,
-    parse_config,
+    DeviceConfig, MachineConfig, PhysRange, Rights, boot, parse_config,
 )
 from capmon.domains import ALL_CALLS_MASK, CapKind
 from capmon.errors import ErrorCode
@@ -19,17 +17,11 @@ from capmon.regions import EXCLUSIVE_BIT, PAGE
 from capmon.state import dump_state
 
 from support import (
-    FuzzDriver, delivered_in_place, hold_drains, make_child, page_table,
-    small_config, small_engine,
+    FuzzDriver, delivered_in_place, expect_code, frames_entered, hold_drains,
+    make_child, page_table, small_config, small_engine,
 )
 
 A = [PAGE * (1 + k) for k in range(8)]
-
-
-def expect_code(code, fn, *args, **kw):
-    with pytest.raises(MonitorError) as err:
-        fn(*args, **kw)
-    assert err.value.code is code
 
 
 class TestConfig:
@@ -168,24 +160,9 @@ class TestInterposition:
         # pins the interposer's depth: mem_access decides and logs a guest
         # access with no helper frame under it
         engine, td0 = small_engine()
-
-        def frames(fn, *args):
-            names = []
-
-            def profile(frame, event, arg):
-                if event == "call":
-                    names.append(frame.f_code.co_name)
-
-            sys.setprofile(profile)
-            try:
-                result = fn(*args)
-            finally:
-                sys.setprofile(None)
-            return result, names
-
-        (ok, _), names = frames(engine.domain_read, 0, A[0])
+        (ok, _), names = frames_entered(engine.domain_read, 0, A[0])
         assert ok and names == ["domain_read", "read_mem", "mem_access"]
-        ok, names = frames(engine.domain_write, 0, A[0], 1)
+        ok, names = frames_entered(engine.domain_write, 0, A[0], 1)
         assert ok and names == ["domain_write", "write_mem", "mem_access"]
 
 

@@ -14,9 +14,9 @@ from capmon.regions import PAGE
 from capmon.scenario import ScenarioRunner, parse_script
 
 from support import (
-    carve_to, hold_drains, make_child, small_config, small_engine,
+    carve_to, expect_code, hold_drains, make_child, small_config,
+    small_engine,
 )
-from test_engine import expect_code
 
 
 def domain_caps(engine, dom_id: int) -> list[int]:

@@ -4,7 +4,6 @@ refuses core records that do not describe the machine's cores, and region
 owners and live domains' parents that name no live domain."""
 
 import json
-import sys
 
 import pytest
 
@@ -16,7 +15,8 @@ from capmon.domains import (
 from capmon.regions import PAGE, DerivationKind, RegionStatus
 
 from support import (
-    FuzzDriver, carve_to, hold_drains, make_child, small_engine,
+    FuzzDriver, carve_to, frames_entered, hold_drains, make_child,
+    small_engine,
 )
 from test_abi import call
 from test_cli import CONFIG, run_cli
@@ -152,17 +152,7 @@ class TestDumpSeesEveryField:
         # frame under dump_state
         engine, _, _ = rich_engine()
         assert not engine.domains.held
-        names = []
-
-        def profile(frame, event, arg):
-            if event == "call":
-                names.append(frame.f_code.co_name)
-
-        sys.setprofile(profile)
-        try:
-            state.dump_state(engine)
-        finally:
-            sys.setprofile(None)
+        _, names = frames_entered(state.dump_state, engine)
         assert names == ["dump_state"]
 
 
