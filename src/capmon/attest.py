@@ -20,7 +20,7 @@ import hashlib
 import itertools
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -125,6 +125,14 @@ class RegionDescriptor:
     children: list[RegionChildLine] = field(default_factory=list)
 
 
+class NamedCap(NamedTuple):
+    """An owned capability the report names but does not describe: a
+    channel (named "inert" once its domain is revoked), or a domain owned
+    by a nested domain."""
+    kind: CapKind   # CHANNEL | DOMAIN
+    name: str
+
+
 @dataclass
 class DomainDescriptor:
     name: str
@@ -135,9 +143,17 @@ class DomainDescriptor:
     user_calls: bool
     receive: bool
     interrupts: list[tuple[int, int]]           # 256 x (visibility, readable)
-    owned_names: list[str] = field(default_factory=list)
-    regions: list[RegionDescriptor] = field(default_factory=list)
-    nested: list["DomainDescriptor"] = field(default_factory=list)
+    # the owned capabilities, in capability-table order
+    owned: list[Union[RegionDescriptor, "DomainDescriptor", NamedCap]] = \
+        field(default_factory=list)
+
+    @property
+    def regions(self) -> list[RegionDescriptor]:
+        return [e for e in self.owned if isinstance(e, RegionDescriptor)]
+
+    @property
+    def nested(self) -> list["DomainDescriptor"]:
+        return [e for e in self.owned if isinstance(e, DomainDescriptor)]
 
     def all_domains(self) -> list["DomainDescriptor"]:
         return [self] + self.nested
@@ -237,7 +253,7 @@ def build_signed_report(engine, subject_id: int,
     namer = _Namer()
     subject = _describe_domain(engine, subject_id, namer, shallow=False)
     report = AttestationReport(
-        measurement=engine.measurement.pcr if engine.measurement else bytes(32),
+        measurement=engine.measurement.pcr,
         ncores=engine.platform.ncores,
         nonce=nonce, verifier_key=verifier_key, domain_key=domain_key,
         subject=subject)
@@ -272,20 +288,15 @@ def _describe_domain(engine, dom_id: int, namer: _Namer,
 
     for _, entry in dom.owned.entries():
         if entry.kind is CapKind.REGION:
-            region = _describe_region(engine, entry.ref, namer,
-                                      with_children=not shallow)
-            desc.owned_names.append(region.name)
-            desc.regions.append(region)
-        elif entry.kind is CapKind.DOMAIN:
-            name = namer.domain(entry.ref)
-            desc.owned_names.append(name)
-            if not shallow:
-                desc.nested.append(
-                    _describe_domain(engine, entry.ref, namer, shallow=True))
-        elif entry.ref in engine.domains:
-            desc.owned_names.append(f"chan({namer.domain(entry.ref)})")
+            desc.owned.append(_describe_region(engine, entry.ref, namer,
+                                               with_children=not shallow))
+        elif entry.kind is CapKind.DOMAIN and not shallow:
+            desc.owned.append(
+                _describe_domain(engine, entry.ref, namer, shallow=True))
+        elif entry.kind is CapKind.DOMAIN or entry.ref in engine.domains:
+            desc.owned.append(NamedCap(entry.kind, namer.domain(entry.ref)))
         else:
-            desc.owned_names.append("chan(inert)")
+            desc.owned.append(NamedCap(CapKind.CHANNEL, "inert"))
     return desc
 
 
@@ -405,22 +416,17 @@ def _write_domain(parts: list[bytes], dom: DomainDescriptor):
         int(dom.sealed), dom.cores, dom.mon_api,
         int(dom.user_calls) | (int(dom.receive) << 1)))
     _write_interrupts(parts, dom.interrupts)
-    parts.append(_U32.pack(len(dom.owned_names)))
-    region_by_name = {r.name: r for r in dom.regions}
-    nested_by_name = {n.name: n for n in dom.nested}
-    for name in dom.owned_names:
-        if name in region_by_name:
+    parts.append(_U32.pack(len(dom.owned)))
+    for entry in dom.owned:
+        if isinstance(entry, RegionDescriptor):
             parts.append(b"\0")
-            _write_region(parts, region_by_name[name])
-        elif name in nested_by_name:
+            _write_region(parts, entry)
+        elif isinstance(entry, DomainDescriptor):
             parts.append(b"\1")
-            _write_domain(parts, nested_by_name[name])
-        elif name.startswith("chan("):
-            parts.append(b"\2")
-            _w_str(parts, name[5:-1])
+            _write_domain(parts, entry)
         else:
-            parts.append(b"\3")
-            _w_str(parts, name)
+            parts.append(b"\2" if entry.kind is CapKind.CHANNEL else b"\3")
+            _w_str(parts, entry.name)
 
 
 def _read_domain(reader: _Reader, nested: bool) -> DomainDescriptor:
@@ -435,29 +441,14 @@ def _read_domain(reader: _Reader, nested: bool) -> DomainDescriptor:
     for _ in range(reader.unpack(_U32)[0]):
         tag = reader.unpack(_U8)[0]
         if tag == 0:
-            region = _read_region(reader)
-            dom.owned_names.append(region.name)
-            dom.regions.append(region)
+            dom.owned.append(_read_region(reader))
         elif tag == 1 and not nested:
-            inner = _read_domain(reader, nested=True)
-            dom.owned_names.append(inner.name)
-            dom.nested.append(inner)
-        elif tag == 2:
-            dom.owned_names.append(f"chan({reader.read_str()})")
-        elif tag == 3:
-            other = reader.read_str()
-            if other.startswith("chan("):
-                raise deny(ErrorCode.PARSE_ERROR, f"domain name {other!r}")
-            dom.owned_names.append(other)
+            dom.owned.append(_read_domain(reader, nested=True))
+        elif tag in (2, 3):
+            kind = CapKind.CHANNEL if tag == 2 else CapKind.DOMAIN
+            dom.owned.append(NamedCap(kind, reader.read_str()))
         else:
             raise deny(ErrorCode.PARSE_ERROR, f"bad capability tag {tag}")
-    # the writer finds an entry's description by its name, so a described
-    # name must name exactly one owned entry
-    described = {d.name for d in dom.regions} | {d.name for d in dom.nested}
-    if len(described) != len(dom.regions) + len(dom.nested) or \
-            sum(name in described for name in dom.owned_names) != \
-            len(described):
-        raise deny(ErrorCode.PARSE_ERROR, "a described name is not unique")
     return dom
 
 
@@ -534,7 +525,10 @@ def _read_region(reader: _Reader) -> RegionDescriptor:
 
 def _render_domain(lines: list[str], dom: DomainDescriptor, ncores: int,
                    shallow: bool):
-    lines.append(f"{dom.name} = domain {{{', '.join(dom.owned_names)}}}")
+    names = [f"chan({e.name})"
+             if isinstance(e, NamedCap) and e.kind is CapKind.CHANNEL
+             else e.name for e in dom.owned]
+    lines.append(f"{dom.name} = domain {{{', '.join(names)}}}")
     pad = "      |"
     lines.append(f"{pad}registers.HASH: {dom.register_hash.hex()}")
     lines.append(f"{pad}cores: 0b{dom.cores:0{max(ncores, 1)}b}")

@@ -54,7 +54,8 @@ _REPORT = Visibility.REPORT
 
 
 class Engine:
-    def __init__(self, platform, seed: int = 0, measurement=None):
+    def __init__(self, platform, measurement: attest_mod.BootMeasurement,
+                 seed: int = 0):
         self.platform = platform
         self.seed = seed
         self.measurement = measurement

@@ -78,7 +78,6 @@ class Oracle:
     def __init__(self):
         self.caps: dict[int, OracleCap] = {}
         self.domains: dict[int, OracleDomain] = {}
-        self.current: dict[int, int] = {}
         # address_map's result, dropped by each record that can change it
         self._map: Optional[dict[int, dict[int, tuple[int, bool]]]] = None
 
@@ -108,8 +107,6 @@ class Oracle:
         start, end = rec.args["reserved_end"], rec.args["top"]
         self.caps[root] = OracleCap(root, td0, "root", None, start, end,
                                     7, _pages(start, end))
-        for core in range(rec.args["cores"]):
-            self.current[core] = td0
 
     def _op_devboot(self, rec: OpRecord):
         dev = rec.args["dev"]
@@ -169,10 +166,6 @@ class Oracle:
     def _op_set_intr(self, rec: OpRecord):
         dom = self.domains[rec.results["dom"]]
         dom.interrupts[rec.args["vector"]] = rec.args["vis"]
-
-    def _op_switch(self, rec: OpRecord):
-        if "to" in rec.results and rec.core >= 0:
-            self.current[rec.core] = rec.results["to"]
 
     def _op_revoke_region(self, rec: OpRecord):
         self._destroy_closure({rec.results["child"]}, set())
@@ -325,5 +318,5 @@ _MAP_OPS = {
 }
 _READ_ONLY_OPS = {
     "set_reg", "get_reg", "set_policy", "get_policy", "getchan",
-    "attest", "enumerate", "irq",
+    "attest", "enumerate", "irq", "switch",
 }

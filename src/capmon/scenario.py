@@ -63,10 +63,12 @@ def parse_script(text: str) -> list[Statement]:
             tokens = tokens[1:]
             if not tokens:
                 raise ScriptError(lineno, "core prefix without a statement")
-        op = tokens[0]
-        if op not in _STATEMENT_OPS:
-            raise ScriptError(lineno, f"unknown statement {op!r}")
-        statements.append(Statement(lineno, core, op, tokens[1:], line))
+        inner = tokens
+        while inner[:2] == ["expect", "error"] and len(inner) > 3:
+            inner = inner[3:]   # the statement `expect error CODE` runs
+        if inner[0] not in _STATEMENT_OPS:
+            raise ScriptError(lineno, f"unknown statement {inner[0]!r}")
+        statements.append(Statement(lineno, core, tokens[0], tokens[1:], line))
     return statements
 
 
@@ -110,10 +112,17 @@ class ScenarioRunner:
 
     # -- name handling ------------------------------------------------------
 
-    def _bind(self, name: str, kind: str, ref: int):
+    def _unbound(self, name: str):
+        """Refuse a bound name.  A statement that binds a name refuses it
+        before its engine call and binds it after the call succeeds; every
+        such statement runs in one engine-lock scope, so no other binds the
+        name in between."""
         with self._lock:
             if name in self.names:
                 raise deny(ErrorCode.BAD_HANDLE, f"name {name!r} already bound")
+
+    def _bind(self, name: str, kind: str, ref: int):
+        with self._lock:
             self.names[name] = (kind, ref)
 
     def _lookup(self, name: str, kinds: tuple[str, ...]) -> tuple[str, int]:
@@ -203,11 +212,13 @@ class ScenarioRunner:
 
     def _stmt_let(self, stmt: Statement):
         name, value = stmt.args
+        self._unbound(name)
         self._bind(name, "addr", int(value, 0))
 
     def _stmt_create(self, stmt: Statement):
         (name,) = stmt.args
         caller = self._caller(stmt.core)
+        self._unbound(name)
         handle = self.engine.create(caller)
         dom_id = self.engine.domains[caller].owned.get(handle).ref
         self._bind(name, "dom", dom_id)
@@ -281,8 +292,10 @@ class ScenarioRunner:
         _, parent_id = self._lookup(parent_name, ("region",))
         handle = self._handle(caller, parent_id, CapKind.REGION)
         rng = PhysRange(self._value(start), self._value(end))
+        rights = Rights.parse(rights)
+        self._unbound(new_name)
         fn = self.engine.tree_carve if carve else self.engine.tree_alias
-        new_handle = fn(caller, handle, rng, Rights.parse(rights))
+        new_handle = fn(caller, handle, rng, rights)
         region_id = self.engine.domains[caller].owned.get(new_handle).ref
         self._bind(new_name, "region", region_id)
 
@@ -318,6 +331,7 @@ class ScenarioRunner:
         new_name, source = stmt.args
         caller = self._caller(stmt.core)
         handle, target_id = self._subject(caller, source)
+        self._unbound(new_name)
         self.engine.getchan(caller, handle)
         self._bind(new_name, "channel", target_id)
 

@@ -43,12 +43,9 @@ def dump_state(engine: Engine) -> dict:
     for d in config.devices:
         devices.append([d.name, d.mmio.start, d.mmio.end, d.vector])
     boot = engine.measurement
-    measurement = None
-    if boot:
-        events = []
-        for name, digest in boot.event_log:
-            events.append([name, digest.hex()])
-        measurement = {"pcr": boot.pcr.hex(), "events": events}
+    events = []
+    for name, digest in boot.event_log:
+        events.append([name, digest.hex()])
     buffers = []
     if engine._buffers:
         for token, (owner, call, blob, offset) in sorted(
@@ -155,7 +152,7 @@ def dump_state(engine: Engine) -> dict:
             "devices": devices,
             "pool": config.metadata_pool,
         },
-        "measurement": measurement,
+        "measurement": {"pcr": boot.pcr.hex(), "events": events},
         "root_region": engine.root_region,
         "next_domain": engine.domains.next_id,
         "next_region": engine.tree._next_id,
@@ -182,12 +179,10 @@ def load_state(dump: dict) -> Engine:
                       for n, s, e, v in dump["config"]["devices"]),
         metadata_pool=dump["config"]["pool"])
     platform = Platform(config)
-    measurement = None
-    if dump["measurement"]:
-        measurement = BootMeasurement(
-            pcr=bytes.fromhex(dump["measurement"]["pcr"]),
-            event_log=[(n, bytes.fromhex(d))
-                       for n, d in dump["measurement"]["events"]])
+    measurement = BootMeasurement(
+        pcr=bytes.fromhex(dump["measurement"]["pcr"]),
+        event_log=[(n, bytes.fromhex(d))
+                   for n, d in dump["measurement"]["events"]])
     engine = Engine(platform, seed=dump["seed"], measurement=measurement)
     platform.attach_engine(engine)
     platform.now = dump["step"]

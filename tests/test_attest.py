@@ -14,8 +14,8 @@ from capmon import (
     verify_report,
 )
 from capmon.attest import (
-    MAGIC, MONITOR_IDENTITY, VERSION, AttestationReport, interrupt_table,
-    pcr_extend,
+    MAGIC, MONITOR_IDENTITY, VERSION, AttestationReport, DomainDescriptor,
+    NamedCap, RegionDescriptor, interrupt_table, pcr_extend,
 )
 from capmon.domains import (
     NUM_VECTORS, REG_MASK, ApiCall, CapKind, InterruptPolicy, Policies,
@@ -209,7 +209,7 @@ class TestVisibility:
         nested = {d.name for d in report.subject.nested}
         assert nested == {names[b]}
         b_desc = report.subject.nested[0]
-        assert names[c] in b_desc.owned_names
+        assert NamedCap(CapKind.DOMAIN, names[c]) in b_desc.owned
         assert b_desc.nested == []  # grandchild has no block of its own
 
     def test_nested_regions_have_no_children_lines(self):
@@ -228,8 +228,45 @@ class TestVisibility:
         exclusive = next(r for r in report.subject.regions
                          if r.status == "exclusive")
         child_names = {c.name for c in exclusive.children}
-        td2_region_names = set(report.subject.nested[0].owned_names)
+        td2_region_names = {r.name for r in report.subject.nested[0].regions}
         assert child_names <= td2_region_names
+
+    def test_owned_entries_follow_the_capability_table(self):
+        # td1 holds two regions, td2 and a channel to td0: entry i of the
+        # report describes or names the capability in td1's slot i
+        engine, td0, td1, td2, h1 = figure_engine()
+        self_channel_roundtrip(engine, td0, td1)
+        report = engine.attest(td0, h1)
+        names = report.name_of_domain
+        slots = [cap for _, cap in engine.domains[td1].owned.entries()]
+        assert [cap.kind for cap in slots] == [
+            CapKind.REGION, CapKind.REGION, CapKind.DOMAIN, CapKind.CHANNEL]
+        assert len(report.subject.owned) == len(slots)
+        for cap, entry in zip(slots, report.subject.owned):
+            if cap.kind is CapKind.REGION:
+                node = engine.tree.nodes[cap.ref]
+                assert isinstance(entry, RegionDescriptor)
+                assert (entry.start, entry.end) == (
+                    node.initial_range.start, node.initial_range.end)
+            elif cap.kind is CapKind.DOMAIN:
+                assert isinstance(entry, DomainDescriptor)
+                assert entry.name == names[cap.ref]
+            else:
+                assert entry == NamedCap(CapKind.CHANNEL, names[cap.ref])
+        assert f"td0 = domain {{r0, r1, td1, chan({names[td0]})}}" in \
+            report.text()
+
+    def test_channel_to_a_revoked_domain_is_inert(self):
+        engine, td0 = small_engine()
+        a, ha = make_child(engine, td0)
+        b, hb = make_child(engine, td0)
+        engine.send(td0, engine.getchan(td0, hb), ha)
+        engine.revoke_domain(td0, hb)
+        report = engine.attest(td0, ha)
+        assert report.subject.owned == [NamedCap(CapKind.CHANNEL, "inert")]
+        assert "td0 = domain {chan(inert)}" in report.text()
+        parsed = AttestationReport.from_bytes(report.to_bytes())
+        assert parsed == report
 
     def test_fresh_names_dense_from_zero(self):
         engine, td0, td1, td2, h1 = figure_engine()

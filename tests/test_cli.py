@@ -99,6 +99,7 @@ SCRIPT_ROWS = [
     ("@x create a", 2, "line 2: bad core prefix '@x'"),
     ("@1", 2, "line 2: core prefix without a statement"),
     ("expect bogus", 2, "line 2: unknown expect 'bogus'"),
+    ("expect error BAD_HANDLE frob", 2, "line 2: unknown statement 'frob'"),
     ("create a\nseal a b", 2, "line 3: 'seal a b': bad arguments"),
     (SEALED_A + "switch a\nswitch ret\nexpect payload bogus", 2,
      "line 8: bad payload spec 'bogus'"),
@@ -363,6 +364,34 @@ class TestRun:
         script.write_text(CHANNEL_ONLY + statements + "\n")
         assert run_cli("run", CONFIG, str(script)) == 0
 
+    @pytest.mark.parametrize("first, again", [
+        ("create a", "create a"),
+        ("carve r root 0x101000 0x102000 RW_",
+         "carve r root 0x102000 0x103000 RW_"),
+        ("carve r root 0x101000 0x102000 RW_",
+         "alias r root 0x102000 0x103000 RW_"),
+        ("getchan c self", "getchan c self"),
+    ])
+    def test_a_bound_name_makes_no_engine_call(self, tmp_path, first, again):
+        # the statement binding a name already bound is denied before its
+        # call, so the trace is that of the first binding alone
+        script, trace = tmp_path / "rebind.tyscn", tmp_path / "out.trace"
+        script.write_text(f"boot\n{first}\n")
+        assert run_cli("run", CONFIG, str(script), "--trace", str(trace)) == 0
+        once = trace.read_text()
+        script.write_text(f"boot\n{first}\n"
+                          f"expect error BAD_HANDLE {again}\n{again}\n")
+        assert run_cli("run", CONFIG, str(script), "--trace", str(trace)) == 0
+        assert trace.read_text() == once
+
+    def test_attest_flag_naming_no_report_exits_one(self, tmp_path, capsys):
+        script = tmp_path / "boot.tyscn"
+        script.write_text("boot\nattest rep self\n")
+        assert run_cli("run", CONFIG, str(script),
+                       "--attest", f"other={tmp_path / 'rep.bin'}") == 1
+        assert "script produced no report named 'other'" in \
+            capsys.readouterr().err
+
     def test_core_outside_the_machine_runs_nothing(self):
         from capmon import parse_config
         from capmon.scenario import ScenarioRunner, ScriptError, parse_script
@@ -476,6 +505,7 @@ class TestVerify:
         ("regions.0.range", [0x200000, 0x100000]),
         ("domains.0.regs", [1]),
         ("cores.0.id", 9),
+        ("measurement", None),
     ])
     def test_malformed_dump_exits_two(self, tmp_path, capsys, field, value):
         script, dump = tmp_path / "boot.tyscn", tmp_path / "state.json"
@@ -493,6 +523,40 @@ class TestVerify:
         dump.write_text(json.dumps(data))
         assert run_cli("attest", str(dump), "0") == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subject", ["1", "9"])
+    def test_revoked_or_unknown_subject_exits_one(self, tmp_path, capsys,
+                                                  subject):
+        script, dump = tmp_path / "revoke.tyscn", tmp_path / "state.json"
+        script.write_text("boot\ncreate a\nrevoke a\n")
+        assert run_cli("run", CONFIG, str(script), "--dump", str(dump)) == 0
+        assert run_cli("attest", str(dump), subject) == 1
+        assert "unknown or revoked subject" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, err", [
+        (["{dir}/missing.bin", "--meta", "{meta}"], "parse error: "),
+        (["{junk}", "--meta", "{meta}"], "parse error: PARSE_ERROR"),
+        (["{report}", "--meta", "{dir}/missing.json"], "parse error: "),
+        (["{report}", "--meta", "{junk}"], "parse error: "),
+        (["{report}"], "need --key and --pcr (or --meta)"),
+        (["{report}", "--key", "00" * 32], "need --key and --pcr (or --meta)"),
+    ])
+    def test_unreadable_input_exits_two(self, tmp_path, capsys, argv, err):
+        code, report = self.pipeline(tmp_path)
+        junk = tmp_path / "junk.bin"
+        junk.write_bytes(b"CAPA\x01")
+        argv = [a.format(dir=tmp_path, report=report, junk=junk,
+                         meta=f"{report}.meta.json") for a in argv]
+        assert run_cli("verify", *argv) == 2
+        assert err in capsys.readouterr().err
+
+    def test_text_flag_prints_the_projection(self, tmp_path, capsys):
+        code, report = self.pipeline(tmp_path)
+        capsys.readouterr()
+        assert run_cli("verify", str(report), "--meta",
+                       f"{report}.meta.json", "--text") == 0
+        assert capsys.readouterr().out == \
+            "verify: accept\n" + Path(f"{report}.txt").read_text()
 
     def test_predicates_through_pipeline(self, tmp_path, capsys):
         code, report = self.pipeline(tmp_path)

@@ -49,6 +49,25 @@ class TestConfig:
                     "device a 0x100000 0x101000 3\n")  # MMIO below RAM top
         expect_code(ErrorCode.BAD_CONFIG, parse_config, "nonsense 1\n")
 
+    @pytest.mark.parametrize("lines, message", [
+        ("monitor_reserved 0x0 0x200000\n", "monitor reserves all of RAM"),
+        ("monitor_reserved 0x0 0x1000\npool 0\n",
+         "metadata pool must be positive"),
+        ("monitor_reserved 0x0 0x1000\ndevice a 0x200000 0x201000 3\n"
+         "device a 0x300000 0x301000 4\n", "duplicate device a"),
+        ("monitor_reserved 0x0 0x1000\ndevice a 0x200000 0x201000 256\n",
+         "device a vector"),
+    ])
+    def test_each_validate_rejection(self, lines, message):
+        err = expect_code(ErrorCode.BAD_CONFIG, parse_config,
+                          "memory 0x200000\ncores 2\n" + lines)
+        assert err.message == message
+
+    def test_pool_line_sets_the_pool(self):
+        config = parse_config("memory 0x200000\ncores 2\n"
+                              "monitor_reserved 0x0 0x1000\npool 0x20\n")
+        assert config.metadata_pool == 0x20
+
     def test_overlapping_device_mmio(self):
         config = MachineConfig(
             0x200000, 1, PhysRange(0, 0x1000),
