@@ -8,8 +8,10 @@ A core's drain (`process_updates`) then reads only the engine's state, as a
 TLB shootdown's responder re-reads the tables: it is due exactly when the
 core's path names a held (revoked) record, and it unwinds past the first
 such domain, installs the table of the domain the core then runs and
-routes its deferred vectors.  Operations with overlapping targets execute
-one at a time; in concurrent mode the platform supplies an IPI-aware lock.
+routes its deferred vectors.  `Engine` takes no lock: in step mode one
+context runs everything.  In concurrent mode `ConcurrentEngine` runs each
+entry point under the platform's IPI-aware engine lock, so operations
+execute one at a time.
 """
 
 from __future__ import annotations
@@ -77,19 +79,18 @@ class Engine:
 
     def _call(self, call: ApiCall, op: str, caller: int, args: dict, body,
               core: Optional[int] = None) -> dict:
-        """Run one monitor call under the engine lock, gated and traced by
-        `_record`.  The trace's arguments are the caller, then `args`.  It
-        names `core`, or else the core whose worker makes the call, or else
-        the lowest core the caller runs on (-1 if none), read only once the
-        lock is held.
+        """Run one monitor call, gated and traced by `_record`.  The trace's
+        arguments are the caller, then `args`.  It names `core`, or else the
+        core whose worker makes the call, or else the lowest core the caller
+        runs on (-1 if none), read inside the call (in concurrent mode,
+        under the engine lock: see `ConcurrentEngine`).
         """
-        with self.platform.engine_lock:
-            if core is None:
-                core = self.platform.worker_core()
-            if core is None:
-                core = self._core_of(caller)
-            return self._record(op, core, {"caller": caller, **args}, body,
-                                caller, call)
+        if core is None:
+            core = self.platform.worker_core()
+        if core is None:
+            core = self._core_of(caller)
+        return self._record(op, core, {"caller": caller, **args}, body,
+                            caller, call)
 
     def _record(self, op: str, core: int, args: dict, fn,
                 caller: Optional[int] = None,
@@ -272,7 +273,8 @@ class Engine:
         default, as the OR of its regions' views clipped to them, and hand
         the table a new bytes object only if it changed.  Trailing pages
         that grant nothing are trimmed, so the table ends at the domain's
-        last granted page.  Callers hold the engine lock."""
+        last granted page.  In concurrent mode callers hold the engine
+        lock."""
         if end is None:
             end = self.platform.config.address_top
         lo, hi = start // PAGE, end // PAGE
@@ -322,15 +324,13 @@ class Engine:
                 self.view_cache_for(self.cores[core].current)
 
     def domain_may_access(self, dom_id: int, addr: int, kind: str) -> bool:
-        with self.platform.engine_lock:
-            return view_allows(self.view_cache_for(dom_id), addr, kind)
+        return view_allows(self.view_cache_for(dom_id), addr, kind)
 
     def page_access_map(self) -> dict[int, bytes]:
         """Each live domain's view (for the oracle diff): the very bytes
         each core running the domain checks its accesses against."""
-        with self.platform.engine_lock:
-            return {dom_id: self.view_cache_for(dom_id)
-                    for dom_id in self.domains}
+        return {dom_id: self.view_cache_for(dom_id)
+                for dom_id in self.domains}
 
     # ------------------------------------------------------------------
     # domain-facing memory access (used by the scenario runner)
@@ -624,12 +624,11 @@ class Engine:
         self.platform.cores[core].local_view = dom.owned.view
 
     def route_interrupt(self, core: int, vector: int) -> int:
-        with self.platform.engine_lock:
-            # the core may still run a revoked domain: drain it first, as a
-            # monitor call does; `_irq` denies a core outside the machine
-            if 0 <= core < len(self.cores):
-                self.process_updates(core)
-            return self._irq(core, vector)["handler"]
+        # the core may still run a revoked domain: drain it first, as a
+        # monitor call does; `_irq` denies a core outside the machine
+        if 0 <= core < len(self.cores):
+            self.process_updates(core)
+        return self._irq(core, vector)["handler"]
 
     def _irq(self, core: int, vector: int, **flags) -> dict:
         """Route a vector on a core and trace it as `irq`; `flags` name how
@@ -677,14 +676,13 @@ class Engine:
         path may run on that core (a child's cores are a subset of its
         parent's, and a switch checks the core), so the first core's
         handler always may take it."""
-        with self.platform.engine_lock:
-            cs = self.cores[0]
-            if self._held_cut(cs) is not None:
-                # the core may still run a revoked domain: its drain routes
-                # the vector once the core's path is current
-                cs.deferred_vectors.append(vector)
-                return None
-            return self._irq(0, vector, device=1)["handler"]
+        cs = self.cores[0]
+        if self._held_cut(cs) is not None:
+            # the core may still run a revoked domain: its drain routes
+            # the vector once the core's path is current
+            cs.deferred_vectors.append(vector)
+            return None
+        return self._irq(0, vector, device=1)["handler"]
 
     def _policies_from_root(self, dom: DomainNode) -> list[Policies]:
         """The policies of dom and each of its ancestors, td0's first: td0's
@@ -1017,11 +1015,12 @@ class Engine:
 
         Call id sits in register 0, arguments in 1..6; results land in
         registers 0..3 with register 0 holding 0 for success or the error
-        code.  The whole call, register decoding included, holds the engine
-        lock.  A call rejected before any monitor call traced it is traced
-        as `abi`.  A core outside the machine has no registers to answer
-        in, so its call is traced and raised.  A core whose drain unwinds
-        it makes no call, as its registers then hold a REVOKED_CHILD payload.
+        code.  In concurrent mode the whole call, register decoding
+        included, holds the engine lock (see `ConcurrentEngine`).  A call
+        rejected before any monitor call traced it is traced as `abi`.  A
+        core outside the machine has no registers to answer in, so its call
+        is traced and raised.  A core whose drain unwinds it makes no call,
+        as its registers then hold a REVOKED_CHILD payload.
 
         Large outputs are consumed via a continuation token.  ATTEST or
         ENUMERATE with a nonzero token in register 2 is a drain, decided
@@ -1032,64 +1031,63 @@ class Engine:
         with zero bytes, drops the token after its last chunk, and traces
         nothing.  The handlers of both calls only issue.
         """
-        with self.platform.engine_lock:
-            if not 0 <= core < len(self.cores):
-                self.trace.record(OpRecord(
-                    self.platform.now, core, "abi", {}, False,
-                    ErrorCode.CORE_NOT_ALLOWED.name))
-                raise deny(ErrorCode.CORE_NOT_ALLOWED, f"core {core}")
-            if self.process_updates(core):
-                return
-            caller_id = self.cores[core].current
-            caller = self.domains[caller_id]
-            regs = caller.core_regs(core)
-            call_id = regs[0]
-            traced = len(self.trace.records)
-            try:
-                if user and not caller.policies.user_calls:
-                    raise deny(ErrorCode.POLICY_DENIED, "user calls not allowed")
-                token = regs[2]
-                if token and call_id in _DRAIN_CALLS:
-                    # a drain: the token drains only for the domain whose
-                    # call produced the output, and only through that call
-                    entry = self._buffers.get(token)
-                    if entry is None or entry[0] != caller_id or \
-                            entry[1] != call_id:
-                        raise deny(ErrorCode.BAD_CURSOR, f"token {token}")
-                    blob, offset = entry[2], entry[3]
-                    end = offset + 16
-                    regs[0] = 0
-                    if end < len(blob):
-                        entry[3] = end
-                        regs[1] = 16
-                        regs[2], regs[3] = _CHUNK.unpack_from(blob, offset)
-                    else:
-                        del self._buffers[token]
-                        chunk = blob[offset:]
-                        regs[1] = len(chunk)
-                        regs[2], regs[3] = _CHUNK.unpack(
-                            chunk.ljust(16, b"\0"))
-                    return
-                # checked here, so that a negative id cannot index the
-                # table from its end
-                if not 0 <= call_id < len(_ABI_HANDLERS):
-                    raise deny(ErrorCode.BAD_HANDLE, f"unknown call {call_id}")
-                results = _ABI_HANDLERS[call_id](self, caller_id, core,
-                                                 regs[1:7])
-            except MonitorError as exc:
-                if len(self.trace.records) == traced:
-                    self.trace.record(OpRecord(
-                        self.platform.now, core, "abi",
-                        {"caller": caller_id, "call": call_id}, False,
-                        exc.code.name))
-                regs = self.domains[self.cores[core].current].core_regs(core)
-                regs[0] = int(exc.code)
-                return
-            # a switch transfers control and returns None; its results reach
-            # the caller on resume
-            if results is not None:
+        if not 0 <= core < len(self.cores):
+            self.trace.record(OpRecord(
+                self.platform.now, core, "abi", {}, False,
+                ErrorCode.CORE_NOT_ALLOWED.name))
+            raise deny(ErrorCode.CORE_NOT_ALLOWED, f"core {core}")
+        if self.process_updates(core):
+            return
+        caller_id = self.cores[core].current
+        caller = self.domains[caller_id]
+        regs = caller.core_regs(core)
+        call_id = regs[0]
+        traced = len(self.trace.records)
+        try:
+            if user and not caller.policies.user_calls:
+                raise deny(ErrorCode.POLICY_DENIED, "user calls not allowed")
+            token = regs[2]
+            if token and call_id in _DRAIN_CALLS:
+                # a drain: the token drains only for the domain whose
+                # call produced the output, and only through that call
+                entry = self._buffers.get(token)
+                if entry is None or entry[0] != caller_id or \
+                        entry[1] != call_id:
+                    raise deny(ErrorCode.BAD_CURSOR, f"token {token}")
+                blob, offset = entry[2], entry[3]
+                end = offset + 16
                 regs[0] = 0
-                regs[1:1 + len(results)] = results
+                if end < len(blob):
+                    entry[3] = end
+                    regs[1] = 16
+                    regs[2], regs[3] = _CHUNK.unpack_from(blob, offset)
+                else:
+                    del self._buffers[token]
+                    chunk = blob[offset:]
+                    regs[1] = len(chunk)
+                    regs[2], regs[3] = _CHUNK.unpack(
+                        chunk.ljust(16, b"\0"))
+                return
+            # checked here, so that a negative id cannot index the
+            # table from its end
+            if not 0 <= call_id < len(_ABI_HANDLERS):
+                raise deny(ErrorCode.BAD_HANDLE, f"unknown call {call_id}")
+            results = _ABI_HANDLERS[call_id](self, caller_id, core,
+                                             regs[1:7])
+        except MonitorError as exc:
+            if len(self.trace.records) == traced:
+                self.trace.record(OpRecord(
+                    self.platform.now, core, "abi",
+                    {"caller": caller_id, "call": call_id}, False,
+                    exc.code.name))
+            regs = self.domains[self.cores[core].current].core_regs(core)
+            regs[0] = int(exc.code)
+            return
+        # a switch transfers control and returns None; its results reach
+        # the caller on resume
+        if results is not None:
+            regs[0] = 0
+            regs[1:1 + len(results)] = results
 
     # -- one handler per call: (caller, core, argument registers) -> at most
     # three result words, or None when control moved; ATTEST's and
@@ -1246,3 +1244,37 @@ _ABI_HANDLERS = tuple({
     ApiCall.REVOKE: Engine._abi_revoke,
     ApiCall.GETCHAN: Engine._abi_getchan,
 }[call] for call in ApiCall)
+
+
+class ConcurrentEngine(Engine):
+    """The engine a concurrent platform runs: each entry point that a
+    worker, the platform's clock or the oracle reaches holds the platform's
+    engine lock, and these overrides are all the engine's lock scope.  The
+    lock is reentrant, so one entry point may call another.
+    """
+
+    def _call(self, call: ApiCall, op: str, caller: int, args: dict, body,
+              core: Optional[int] = None) -> dict:
+        # the core is read once the lock is held
+        with self.platform.engine_lock:
+            return super()._call(call, op, caller, args, body, core)
+
+    def monitor_call(self, core: int, user: bool = False):
+        with self.platform.engine_lock:
+            return super().monitor_call(core, user)
+
+    def route_interrupt(self, core: int, vector: int) -> int:
+        with self.platform.engine_lock:
+            return super().route_interrupt(core, vector)
+
+    def route_device_interrupt(self, vector: int) -> Optional[int]:
+        with self.platform.engine_lock:
+            return super().route_device_interrupt(vector)
+
+    def domain_may_access(self, dom_id: int, addr: int, kind: str) -> bool:
+        with self.platform.engine_lock:
+            return super().domain_may_access(dom_id, addr, kind)
+
+    def page_access_map(self) -> dict[int, bytes]:
+        with self.platform.engine_lock:
+            return super().page_access_map()

@@ -5,9 +5,12 @@ passes through the access interposer here.  Two execution modes share the
 engine: a deterministic single-context stepper used for golden tests, and a
 concurrent mode with one worker thread per core where the engine's
 serialization plus the two-barrier protocol are the only cross-core
-synchronization.  A barrier round parks the affected cores, publishes, then
-releases them; each then drains under the engine lock, and the engine works
-out the drain from its own state, so a core carries no queue of updates.
+synchronization.  Step mode takes no lock.  Concurrent mode's engine lock
+covers the `ConcurrentEngine` entry points, the clock's `tick` and each
+scenario statement.  A barrier round parks the affected cores, publishes,
+then releases them; each then drains under the engine lock, and the engine
+works out the drain from its own state, so a core carries no queue of
+updates.
 
 Concurrent mode waits on one condition, `ConcurrentPlatform._cv`, and only
 where the protocol says: a thread wanting the engine lock until its holder
@@ -30,7 +33,6 @@ publish / release / drain.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import threading
 from collections import deque
@@ -45,6 +47,7 @@ FAULT_VECTOR = 14       # synthetic fault raised by denied accesses
 TIMER_VECTOR = 32       # synthetic preemption when a switch quantum expires
 MAX_CORES = 64
 LOG_KEEP = 4096         # entries each platform log keeps, newest last
+DEFAULT_POOL = 1024     # metadata pool of a config with no `pool` line
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class MachineConfig:
     cores: int
     monitor_reserved: PhysRange
     devices: tuple[DeviceConfig, ...] = ()
-    metadata_pool: int = 1024
+    metadata_pool: int = DEFAULT_POOL
 
     def validate(self):
         if self.memory_size <= 0 or self.memory_size % PAGE:
@@ -97,7 +100,10 @@ class MachineConfig:
         return top
 
     def canonical_bytes(self) -> bytes:
-        """Stable serialization; the boot-info that gets measured."""
+        """Stable serialization; the boot-info that gets measured.  It
+        names every field, so `parse_config` gives back an equal config.
+        The default pool writes no line, as a config file without a `pool`
+        line gets it."""
         lines = [
             f"memory {self.memory_size:#x}",
             f"cores {self.cores}",
@@ -107,6 +113,8 @@ class MachineConfig:
         for dev in self.devices:
             lines.append(f"device {dev.name} {dev.mmio.start:#x} "
                          f"{dev.mmio.end:#x} {dev.vector}")
+        if self.metadata_pool != DEFAULT_POOL:
+            lines.append(f"pool {self.metadata_pool}")
         return ("\n".join(lines) + "\n").encode()
 
 
@@ -114,7 +122,7 @@ def parse_config(text: str) -> MachineConfig:
     memory = None
     cores = None
     reserved = None
-    pool = 1024
+    pool = DEFAULT_POOL
     devices: list[DeviceConfig] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -190,7 +198,9 @@ def view_allows(view: bytes, addr: int, kind: str) -> bool:
 
 
 class Platform:
-    """Deterministic single-context platform; also the base for concurrent mode."""
+    """Deterministic single-context platform; also the base for concurrent
+    mode.  One context runs everything, so it has no engine lock and
+    nothing here or in its `Engine` takes one."""
 
     def __init__(self, config: MachineConfig):
         config.validate()
@@ -205,8 +215,6 @@ class Platform:
         self.protocol_log: deque[tuple] = deque(maxlen=LOG_KEEP)
         self._pending_irqs: list[tuple[int, int, int]] = []  # (step, order, vector)
         self._irq_order = 0
-        # one context runs everything, so engine calls need no lock
-        self.engine_lock = contextlib.nullcontext()
 
     # -- wiring -----------------------------------------------------------
 
@@ -323,11 +331,10 @@ class Platform:
     # -- time --------------------------------------------------------------
 
     def tick(self, n: int = 1):
-        with self.engine_lock:
-            for _ in range(n):
-                self.now += 1
-                self._fire_due_irqs()
-                self.engine.check_quanta()
+        for _ in range(n):
+            self.now += 1
+            self._fire_due_irqs()
+            self.engine.check_quanta()
 
     def schedule_device_interrupt(self, vector: int, at_step: int):
         heapq.heappush(self._pending_irqs, (at_step, self._irq_order, vector))
@@ -369,8 +376,10 @@ class _EngineLock:
 
 class ConcurrentPlatform(Platform):
     """One worker thread per core; engine ops serialize on an IPI-aware
-    lock.  `_cv` guards each core's IPI tag and run state, the work lists
-    and the engine lock's hand-off, and every change to them notifies it."""
+    lock, `engine_lock`.  Its scope is the `ConcurrentEngine` entry points,
+    `tick` and each statement a scenario runner executes.  `_cv` guards
+    each core's IPI tag and run state, the work lists and the engine
+    lock's hand-off, and every change to them notifies it."""
 
     def __init__(self, config: MachineConfig):
         super().__init__(config)
@@ -392,6 +401,10 @@ class ConcurrentPlatform(Platform):
     def worker_core(self) -> Optional[int]:
         """The core whose worker thread runs this code, or None."""
         return getattr(self._thread_core, "core", None)
+
+    def tick(self, n: int = 1):
+        with self.engine_lock:
+            super().tick(n)
 
     def log_access(self, *event):
         with self._log_lock:
@@ -520,13 +533,16 @@ def boot(config: MachineConfig, seed: int = 0, concurrent: bool = False):
     td0's RAM for DMA, and td0 receives a channel to it.
     """
     from . import attest as attest_mod
-    from .engine import Engine
+    from .engine import ConcurrentEngine, Engine
 
     config.validate()
-    platform = ConcurrentPlatform(config) if concurrent else Platform(config)
+    if concurrent:
+        platform, engine_cls = ConcurrentPlatform(config), ConcurrentEngine
+    else:
+        platform, engine_cls = Platform(config), Engine
     measurement = attest_mod.measure_boot(
         config.canonical_bytes(), attest_mod.MONITOR_IDENTITY, seed)
-    engine = Engine(platform, seed=seed, measurement=measurement)
+    engine = engine_cls(platform, seed=seed, measurement=measurement)
     platform.attach_engine(engine)
     td0 = engine.boot_td0()
     return engine, td0, measurement

@@ -78,6 +78,9 @@ class Oracle:
     def __init__(self):
         self.caps: dict[int, OracleCap] = {}
         self.domains: dict[int, OracleDomain] = {}
+        # the root region, which the boot record makes and no record
+        # destroys
+        self._root: Optional[int] = None
         # address_map's result, dropped by each record that can change it
         self._map: Optional[dict[int, dict[int, tuple[int, bool]]]] = None
 
@@ -91,6 +94,8 @@ class Oracle:
     def apply(self, record: OpRecord):
         if not record.ok:
             return
+        if self._root is None and record.op != "boot":
+            raise deny(ErrorCode.MALFORMED_LOG, "no boot record")
         handler = getattr(self, f"_op_{record.op}", None)
         if handler is None:
             if record.op in _READ_ONLY_OPS:
@@ -103,7 +108,7 @@ class Oracle:
     def _op_boot(self, rec: OpRecord):
         td0 = rec.args["td0"]
         self.domains[td0] = OracleDomain(td0, None, deliver_all=True)
-        root = rec.args["root"]
+        root = self._root = rec.args["root"]
         start, end = rec.args["reserved_end"], rec.args["top"]
         self.caps[root] = OracleCap(root, td0, "root", None, start, end,
                                     7, _pages(start, end))
@@ -114,17 +119,11 @@ class Oracle:
         self.domains[dev] = OracleDomain(dev, td0)
         self.domains[td0].children.append(dev)
         self._new_cap(rec.args["mmio_carve"], dev, "carve",
-                      self._root_id(), rec.args["mmio_start"],
+                      self._root, rec.args["mmio_start"],
                       rec.args["mmio_end"], 6)
         self._new_cap(rec.args["ram_alias"], dev, "alias",
-                      self._root_id(), rec.args["ram_start"],
+                      self._root, rec.args["ram_start"],
                       rec.args["ram_end"], 6)
-
-    def _root_id(self) -> int:
-        for cap in self.caps.values():
-            if cap.kind == "root":
-                return cap.id
-        raise deny(ErrorCode.MALFORMED_LOG, "no boot record")
 
     def _new_cap(self, cap_id: int, owner: int, kind: str, parent: int,
                  start: int, end: int, rights: int):
@@ -218,7 +217,7 @@ class Oracle:
 
         # the root node survives any cascade; ownership climbs to the
         # nearest live ancestor while its subtree is destroyed normally
-        root = self._root_id()
+        root = self._root
         if root in caps:
             caps.discard(root)
             heir = self.caps[root].owner

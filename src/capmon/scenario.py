@@ -78,11 +78,12 @@ _STATEMENT_OPS = {
     "read-mem", "irq", "devirq", "step", "expect",
 }
 
-# Memory statements run unlocked, as a guest's loads and stores do (a fault
-# takes the lock to route), and so does `expect error`, whose statement
-# locks itself.  Every other statement runs in one engine-lock scope, so the
-# handles it resolves from engine state still name the same objects when the
-# call they feed runs.
+# The engine lock exists only in concurrent mode; step mode takes none.
+# There, memory statements run unlocked, as a guest's loads and stores do (a
+# fault takes the lock to route), and so does `expect error`, whose
+# statement locks itself.  Every other statement runs in one engine-lock
+# scope, so the handles it resolves from engine state still name the same
+# objects when the call they feed runs.
 _UNLOCKED = {"write-mem", "read-mem", "expect read", "expect zero",
              "expect error"}
 # switch, send's destination, getchan and attest name a domain by a domain
@@ -198,11 +199,11 @@ class ScenarioRunner:
         try:
             scope = f"expect {stmt.args[0]}" if stmt.op == "expect" \
                 else stmt.op
-            if scope in _UNLOCKED:
-                handler(stmt)
-            else:
+            if self.concurrent and scope not in _UNLOCKED:
                 with self.engine.platform.engine_lock:
                     handler(stmt)
+            else:
+                handler(stmt)
         except (ValueError, IndexError) as exc:
             raise ScriptError(stmt.lineno,
                               f"{stmt.text!r}: bad arguments ({exc})") from None

@@ -374,13 +374,13 @@ class TestAbiDrain:
     @DRAINS
     def test_a_drain_enters_three_frames(self, call_id):
         # pins the drain's depth: no handler or buffer helper frame runs
-        # under monitor_call; the engine lock is a contextlib nullcontext
-        # in step mode, so only frames from capmon's own sources count
+        # under monitor_call, and step mode takes no engine lock, so no
+        # frame from any source enters a lock's __enter__ or __exit__
         engine, td0 = small_engine()
         token = issue(engine, 0, call_id)
         assert len(engine._buffers[token][2]) > 32
         load(engine, 0, call_id, 0, token)
-        _, names = frames_entered(engine.monitor_call, 0, capmon_only=True)
+        _, names = frames_entered(engine.monitor_call, 0)
         assert engine.domains[td0].core_regs(0)[:2] == [0, 16]
         assert engine._buffers[token][3] == 16
         assert names == ["monitor_call", "process_updates", "core_regs"]

@@ -412,6 +412,29 @@ class TestPredicates:
         assert not verdict
         assert [c.name for c in clauses if not c.ok] == ["no-send"]
 
+    def test_encapsulated_false_with_receive_on(self):
+        engine, td0 = small_engine()
+        td1, h1 = make_child(engine, td0, seal=False)
+        engine.set_policy(td0, h1, "receive", 1)
+        r = carve_to(engine, td0, h1, PhysRange(A[0], A[2]))
+        engine.seal(td0, h1)
+        engine.switch(td0, 0, h1)
+        # the child may not send, but was set `receive on`
+        td2, h2 = make_child(engine, td1, mon_api=1 << ApiCall.SWITCH,
+                             receive=True, seal=False)
+        r_h = engine.domains[td1].owned.find(CapKind.REGION, r)
+        sub = engine.tree_carve(td1, r_h, PhysRange(A[0], A[1]), Rights.RWX)
+        engine.send(td1, sub, h2)
+        engine.seal(td1, h2)
+        engine.switch(td1, 0, None)
+        report = engine.attest(td0, h1)
+        names = report.name_of_domain
+        verdict, clauses = is_encapsulated(report, names[td2], names[td1])
+        assert not verdict
+        failed = [c for c in clauses if not c.ok]
+        assert [(c.name, c.detail) for c in failed] == \
+            [("no-receive", "child may receive capabilities after seal")]
+
     def test_encapsulated_false_with_foreign_region(self):
         # the child holds a region that does not derive from the parent
         engine, td0 = small_engine()

@@ -12,7 +12,8 @@ from capmon import DeviceConfig, Oracle, PhysRange, Rights, Visibility, boot
 from capmon.domains import (
     ALL_CALLS_MASK, ApiCall, CapKind, CapTable, PayloadCode,
 )
-from capmon.machine import LOG_KEEP, TIMER_VECTOR
+from capmon.engine import ConcurrentEngine, Engine
+from capmon.machine import LOG_KEEP, TIMER_VECTOR, Platform
 from capmon.regions import PAGE
 from capmon.scenario import ScenarioRunner, parse_script
 from capmon.state import dump_state, load_state
@@ -20,7 +21,7 @@ from capmon.state import dump_state, load_state
 from support import (
     carve_to, delivered_in_place, make_child, replay_trace, small_config,
 )
-from test_abi import call, drain
+from test_abi import call, drain, load
 
 A = [PAGE * (1 + k) for k in range(16)]
 
@@ -176,6 +177,60 @@ class TestConcurrentBasics:
             "expect state a revoked\n")) == 0, runner.failures
         assert {op for op, _ in held} == {"find", "get"}
         assert all(owned for _, owned in held), held
+
+
+# each entry point ConcurrentEngine locks, by what a worker calls it with
+_ENTRY_POINTS = {
+    "_call": lambda engine, td0: engine.create(td0),
+    "monitor_call": lambda engine, td0: (load(engine, 1, ApiCall.CREATE),
+                                         engine.monitor_call(1)),
+    "route_interrupt": lambda engine, td0: engine.route_interrupt(1, 0x21),
+    "route_device_interrupt":
+        lambda engine, td0: engine.route_device_interrupt(0x21),
+    "domain_may_access":
+        lambda engine, td0: engine.domain_may_access(td0, A[0], "R"),
+    "page_access_map": lambda engine, td0: engine.page_access_map(),
+}
+
+
+class TestLockScope:
+    """Concurrent mode's lock scope is the ConcurrentEngine entry points and
+    the platform's tick; step mode has no engine lock at all."""
+
+    def test_step_mode_has_no_engine_lock(self):
+        engine, _, _ = boot(small_config(pages=32, cores=2))
+        assert type(engine) is Engine
+        assert not hasattr(engine.platform, "engine_lock")
+        engine, _, _ = build_concurrent(cores=2, pages=32)
+        assert type(engine) is ConcurrentEngine
+
+    def test_each_entry_point_runs_under_the_engine_lock(self, monkeypatch):
+        # each unlocked body, and the unlocked tick, records whether the
+        # worker that called it holds the lock; an override that took no
+        # lock would leave the body to run without it
+        engine, td0, _ = build_concurrent(cores=2, pages=32)
+        platform = engine.platform
+        held = []
+
+        def spy(cls, name):
+            body = getattr(cls, name)
+
+            def wrapper(*args, **kw):
+                held.append((name, platform.engine_lock._lock._is_owned()))
+                return body(*args, **kw)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for name in _ENTRY_POINTS:
+            spy(Engine, name)
+        spy(Platform, "tick")
+        platform.start_cores()
+        for fn in _ENTRY_POINTS.values():
+            platform.submit(1, lambda fn=fn: fn(engine, td0))
+        platform.submit(1, platform.tick)
+        platform.join()
+        assert {name for name, _ in held} == {*_ENTRY_POINTS, "tick"}
+        assert all(owned for _, owned in held), held
+        assert not platform.engine_lock._lock._is_owned()
 
 
 class TestConcurrentWithoutWorkers:

@@ -191,25 +191,35 @@ class TestRouting:
     def test_a_fault_and_its_resume_enter_25_frames(self):
         # pins the fault path's depth: a denied guest read routes the fault
         # vector to td0 with one handler walk and one control transfer, and
-        # td0's resuming switch makes one more transfer; the engine lock is
-        # a contextlib nullcontext in step mode, so only frames from
-        # capmon's own sources count
-        engine, td0 = small_engine()
-        dom, handle = make_child(engine, td0, mon_api=1 << ApiCall.SWITCH)
-        carve_to(engine, td0, handle, PhysRange(2 * PAGE, 3 * PAGE))
-        engine.switch(td0, 0, handle)
-
-        def fault_and_resume():
-            ok, _ = engine.domain_read(0, 5 * PAGE)
+        # td0's resuming switch makes one more transfer; 25 of the frames
+        # are capmon's own, and step mode takes no engine lock, so the other
+        # six (the test's own and five dataclass __init__) hold no lock's
+        # __enter__ or __exit__
+        def fault_and_resume(capmon_only):
+            engine, td0 = small_engine()
+            dom, handle = make_child(engine, td0,
+                                     mon_api=1 << ApiCall.SWITCH)
+            carve_to(engine, td0, handle, PhysRange(2 * PAGE, 3 * PAGE))
             engine.switch(td0, 0, handle)
-            return ok
 
-        ok, names = frames_entered(fault_and_resume, capmon_only=True)
-        assert not ok and engine.current_domain(0) == dom
-        assert engine.cores[0].irq is None
-        assert [line.split(" -> ")[1] for line in engine.trace.lines()[-2:]] \
-            == ["ok handler=0", "ok to=1 payload=resumed"]
+            def run():
+                ok, _ = engine.domain_read(0, 5 * PAGE)
+                engine.switch(td0, 0, handle)
+                return ok
+
+            ok, names = frames_entered(run, capmon_only=capmon_only)
+            assert not ok and engine.current_domain(0) == dom
+            assert engine.cores[0].irq is None
+            assert [line.split(" -> ")[1]
+                    for line in engine.trace.lines()[-2:]] \
+                == ["ok handler=0", "ok to=1 payload=resumed"]
+            return names
+
+        names = fault_and_resume(capmon_only=True)
         assert len(names) == 25, names
+        names = fault_and_resume(capmon_only=False)
+        assert not {"__enter__", "__exit__"} & set(names), names
+        assert len(names) == 31, names
 
 
 class TestRegisterVisibility:

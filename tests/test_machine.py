@@ -1,6 +1,7 @@
 """Simulated machine: config parsing, boot state, access interposition,
 update protocol ordering, bounded logs, and device modeling."""
 
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -22,6 +23,33 @@ from support import (
 )
 
 A = [PAGE * (1 + k) for k in range(8)]
+
+
+# a config with every field set, the pool left at its default
+_MEASURED = MachineConfig(
+    0x40000, 2, PhysRange(0, 0x1000),
+    (DeviceConfig("net0", PhysRange(0x80000, 0x81000), 33),))
+
+
+def _device(**change):
+    return lambda config: dataclasses.replace(config, devices=(
+        dataclasses.replace(config.devices[0], **change),))
+
+
+# one change per MachineConfig and DeviceConfig field: (field, change)
+_CONFIG_CHANGES = [
+    ("memory_size",
+     lambda config: dataclasses.replace(config, memory_size=0x50000)),
+    ("cores", lambda config: dataclasses.replace(config, cores=3)),
+    ("monitor_reserved", lambda config: dataclasses.replace(
+        config, monitor_reserved=PhysRange(0, 0x2000))),
+    ("devices", lambda config: dataclasses.replace(config, devices=())),
+    ("metadata_pool",
+     lambda config: dataclasses.replace(config, metadata_pool=0x20)),
+    ("device name", _device(name="net1")),
+    ("device mmio", _device(mmio=PhysRange(0x80000, 0x82000))),
+    ("device vector", _device(vector=34)),
+]
 
 
 class TestConfig:
@@ -67,6 +95,44 @@ class TestConfig:
         config = parse_config("memory 0x200000\ncores 2\n"
                               "monitor_reserved 0x0 0x1000\npool 0x20\n")
         assert config.metadata_pool == 0x20
+
+    @pytest.mark.parametrize("field, change", _CONFIG_CHANGES,
+                             ids=[field for field, _ in _CONFIG_CHANGES])
+    def test_every_field_is_measured(self, field, change):
+        # a config that differs in one field boots with other canonical
+        # bytes and another PCR, and each parses back from its bytes
+        changed = change(_MEASURED)
+        assert changed != _MEASURED
+        assert changed.canonical_bytes() != _MEASURED.canonical_bytes()
+        assert boot(changed)[2].pcr != boot(_MEASURED)[2].pcr
+        for config in (_MEASURED, changed):
+            assert parse_config(config.canonical_bytes().decode()) == config
+
+    def test_the_changes_cover_every_field(self):
+        # a field added later needs a row, so it cannot be left out of the
+        # measurement unnoticed
+        assert {field for field, _ in _CONFIG_CHANGES} == \
+            {f.name for f in dataclasses.fields(MachineConfig)} | \
+            {f"device {f.name}" for f in dataclasses.fields(DeviceConfig)}
+
+    def test_default_pool_writes_no_line(self):
+        # so every config that leaves the pool out keeps the PCR it had
+        assert b"pool" not in _MEASURED.canonical_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 3),
+           st.integers(1, 1 << 16), st.integers(0, 2))
+    def test_canonical_bytes_parse_back(self, pages, cores, reserved, pool,
+                                        ndevices):
+        memory = 0x10000 * pages
+        config = MachineConfig(
+            memory, cores, PhysRange(0, PAGE * reserved),
+            tuple(DeviceConfig(f"dev{k}", PhysRange(memory + k * PAGE,
+                                                    memory + (k + 1) * PAGE),
+                               k) for k in range(ndevices)),
+            pool)
+        config.validate()
+        assert parse_config(config.canonical_bytes().decode()) == config
 
     def test_overlapping_device_mmio(self):
         config = MachineConfig(

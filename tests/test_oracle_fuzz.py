@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from capmon import MonitorError, Oracle, PhysRange, Rights
 from capmon import oracle as oracle_mod
 from capmon.domains import CapKind
+from capmon.errors import ErrorCode
 from capmon.regions import EXCLUSIVE_BIT, PAGE, RegionStatus
-from capmon.trace import parse_log
+from capmon.trace import OpRecord, parse_log
 
 from support import (
-    FuzzDriver, carve_to, check_invariants, check_views, make_child,
-    small_engine,
+    FuzzDriver, carve_to, check_invariants, check_views, expect_code,
+    make_child, small_engine,
 )
 
 A = [PAGE * (1 + k) for k in range(8)]
@@ -144,6 +145,23 @@ class TestFuzzEquivalence:
         text = driver.engine.trace.dump()
         oracle = Oracle().replay(parse_log(text))
         assert not oracle.diff(driver.engine)
+
+
+class TestMalformedLog:
+    def test_unknown_op(self):
+        engine, td0 = small_engine()
+        records = engine.trace.records + [OpRecord(0, 0, "frob")]
+        err = expect_code(ErrorCode.MALFORMED_LOG, Oracle().replay, records)
+        assert err.message == "unknown op frob"
+
+    def test_no_boot_record(self):
+        # the records after boot name domains and regions no record made
+        engine, td0 = small_engine()
+        make_child(engine, td0)
+        assert engine.trace.records[0].op == "boot"
+        err = expect_code(ErrorCode.MALFORMED_LOG, Oracle().replay,
+                          engine.trace.records[1:])
+        assert err.message == "no boot record"
 
 
 class TestConservation:
